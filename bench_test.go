@@ -288,39 +288,44 @@ func BenchmarkEngineAnalyzeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBitsetLevelCheck compares the level-decider backends head to
-// head on the hard negative instance: a full n=6 sweep over Tnn(5,2)
-// (consensus number 5, so every operation assignment is checked and no
-// witness short-circuits the enumeration), serial, both properties. The
-// search/bitset ratio is backend=bitset's headline number; allocs/op
-// (via -benchmem in CI) pins the bitset backend's scratch pooling — the
-// packed-word sweep must not allocate per assignment.
+// BenchmarkBitsetLevelCheck compares the production bitset decider with
+// the recursive reference deciders head to head on the hard negative
+// instance: a full n=6 sweep over Tnn(5,2) (consensus number 5, so every
+// operation assignment is checked and no witness short-circuits the
+// enumeration), serial, both properties. backend=search is the
+// reference, backend=bitset the sweep the engine runs; the ratio is the
+// sweep's headline number, and allocs/op (via -benchmem in CI) pins its
+// scratch pooling — the packed-word sweep must not allocate per
+// assignment.
 func BenchmarkBitsetLevelCheck(b *testing.B) {
 	ft := types.Tnn(5, 2)
 	const n = 6
 	ctx := context.Background()
-	for _, name := range []string{"search", "bitset"} {
-		d, err := decider.Get(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("discern/backend="+name, func(b *testing.B) {
+	run := func(name string, decide func() (bool, error)) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ok, _, err := d.IsNDiscerning(ctx, ft, n)
-				if err != nil || ok {
-					b.Fatalf("tnn(5,2) must not be 6-discerning: ok=%v err=%v", ok, err)
-				}
-			}
-		})
-		b.Run("record/backend="+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ok, _, err := d.IsNRecording(ctx, ft, n)
-				if err != nil || ok {
-					b.Fatalf("tnn(5,2) must not be 6-recording: ok=%v err=%v", ok, err)
+				if ok, err := decide(); err != nil || ok {
+					b.Fatalf("tnn(5,2) must be negative at n=%d: ok=%v err=%v", n, ok, err)
 				}
 			}
 		})
 	}
+	run("discern/backend=search", func() (bool, error) {
+		ok, _, err := discern.IsNDiscerningCtx(ctx, ft, n, discern.Options{})
+		return ok, err
+	})
+	run("record/backend=search", func() (bool, error) {
+		ok, _, err := record.IsNRecordingCtx(ctx, ft, n, record.Options{})
+		return ok, err
+	})
+	run("discern/backend=bitset", func() (bool, error) {
+		ok, _, err := decider.IsNDiscerning(ctx, ft, n, 1, nil)
+		return ok, err
+	})
+	run("record/backend=bitset", func() (bool, error) {
+		ok, _, err := decider.IsNRecording(ctx, ft, n, 1, nil)
+		return ok, err
+	})
 }
 
 // BenchmarkShardedLevelCheck measures sharding a SINGLE large-n level
@@ -360,14 +365,9 @@ func BenchmarkShardedLevelCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLevelCheckSteal is the scheduler ablation for the
-// sharded level check: the work-stealing chunk queue versus the
-// contiguous-range baseline on the same Tnn(5,2) n=6 negative instance.
-// With contiguous ranges the uneven per-rank enumeration cost leaves
-// some shards idle while others churn; the chunk queue rebalances, so
-// steal/shards=k should scale strictly better than contiguous/shards=k
-// for k > 1 while returning byte-identical results (difftest enforces
-// the identity; this benchmark tracks the scaling gap).
+// BenchmarkShardedLevelCheckSteal tracks the work-stealing chunk queue
+// of the sharded level check on the Tnn(5,2) n=6 negative instance, with
+// allocs/op: the queue's per-shard cost must stay flat as shards grow.
 func BenchmarkShardedLevelCheckSteal(b *testing.B) {
 	ft := types.Tnn(5, 2)
 	const n = 6
@@ -377,22 +377,15 @@ func BenchmarkShardedLevelCheckSteal(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, shards := range shardSet {
-		for _, contiguous := range []bool{false, true} {
-			mode := "steal"
-			if contiguous {
-				mode = "contiguous"
-			}
-			b.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ok, _, err := discern.ShardedIsNDiscerning(ctx, ft, n, shards,
-						discern.ShardOptions{Contiguous: contiguous})
-					if err != nil || ok {
-						b.Fatalf("tnn(5,2) must not be 6-discerning: ok=%v err=%v", ok, err)
-					}
+		b.Run(fmt.Sprintf("steal/shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ok, _, err := discern.ShardedIsNDiscerning(ctx, ft, n, shards, discern.ShardOptions{})
+				if err != nil || ok {
+					b.Fatalf("tnn(5,2) must not be 6-discerning: ok=%v err=%v", ok, err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

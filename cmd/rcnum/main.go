@@ -22,6 +22,7 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/decider"
 	"repro/internal/registry"
 )
 
@@ -45,6 +46,9 @@ func run(args []string) error {
 	if *list {
 		fmt.Print(registry.Help())
 		return nil
+	}
+	if err := decider.CheckN(*maxN); err != nil {
+		return fmt.Errorf("-n: %w", err)
 	}
 
 	eng, cleanup, err := ef.Engine(repro.WithMaxN(*maxN))

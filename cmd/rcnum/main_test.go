@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/decider"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -153,5 +156,18 @@ func TestRunErrors(t *testing.T) {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
+	}
+}
+
+// TestRunNAboveCap: -n above the level decider's cap fails before any
+// work, with the decider's one message naming the cap.
+func TestRunNAboveCap(t *testing.T) {
+	n := decider.BitsetMaxN + 1
+	out, err := capture(t, func() error { return run([]string{"-n", strconv.Itoa(n), "tas"}) })
+	if err == nil || !strings.Contains(err.Error(), decider.CheckN(n).Error()) {
+		t.Fatalf("err = %v, want the decider's cap error", err)
+	}
+	if out != "" {
+		t.Fatalf("printed %q before rejecting -n", out)
 	}
 }

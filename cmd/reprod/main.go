@@ -86,13 +86,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/decider"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -132,14 +131,11 @@ func run(args []string) error {
 	if *maxN < 2 {
 		return fmt.Errorf("need -max-n >= 2, got %d", *maxN)
 	}
+	if err := decider.CheckN(*maxN); err != nil {
+		return fmt.Errorf("-max-n: %w", err)
+	}
 	if err := jf.Validate(); err != nil {
 		return err
-	}
-	// Validate -backend at startup: a typo should stop the server from
-	// coming up, not answer invalid_argument on every request.
-	if ef.Backend != "" && !slices.Contains(repro.Backends(), ef.Backend) {
-		return fmt.Errorf("-backend: unknown backend %q (valid: %s)",
-			ef.Backend, strings.Join(repro.Backends(), ", "))
 	}
 	if err := of.Validate(); err != nil {
 		return err
@@ -175,7 +171,6 @@ func run(args []string) error {
 		MaxN:             *maxN,
 		Parallelism:      ef.Parallel,
 		ShardThreshold:   ef.ShardThreshold,
-		DefaultBackend:   ef.Backend,
 		RequestTimeout:   *reqTimeout,
 		MaxConcurrent:    *maxConc,
 		BatchLimit:       *batchLimit,

@@ -5,9 +5,12 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/decider"
 )
 
 // serveFor runs the server with args plus a run deadline, invoking fn
@@ -213,6 +216,16 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
+	}
+}
+
+// TestRunMaxNAboveCap: -max-n above the level decider's cap stops the
+// server from starting, with the decider's one message naming the cap.
+func TestRunMaxNAboveCap(t *testing.T) {
+	n := decider.BitsetMaxN + 1
+	err := run([]string{"-max-n", strconv.Itoa(n), "-addr", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), decider.CheckN(n).Error()) {
+		t.Fatalf("err = %v, want the decider's cap error", err)
 	}
 }
 

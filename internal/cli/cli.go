@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
-	"strings"
 	"time"
 
 	"repro"
@@ -38,10 +36,6 @@ type EngineFlags struct {
 	// warm-start across processes. It needs graph caching enabled and is
 	// ignored (with a warning) when -graph-cache-budget is negative.
 	GraphDir string
-	// Backend selects the level-decider backend (-backend; empty = the
-	// engine default, "search"). Unknown names error from Engine/EngineOn
-	// before any work runs.
-	Backend string
 
 	// Cache is the persistent cache opened for -cache-file; it is set by
 	// OpenCache (and therefore by Engine) and nil when the flag is
@@ -72,8 +66,6 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		"node budget of the engine's exploration-graph cache (0 = engine default, negative = disable)")
 	fs.StringVar(&f.GraphDir, "graph-dir", "",
 		"persist expanded exploration graphs under this directory, warm-starting model checks across runs")
-	fs.StringVar(&f.Backend, "backend", "",
-		fmt.Sprintf("level-decider backend, one of %s (default %q)", strings.Join(repro.Backends(), ", "), "search"))
 	return f
 }
 
@@ -137,19 +129,10 @@ func (f *EngineFlags) OpenCache() (*repro.PersistentCache, error) {
 // (flushing its journal), reporting failures on stderr; canceling ctx
 // remains the caller's job.
 func (f *EngineFlags) EngineOn(ctx context.Context, extra ...repro.Option) (*repro.Engine, func(), error) {
-	// Validate eagerly: options have no error channel, and a typo'd
-	// backend should fail the tool at startup, not its first level check.
-	if f.Backend != "" && !slices.Contains(repro.Backends(), f.Backend) {
-		return nil, nil, fmt.Errorf("-backend: unknown backend %q (valid: %s)",
-			f.Backend, strings.Join(repro.Backends(), ", "))
-	}
 	opts := []repro.Option{
 		repro.WithContext(ctx),
 		repro.WithParallelism(f.Parallel),
 		repro.WithShardThreshold(f.ShardThreshold),
-	}
-	if f.Backend != "" {
-		opts = append(opts, repro.WithBackend(f.Backend))
 	}
 	pc, err := f.OpenCache()
 	if err != nil {

@@ -4,117 +4,44 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/discern"
+	"repro/internal/record"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func TestGetResolvesNames(t *testing.T) {
-	d, err := Get("")
-	if err != nil {
-		t.Fatalf("Get(\"\"): %v", err)
-	}
-	if d.Name() != Default {
-		t.Fatalf("Get(\"\") resolved to %q, want %q", d.Name(), Default)
-	}
-	for _, name := range []string{"search", "bitset", "auto"} {
-		d, err := Get(name)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", name, err)
-		}
-		if d.Name() != name {
-			t.Fatalf("Get(%q).Name() = %q", name, d.Name())
-		}
-	}
-	if _, err := Get("no-such-backend"); err == nil {
-		t.Fatal("Get of unknown backend succeeded")
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	got := Names()
-	want := []string{"auto", "bitset", "search"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
-}
-
-// TestAutoDispatch pins the auto backend's switchover: bitset at and
-// below BitsetMaxN (so large-n calls must not error the way a direct
-// bitset call does), search above it, identical results either side.
-func TestAutoDispatch(t *testing.T) {
-	ctx := context.Background()
-	auto, err := Get("auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitset, _ := Get("bitset")
-
-	ft := types.Register(2)
-	aOK, aW, err := auto.IsNDiscerning(ctx, ft, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bOK, bW, err := bitset.IsNDiscerning(ctx, ft, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aOK != bOK || !reflect.DeepEqual(aW, bW) {
-		t.Errorf("auto(n=2) = (%v,%v), bitset = (%v,%v)", aOK, aW, bOK, bW)
-	}
-
-	// The switchover itself: bitset at and below the cap, search above it
-	// (running a real n=17 level check is exponential in n, so the pick
-	// is asserted directly).
-	ad, ok := auto.(autoDecider)
-	if !ok {
-		t.Fatalf("auto backend is %T, want autoDecider", auto)
-	}
-	if got := ad.pick(BitsetMaxN).Name(); got != "bitset" {
-		t.Errorf("pick(%d) = %q, want bitset", BitsetMaxN, got)
-	}
-	if got := ad.pick(BitsetMaxN + 1).Name(); got != "search" {
-		t.Errorf("pick(%d) = %q, want search", BitsetMaxN+1, got)
-	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(searchDecider{})
-}
-
 func TestBitsetRejectsLargeN(t *testing.T) {
-	d, err := Get("bitset")
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	want := CheckN(BitsetMaxN + 1)
+	if want == nil || !strings.Contains(want.Error(), fmt.Sprint(BitsetMaxN)) {
+		t.Fatalf("CheckN(%d) = %v, want an error naming the cap", BitsetMaxN+1, want)
 	}
-	_, _, err = d.IsNDiscerning(context.Background(), types.Register(2), BitsetMaxN+1)
-	if err == nil {
-		t.Fatalf("bitset accepted n=%d", BitsetMaxN+1)
+	if _, _, err := IsNDiscerning(ctx, types.Register(2), BitsetMaxN+1, 1, nil); err == nil || err.Error() != want.Error() {
+		t.Fatalf("discerning n=%d: err = %v, want %v", BitsetMaxN+1, err, want)
+	}
+	if _, _, err := IsNRecording(ctx, types.Register(2), BitsetMaxN+1, 1, nil); err == nil || err.Error() != want.Error() {
+		t.Fatalf("recording n=%d: err = %v, want %v", BitsetMaxN+1, err, want)
+	}
+	if err := CheckN(BitsetMaxN); err != nil {
+		t.Fatalf("CheckN(%d) = %v, want nil", BitsetMaxN, err)
 	}
 }
 
 func TestBitsetPanicsBelowTwo(t *testing.T) {
-	d, err := Get("bitset")
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("n=1 did not panic")
 		}
 	}()
-	d.IsNDiscerning(context.Background(), types.Register(2), 1)
+	IsNDiscerning(context.Background(), types.Register(2), 1, 1, nil)
 }
 
-// zoo is the cross-backend equivalence corpus: a spread of object types
-// whose level structure the repository already knows from the search
-// backend's own tests.
+// zoo is the reference-equivalence corpus: a spread of object types
+// whose level structure the repository already knows from the reference
+// deciders' own tests.
 func zoo() map[string]*spec.FiniteType {
 	return map[string]*spec.FiniteType{
 		"register2":   types.Register(2),
@@ -135,51 +62,35 @@ func zoo() map[string]*spec.FiniteType {
 }
 
 // TestBitsetMatchesSearch asserts the byte-identity contract directly on
-// the zoo: same decision and DeepEqual witnesses for both properties,
-// serial and sharded.
+// the zoo: the sweep returns the recursive reference's decision and a
+// DeepEqual witness for both properties, serial and sharded.
 func TestBitsetMatchesSearch(t *testing.T) {
 	ctx := context.Background()
-	search, _ := Get("search")
-	bitset, _ := Get("bitset")
 	for name, ft := range zoo() {
 		for n := 2; n <= 4; n++ {
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
-				sOK, sDW, err := search.IsNDiscerning(ctx, ft, n)
+				sOK, sDW, err := discern.IsNDiscerningCtx(ctx, ft, n, discern.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				bOK, bDW, err := bitset.IsNDiscerning(ctx, ft, n)
+				sOK2, sRW, err := record.IsNRecordingCtx(ctx, ft, n, record.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sOK != bOK || !reflect.DeepEqual(sDW, bDW) {
-					t.Errorf("discerning diverged: search=(%v,%v) bitset=(%v,%v)", sOK, sDW, bOK, bDW)
-				}
-				sOK2, sRW, err := search.IsNRecording(ctx, ft, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bOK2, bRW, err := bitset.IsNRecording(ctx, ft, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sOK2 != bOK2 || !reflect.DeepEqual(sRW, bRW) {
-					t.Errorf("recording diverged: search=(%v,%v) bitset=(%v,%v)", sOK2, sRW, bOK2, bRW)
-				}
-				for _, shards := range []int{2, 7} {
-					_, dw, err := bitset.ShardedIsNDiscerning(ctx, ft, n, shards, nil)
+				for _, shards := range []int{1, 2, 7} {
+					bOK, bDW, err := IsNDiscerning(ctx, ft, n, shards, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(dw, bDW) {
-						t.Errorf("bitset sharded(%d) discern witness %v != serial %v", shards, dw, bDW)
+					if sOK != bOK || !reflect.DeepEqual(sDW, bDW) {
+						t.Errorf("shards=%d discerning diverged: reference=(%v,%v) bitset=(%v,%v)", shards, sOK, sDW, bOK, bDW)
 					}
-					_, rw, err := bitset.ShardedIsNRecording(ctx, ft, n, shards, nil)
+					bOK2, bRW, err := IsNRecording(ctx, ft, n, shards, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(rw, bRW) {
-						t.Errorf("bitset sharded(%d) record witness %v != serial %v", shards, rw, bRW)
+					if sOK2 != bOK2 || !reflect.DeepEqual(sRW, bRW) {
+						t.Errorf("shards=%d recording diverged: reference=(%v,%v) bitset=(%v,%v)", shards, sOK2, sRW, bOK2, bRW)
 					}
 				}
 			})
@@ -187,16 +98,15 @@ func TestBitsetMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestBitsetHonorsCancellation mirrors the search deciders' contract:
-// a canceled context aborts the sweep with ctx.Err().
+// TestBitsetHonorsCancellation mirrors the reference deciders'
+// contract: a canceled context aborts the sweep with ctx.Err().
 func TestBitsetHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	d, _ := Get("bitset")
-	if _, _, err := d.IsNDiscerning(ctx, types.Tnn(4, 2), 4); err != context.Canceled {
+	if _, _, err := IsNDiscerning(ctx, types.Tnn(4, 2), 4, 1, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, _, err := d.IsNRecording(ctx, types.Tnn(4, 2), 4); err != context.Canceled {
+	if _, _, err := IsNRecording(ctx, types.Tnn(4, 2), 4, 1, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

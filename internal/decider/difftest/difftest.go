@@ -198,131 +198,54 @@ func VerifyRecord(t *spec.FiniteType, n int, w *record.Witness) error {
 	return nil
 }
 
-// Check is the differential oracle for one (type, n): it runs every
-// registered backend serially and at each of the given shard counts,
-// plus both shard schedulers (the work-stealing chunk queue and the
-// contiguous-range baseline) at each count, and fails on any divergence
-// — in decision, in witness bytes (across backends, serial-vs-sharded,
-// or stealing-vs-contiguous), or in a positive witness that does not
-// independently verify. shards entries must be >= 1; pass {1, 2, 7} to
-// cover degenerate, even, and uneven sharding.
+// Check is the differential oracle for one (type, n): it runs the
+// production decider (internal/decider) at each of the given shard
+// counts and fails on any divergence from the recursive reference
+// deciders of internal/discern and internal/record — in decision or in
+// witness bytes — or on a positive reference witness that does not
+// independently verify. A shard count of 1 is the serial sweep the
+// engine runs for levels it does not shard; entries must be >= 1, and
+// {1, 2, 7} covers serial, even and uneven sharding.
 func Check(ctx context.Context, t *spec.FiniteType, n int, shards []int) error {
-	names := decider.Names()
-	if len(names) < 2 {
-		return fmt.Errorf("differential test needs at least 2 backends, have %v", names)
+	err := check("discerning", n, shards,
+		func() (bool, *discern.Witness, error) {
+			return discern.IsNDiscerningCtx(ctx, t, n, discern.Options{})
+		},
+		func(w *discern.Witness) error { return VerifyDiscern(t, n, w) },
+		func(s int) (bool, *discern.Witness, error) { return decider.IsNDiscerning(ctx, t, n, s, nil) })
+	if err != nil {
+		return err
 	}
+	return check("recording", n, shards,
+		func() (bool, *record.Witness, error) {
+			return record.IsNRecordingCtx(ctx, t, n, record.Options{})
+		},
+		func(w *record.Witness) error { return VerifyRecord(t, n, w) },
+		func(s int) (bool, *record.Witness, error) { return decider.IsNRecording(ctx, t, n, s, nil) })
+}
 
-	// Discerning.
-	var refOK bool
-	var refW *discern.Witness
-	for bi, name := range names {
-		d, err := decider.Get(name)
-		if err != nil {
-			return err
-		}
-		ok, w, err := d.IsNDiscerning(ctx, t, n)
-		if err != nil {
-			return fmt.Errorf("%s: discerning n=%d: %w", name, n, err)
-		}
-		if ok {
-			if err := VerifyDiscern(t, n, w); err != nil {
-				return fmt.Errorf("%s: discerning n=%d witness invalid: %w", name, n, err)
-			}
-		} else if w != nil {
-			return fmt.Errorf("%s: negative discerning decision carries a witness", name)
-		}
-		if bi == 0 {
-			refOK, refW = ok, w
-		} else if ok != refOK || !reflect.DeepEqual(w, refW) {
-			return fmt.Errorf("discerning n=%d: %s says (%v, %v), %s says (%v, %v)",
-				n, names[0], refOK, refW, name, ok, w)
-		}
-		for _, s := range shards {
-			sok, sw, err := d.ShardedIsNDiscerning(ctx, t, n, s, nil)
-			if err != nil {
-				return fmt.Errorf("%s: discerning n=%d shards=%d: %w", name, n, s, err)
-			}
-			if sok != ok || !reflect.DeepEqual(sw, w) {
-				return fmt.Errorf("%s: discerning n=%d shards=%d diverges from serial: (%v, %v) vs (%v, %v)",
-					name, n, s, sok, sw, ok, w)
-			}
-		}
+// check is Check for one property: the reference decision, its
+// independent verification, and the decider at every shard count.
+func check[W any](prop string, n int, shards []int, reference func() (bool, *W, error), verify func(*W) error, decide func(shards int) (bool, *W, error)) error {
+	ok, w, err := reference()
+	if err != nil {
+		return fmt.Errorf("reference: %s n=%d: %w", prop, n, err)
 	}
-
-	// Both shard schedulers, cross-validated directly against the serial
-	// reference: the work-stealing chunk queue (the default every backend
-	// above just exercised) and the contiguous-range baseline must both
-	// reproduce the reference decision and witness bytes at every shard
-	// count.
-	for _, s := range shards {
-		for _, contiguous := range []bool{false, true} {
-			mode := "stealing"
-			if contiguous {
-				mode = "contiguous"
-			}
-			sok, sw, err := discern.ShardedIsNDiscerning(ctx, t, n, s,
-				discern.ShardOptions{Contiguous: contiguous})
-			if err != nil {
-				return fmt.Errorf("%s: discerning n=%d shards=%d: %w", mode, n, s, err)
-			}
-			if sok != refOK || !reflect.DeepEqual(sw, refW) {
-				return fmt.Errorf("%s: discerning n=%d shards=%d diverges from serial: (%v, %v) vs (%v, %v)",
-					mode, n, s, sok, sw, refOK, refW)
-			}
+	if ok {
+		if err := verify(w); err != nil {
+			return fmt.Errorf("reference: %s n=%d witness invalid: %w", prop, n, err)
 		}
-	}
-
-	// Recording.
-	var refROK bool
-	var refRW *record.Witness
-	for bi, name := range names {
-		d, err := decider.Get(name)
-		if err != nil {
-			return err
-		}
-		ok, w, err := d.IsNRecording(ctx, t, n)
-		if err != nil {
-			return fmt.Errorf("%s: recording n=%d: %w", name, n, err)
-		}
-		if ok {
-			if err := VerifyRecord(t, n, w); err != nil {
-				return fmt.Errorf("%s: recording n=%d witness invalid: %w", name, n, err)
-			}
-		} else if w != nil {
-			return fmt.Errorf("%s: negative recording decision carries a witness", name)
-		}
-		if bi == 0 {
-			refROK, refRW = ok, w
-		} else if ok != refROK || !reflect.DeepEqual(w, refRW) {
-			return fmt.Errorf("recording n=%d: %s says (%v, %v), %s says (%v, %v)",
-				n, names[0], refROK, refRW, name, ok, w)
-		}
-		for _, s := range shards {
-			sok, sw, err := d.ShardedIsNRecording(ctx, t, n, s, nil)
-			if err != nil {
-				return fmt.Errorf("%s: recording n=%d shards=%d: %w", name, n, s, err)
-			}
-			if sok != ok || !reflect.DeepEqual(sw, w) {
-				return fmt.Errorf("%s: recording n=%d shards=%d diverges from serial: (%v, %v) vs (%v, %v)",
-					name, n, s, sok, sw, ok, w)
-			}
-		}
+	} else if w != nil {
+		return fmt.Errorf("reference: negative %s decision carries a witness", prop)
 	}
 	for _, s := range shards {
-		for _, contiguous := range []bool{false, true} {
-			mode := "stealing"
-			if contiguous {
-				mode = "contiguous"
-			}
-			sok, sw, err := record.ShardedIsNRecording(ctx, t, n, s,
-				record.ShardOptions{Contiguous: contiguous})
-			if err != nil {
-				return fmt.Errorf("%s: recording n=%d shards=%d: %w", mode, n, s, err)
-			}
-			if sok != refROK || !reflect.DeepEqual(sw, refRW) {
-				return fmt.Errorf("%s: recording n=%d shards=%d diverges from serial: (%v, %v) vs (%v, %v)",
-					mode, n, s, sok, sw, refROK, refRW)
-			}
+		dok, dw, err := decide(s)
+		if err != nil {
+			return fmt.Errorf("decider: %s n=%d shards=%d: %w", prop, n, s, err)
+		}
+		if dok != ok || !reflect.DeepEqual(dw, w) {
+			return fmt.Errorf("%s n=%d shards=%d: reference says (%v, %v), decider says (%v, %v)",
+				prop, n, s, ok, w, dok, dw)
 		}
 	}
 	return nil

@@ -8,11 +8,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/protodef"
 	"repro/internal/protogen"
-	"repro/internal/spec"
-	"repro/internal/types"
+	"repro/internal/registry"
 )
 
 // diffShards covers degenerate (serial re-entry), even, and uneven
@@ -21,10 +22,10 @@ var diffShards = []int{1, 2, 7}
 
 // TestDifferentialRandomProtocols is the main oracle sweep: 200 seeded
 // protocols, every object type, n = 2..4, all shard counts — any
-// divergence between backends, any invalid witness, and any
+// divergence from the reference, any invalid witness, and any
 // serial-vs-sharded mismatch fails with the seed in the message.
-// Run with -race in CI: the sharded variants exercise the bitset
-// backend's scratch pooling across worker goroutines.
+// Run with -race in CI: the sharded variants run one decider sweeper
+// per worker goroutine.
 func TestDifferentialRandomProtocols(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(0); seed < 200; seed++ {
@@ -39,73 +40,83 @@ func TestDifferentialRandomProtocols(t *testing.T) {
 	}
 }
 
-// TestDifferentialRegistryTypes runs the oracle over curated registry
-// types too — the shapes the paper actually talks about, which random
-// tables only approximate.
+// TestDifferentialRegistryTypes runs the oracle over every registry
+// family at the sizes the service analyzes, n = 2..5 — the shapes the
+// paper actually talks about, which random tables only approximate.
+// counter:70 has 70 values, so its final-value bitsets span two words;
+// product:faa:6,counter:6 (36 values) is the heaviest type the
+// benchmark's analyze pool holds.
 func TestDifferentialRegistryTypes(t *testing.T) {
 	ctx := context.Background()
-	for _, ft := range []*spec.FiniteType{
-		types.Register(2),
-		types.TestAndSet(),
-		types.Swap(2),
-		types.FetchAdd(3),
-		types.CompareAndSwap(2),
-		types.StickyBit(),
-		types.Queue(2),
-		types.Tnn(3, 2),
+	for _, desc := range []string{
+		"cas:2", "cas:3", "counter:3", "counter:70", "faa:3", "faa:8",
+		"maxreg:3", "peekqueue:2", "queue:2", "register:2", "register:3",
+		"stack:2", "sticky", "swap:2", "swap:3", "tas", "tnn:3,2", "tnn:5,2",
+		"trivial", "x4", "x5", "y:3", "y:4",
+		"product:tas,register:2", "product:faa:6,counter:6",
 	} {
-		for n := 2; n <= 4; n++ {
+		ft, err := registry.Parse(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 2; n <= 5; n++ {
 			if err := Check(ctx, ft, n, diffShards); err != nil {
-				t.Fatalf("%s n=%d: %v", ft.Name(), n, err)
+				t.Fatalf("%s n=%d: %v", desc, n, err)
 			}
 		}
 	}
 }
 
 // TestDifferentialEngineCheck drives generated protocols through the
-// full engine on both backends — analyses over the generated types and
-// model checks under the artifact's inputs and crash quota — and
-// compares outcomes. Model-check walks run no level decider, so this
-// guards the backend plumbing (engine construction, caches, request
-// validation) rather than the decision math.
+// full engine — analyses over the generated types and model checks
+// under the artifact's inputs and crash quota — and compares them with
+// the references: core.Analyze's recursive deciders and a one-shot
+// model.Check. This guards the engine path (pooled levels, caches,
+// cached graphs) on top of the decision math Check covers.
 func TestDifferentialEngineCheck(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		a := protogen.Generate(seed)
-		search := engine.New(engine.WithBackend("search"), engine.WithCache(engine.NewCache()))
-		bitset := engine.New(engine.WithBackend("bitset"), engine.WithCache(engine.NewCache()))
+		eng := engine.New(engine.WithCache(engine.NewCache()))
 		for _, ft := range a.Types() {
-			sa, err := search.AnalyzeTo(ft, 3)
+			got, err := eng.AnalyzeTo(ft, 3)
 			if err != nil {
-				t.Fatalf("seed %d: search analyze: %v", seed, err)
+				t.Fatalf("seed %d: engine analyze: %v", seed, err)
 			}
-			ba, err := bitset.AnalyzeTo(ft, 3)
+			want, err := core.Analyze(ft, 3)
 			if err != nil {
-				t.Fatalf("seed %d: bitset analyze: %v", seed, err)
+				t.Fatalf("seed %d: reference analyze: %v", seed, err)
 			}
-			if !reflect.DeepEqual(sa, ba) {
-				t.Fatalf("seed %d type %s: analyses diverged:\nsearch: %+v\nbitset: %+v",
-					seed, ft.Name(), sa, ba)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d type %s: analyses diverged:\nengine:    %+v\nreference: %+v",
+					seed, ft.Name(), got, want)
 			}
 		}
-		req := engine.CheckRequest{Inputs: a.Inputs, CrashQuota: a.CrashQuota, MaxNodes: 200_000}
-		rs, err := search.Check(a.Compiled, req)
-		if err != nil {
-			t.Fatalf("seed %d: search check: %v", seed, err)
-		}
-		rb, err := bitset.Check(a.Compiled, req)
-		if err != nil {
-			t.Fatalf("seed %d: bitset check: %v", seed, err)
-		}
-		if rs.OK() != rb.OK() || rs.Nodes != rb.Nodes || len(rs.Violations) != len(rb.Violations) {
-			t.Fatalf("seed %d: check diverged: search ok=%v nodes=%d viol=%d, bitset ok=%v nodes=%d viol=%d",
-				seed, rs.OK(), rs.Nodes, len(rs.Violations), rb.OK(), rb.Nodes, len(rb.Violations))
-		}
+		checkAgainstReference(t, eng, a.Compiled, a.Inputs, a.CrashQuota)
+	}
+}
+
+// checkAgainstReference model-checks p on the engine and as a one-shot
+// model.Check and fails on any difference in outcome.
+func checkAgainstReference(t *testing.T, eng *engine.Engine, p model.Protocol, inputs, quota []int) {
+	t.Helper()
+	const maxNodes = 200_000
+	got, err := eng.Check(p, engine.CheckRequest{Inputs: inputs, CrashQuota: quota, MaxNodes: maxNodes})
+	if err != nil {
+		t.Fatalf("engine check: %v", err)
+	}
+	want, err := model.Check(p, model.CheckOpts{Inputs: inputs, CrashQuota: quota, MaxNodes: maxNodes})
+	if err != nil {
+		t.Fatalf("reference check: %v", err)
+	}
+	if got.OK() != want.OK() || got.Nodes != want.Nodes || len(got.Violations) != len(want.Violations) {
+		t.Fatalf("check diverged: engine ok=%v nodes=%d viol=%d, reference ok=%v nodes=%d viol=%d",
+			got.OK(), got.Nodes, len(got.Violations), want.OK(), want.Nodes, len(want.Violations))
 	}
 }
 
 // TestGoldenCorpus replays the committed corpus under testdata/protogen
 // by name: each descriptor is compiled as stored (never regenerated
-// from its seed) and pushed through the oracle and a cross-backend
+// from its seed) and pushed through the oracle and an engine-vs-one-shot
 // model check. Regenerate with `go run ./internal/decider/difftest/gen`
 // after a deliberate generator change.
 func TestGoldenCorpus(t *testing.T) {
@@ -144,28 +155,14 @@ func TestGoldenCorpus(t *testing.T) {
 					}
 				}
 			}
-			search := engine.New(engine.WithBackend("search"), engine.WithCache(engine.NewCache()))
-			bitset := engine.New(engine.WithBackend("bitset"), engine.WithCache(engine.NewCache()))
-			req := engine.CheckRequest{Inputs: e.Inputs, CrashQuota: e.CrashQuota, MaxNodes: 200_000}
-			rs, err := search.Check(c, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := bitset.Check(c, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.OK() != rb.OK() || rs.Nodes != rb.Nodes {
-				t.Fatalf("check diverged: search ok=%v nodes=%d, bitset ok=%v nodes=%d",
-					rs.OK(), rs.Nodes, rb.OK(), rb.Nodes)
-			}
+			checkAgainstReference(t, engine.New(engine.WithCache(engine.NewCache())), c, e.Inputs, e.CrashQuota)
 		})
 	}
 }
 
 // FuzzDifferential hands the generator seed (and n) to the fuzzer: any
-// input that makes the backends disagree, or produces an invalid
-// witness, is a crash the fuzzer minimizes to a seed.
+// input that makes the decider disagree with the reference, or produces
+// an invalid witness, is a crash the fuzzer minimizes to a seed.
 func FuzzDifferential(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed))

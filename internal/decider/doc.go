@@ -1,45 +1,50 @@
-// Package decider defines the pluggable level-decider backend interface
-// and its registry: the seam between the engine's dispatch layer and the
-// algorithms that decide the paper's two level properties (n-discerning,
-// n-recording) for a finite type.
+// Package decider is the level decider the engine runs: it decides the
+// paper's two level properties (n-discerning, n-recording) for a finite
+// type with a semi-symbolic bitset sweep.
 //
-// Three backends register at init:
+// The sweep enumerates operation assignments exactly like the recursive
+// reference deciders of internal/discern and internal/record (the same
+// symmetry-reduced tuple order, on discern.SearchSharded's work-stealing
+// shards), but decides each assignment with subset-indexed frontier
+// arrays over packed words instead of a DFS over individual schedules:
 //
-//   - "search" (the default) wraps the recursive-search deciders of
-//     internal/discern and internal/record: a symmetry-reduced
-//     enumeration of operation assignments with a shared-prefix DFS over
-//     schedules per assignment.
-//   - "bitset" is a semi-symbolic decider that encodes schedule
-//     configurations and output histories as packed fixed-width words:
-//     per assignment it sweeps subset-indexed frontier arrays (a forward
-//     first-mover sweep and a backward descendant-final-value sweep)
-//     instead of recursing over individual schedules, so observation
-//     sets for all 2^n schedule prefixes are computed set-at-a-time.
-//   - "auto" dispatches per call on n alone: "bitset" when
-//     n <= BitsetMaxN (16 — the bitset backend's uint32 first-mover
-//     mask and subset-index word widths cap it there), "search" above.
-//     Because every backend is byte-identical, the switchover is
-//     unobservable in results; "auto" simply picks the faster engine
-//     for the level at hand.
+//   - forward, once per initial value u: reach[set][v], the packed
+//     first-mover set of all orderings of exactly set that drive the
+//     object from u to v, built in ascending mask order;
+//   - backward, once per assignment (it never reads u): desc[set][v],
+//     the packed set of final values reachable from v by appending any
+//     ordering of any subset of the processes outside set, built in
+//     descending mask order.
 //
-// # The contract backends must honor
+// A discerning observation "process j saw response r and the object
+// ended at v" decomposes as prefix-set + j + suffix, so every
+// observation's first-mover mask accumulates in one pass over 2^n
+// subsets; a recording observation is a row sum of reach. The masks feed
+// the reference deciders' own colorings (union-find TwoColor for
+// discerning, record.ColorFinal for recording). Each worker owns one
+// sweeper, so deciding an assignment allocates nothing but a returned
+// witness.
 //
-// Every backend must return results identical to the canonical "search"
-// backend, byte for byte: the same decision, and on a positive decision
-// the same witness — the lexicographically first witnessing operation
-// assignment (in the symmetry-reduced tuple order of
-// discern.TupleSpace), completed by the smallest witnessing initial
-// value u and the deterministic team coloring of discern's
-// union-find/TwoColor (discerning) or record.ColorFinal (recording).
-// Sharded runs must equal serial runs exactly. This identity is what the
-// differential oracle in internal/decider/difftest enforces over seeded
-// random protocols (internal/protogen), and it is what lets the engine's
-// decision cache stay backend-free: a decision computed by any backend
-// is valid for all of them.
+// # The contract
 //
-// Backends are selected by name: engine.WithBackend threads a name
-// through the engine, the serve layer accepts a "backend" field on its
-// analysis endpoints and jobs, and cmd tools share a -backend flag. Get
-// resolves names, defaulting the empty string to "search" so existing
-// callers and wire clients are unaffected.
+// Results are identical to the reference deciders', byte for byte: the
+// same decision, and on a positive decision the same witness — the
+// lexicographically first witnessing operation assignment (in the
+// symmetry-reduced tuple order of discern.TupleSpace), completed by the
+// smallest witnessing initial value u and the deterministic team
+// coloring. Sharded runs equal serial runs exactly. The differential
+// oracle in internal/decider/difftest enforces this over seeded random
+// protocols (internal/protogen) and every registry family; it is what
+// lets decisions computed here be served from, and persisted in, the
+// engine's decision cache alongside anything the reference computes.
+//
+// The sweep's tables are indexed by process subset, so it accepts
+// n <= BitsetMaxN (16); CheckN is the one error every entry point
+// reports above that.
+//
+// # Concurrency
+//
+// IsNDiscerning and IsNRecording are safe for concurrent use. A level's
+// flattened tables are shared read-only by its workers; sweep scratch
+// is per worker and lives no longer than the level.
 package decider

@@ -12,7 +12,10 @@
 // Ruppert proved that a deterministic, readable type has consensus number
 // at least n if and only if it is n-discerning; the property is decidable
 // in finite time for finite types, and this package is that decision
-// procedure.
+// procedure in its paper-faithful recursive form: the reference that
+// core.Analyze, experiment E11 and the differential oracle
+// (internal/decider/difftest) run. The engine runs the faster bitset
+// sweep of internal/decider, which returns identical results.
 //
 // Implementation: for a fixed value u and operation assignment, a partition
 // (T_0, T_1) works iff no "constraint set" is split across teams, where a
@@ -34,8 +37,7 @@
 // best-rank bound prunes chunks that can no longer hold the first
 // witness — a rank is only ever skipped when a strictly lower witness
 // is already in hand, so the lowest-ranked witness is found regardless
-// of claim interleaving. The pre-stealing contiguous-range split is
-// kept behind ShardOptions.Contiguous as the cross-validated baseline.
+// of claim interleaving.
 // Witness JSON encoding round-trips byte-identically — the contract the
 // persistent decision store relies on.
 package discern

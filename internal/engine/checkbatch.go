@@ -83,10 +83,6 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 	before := make(map[*model.Graph]model.GraphStats)
 	graphFor := make([]*model.Graph, len(reqs))
 	for i, req := range reqs {
-		if err := e.checkBackend(req); err != nil {
-			items[i].Err = err
-			continue
-		}
 		k := inputsKey(req.Inputs)
 		g, ok := graphs[k]
 		if !ok {

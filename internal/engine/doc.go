@@ -2,8 +2,13 @@
 // facade: a long-lived, option-configured object that runs the paper's
 // discerning/recording level checks across a worker pool, memoizes
 // sub-decisions in a shared cache, threads context cancellation through
-// the hot search loops (internal/discern, internal/record,
-// internal/model), and reports structured progress events.
+// the hot search loops (internal/decider, internal/model), and reports
+// structured progress events.
+//
+// Every level check runs the bitset decider of internal/decider; there
+// is no other to choose. Process counts above decider.BitsetMaxN are
+// rejected by Analyze, AnalyzeTo, AnalyzeAll, Discerning and Recording
+// before any work.
 //
 // The design follows the long-lived-engine idiom of production consensus
 // stacks: construct once with functional options, submit many workloads,

@@ -76,9 +76,6 @@ type Engine struct {
 	budget         int
 	shardThreshold int
 	metrics        *Metrics
-	backendName    string
-	dec            decider.Decider
-	decErr         error
 	// active counts the level checks currently executing, the basis of
 	// the idle-worker estimate that sizes auto-sharding.
 	active atomic.Int32
@@ -124,7 +121,8 @@ func WithCache(c *Cache) Option {
 }
 
 // WithMaxN sets the largest process count Analyze checks (the default
-// is 5). AnalyzeTo overrides it per call.
+// is 5). AnalyzeTo overrides it per call. Limits above
+// decider.BitsetMaxN (16) are rejected by the analysis calls.
 func WithMaxN(n int) Option {
 	return func(e *Engine) { e.maxN = n }
 }
@@ -169,22 +167,6 @@ func WithShardThreshold(assignments int) Option {
 	return func(e *Engine) { e.shardThreshold = assignments }
 }
 
-// WithBackend selects the level-decider backend by registry name (see
-// internal/decider): "" or "search" is the recursive-search decider the
-// engine always had, "bitset" the semi-symbolic frontier-sweep decider,
-// "auto" the per-call dispatcher (bitset up to its n cap, search above).
-// Every backend returns byte-identical results, so engines with
-// different backends may safely share one decision cache. An unknown
-// name surfaces as an error from the first level check (option
-// application has no error channel); validate eagerly with
-// decider.Get when the name is untrusted.
-func WithBackend(name string) Option {
-	return func(e *Engine) { e.backendName = name }
-}
-
-// Backends lists the registered level-decider backend names, sorted.
-func Backends() []string { return decider.Names() }
-
 // New constructs an Engine from the given options.
 func New(opts ...Option) *Engine {
 	e := &Engine{
@@ -204,7 +186,6 @@ func New(opts ...Option) *Engine {
 	if e.graphs == nil && e.graphBudget >= 0 {
 		e.graphs = NewGraphCache(e.graphBudget)
 	}
-	e.dec, e.decErr = decider.Get(e.backendName)
 	// An out-of-range maxN is reported by Analyze/AnalyzeAll, not here:
 	// option application has no error channel.
 	return e
@@ -212,16 +193,6 @@ func New(opts ...Option) *Engine {
 
 // MaxN returns the engine's configured analysis limit.
 func (e *Engine) MaxN() int { return e.maxN }
-
-// Backend returns the resolved level-decider backend name (the default
-// when WithBackend was not used, or the unresolved name verbatim when
-// it did not resolve — the error surfaces from the first level check).
-func (e *Engine) Backend() string {
-	if e.dec != nil {
-		return e.dec.Name()
-	}
-	return e.backendName
-}
 
 // Cache returns the engine's decision cache (for stats and sharing).
 func (e *Engine) Cache() *Cache { return e.cache }
@@ -315,45 +286,33 @@ func (e *Engine) shardProgress(j levelJob) func(discern.ShardReport) {
 	}
 }
 
-// run decides the job, consulting and feeding the cache. Level checks
-// whose assignment space is large enough — and for which workers are
-// idle — are sharded across the pool (see WithShardThreshold).
+// run decides the job with the bitset decider, consulting and feeding
+// the cache. Level checks whose assignment space is large enough — and
+// for which workers are idle — are sharded across the pool (see
+// WithShardThreshold).
 func (e *Engine) run(j levelJob) error {
 	start := time.Now()
-	if e.decErr != nil {
-		return e.decErr
-	}
 	e.active.Add(1)
 	defer e.active.Add(-1)
 	key := propKey{fp: j.fp, prop: j.prop, n: j.n}
-	// The cache key carries no backend: every backend returns identical
-	// results (the contract internal/decider/difftest enforces), so a
-	// decision computed by one is served to all.
 	res, cached, err := e.cache.do(e.ctx, key, func() (propResult, error) {
 		var r propResult
 		var err error
 		shards := e.shardsFor(j.t, j.n)
+		var onShard func(discern.ShardReport)
+		if shards > 1 {
+			onShard = e.shardProgress(j)
+		}
 		switch j.prop {
 		case Discerning:
-			if shards > 1 {
-				r.ok, r.dw, err = e.dec.ShardedIsNDiscerning(e.ctx, j.t, j.n, shards, e.shardProgress(j))
-			} else {
-				r.ok, r.dw, err = e.dec.IsNDiscerning(e.ctx, j.t, j.n)
-			}
+			r.ok, r.dw, err = decider.IsNDiscerning(e.ctx, j.t, j.n, shards, onShard)
 		case Recording:
-			if shards > 1 {
-				r.ok, r.rw, err = e.dec.ShardedIsNRecording(e.ctx, j.t, j.n, shards, e.shardProgress(j))
-			} else {
-				r.ok, r.rw, err = e.dec.IsNRecording(e.ctx, j.t, j.n)
-			}
+			r.ok, r.rw, err = decider.IsNRecording(e.ctx, j.t, j.n, shards, onShard)
 		}
 		return r, err
 	})
 	if err != nil {
 		return err
-	}
-	if !cached {
-		e.metrics.observeDecide(e.dec.Name())
 	}
 	// Witnesses are served as deep copies: their Teams/Ops slices are
 	// exported, and the cached originals outlive any one call (the
@@ -441,11 +400,22 @@ func (e *Engine) Analyze(t *spec.FiniteType) (*core.Analysis, error) {
 	return e.AnalyzeTo(t, e.maxN)
 }
 
+// checkMaxN rejects an analysis limit outside [2, decider.BitsetMaxN].
+func checkMaxN(maxN int) error {
+	if maxN < 2 {
+		return fmt.Errorf("engine: need maxN >= 2, got %d", maxN)
+	}
+	if err := decider.CheckN(maxN); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	return nil
+}
+
 // AnalyzeTo is Analyze with an explicit process-count limit overriding
 // the engine's MaxN.
 func (e *Engine) AnalyzeTo(t *spec.FiniteType, maxN int) (*core.Analysis, error) {
-	if maxN < 2 {
-		return nil, fmt.Errorf("engine: need maxN >= 2, got %d", maxN)
+	if err := checkMaxN(maxN); err != nil {
+		return nil, err
 	}
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
@@ -467,8 +437,8 @@ func (e *Engine) AnalyzeTo(t *spec.FiniteType, maxN int) (*core.Analysis, error)
 // all level checks of all types into one pool run so small types do not
 // serialize behind large ones. Results are returned in input order.
 func (e *Engine) AnalyzeAll(ts []*spec.FiniteType) ([]*core.Analysis, error) {
-	if e.maxN < 2 {
-		return nil, fmt.Errorf("engine: need maxN >= 2, got %d", e.maxN)
+	if err := checkMaxN(e.maxN); err != nil {
+		return nil, err
 	}
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
@@ -517,6 +487,9 @@ func (e *Engine) level(t *spec.FiniteType, prop Property, n int) (*core.Analysis
 	if n < 2 {
 		return nil, fmt.Errorf("engine: need n >= 2, got %d", n)
 	}
+	if err := decider.CheckN(n); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -539,14 +512,6 @@ type CheckRequest struct {
 	MaxNodes int
 	// SkipLiveness disables the recoverable wait-freedom (cycle) check.
 	SkipLiveness bool
-	// Backend optionally overrides the engine's level-decider backend
-	// for this request ("" keeps the engine's). Unknown names fail the
-	// request up front with the decider registry's error, so a wire
-	// request carrying a bad backend is rejected at the engine boundary
-	// rather than deep inside a run. Model-checking walks themselves run
-	// no level decider; the override binds the backend any level
-	// decisions made on behalf of this request would use.
-	Backend string
 	// Ctx, when non-nil, cancels this request independently of the
 	// engine context; the run stops as soon as either is done. Inside
 	// CheckBatch this is the per-request cancellation handle — one
@@ -562,19 +527,6 @@ func (e *Engine) maxNodes(req CheckRequest) int {
 	return e.budget
 }
 
-// checkBackend validates a request's backend override against the
-// registry (and surfaces the engine's own unresolved backend, if any).
-func (e *Engine) checkBackend(req CheckRequest) error {
-	if e.decErr != nil {
-		return e.decErr
-	}
-	if req.Backend == "" {
-		return nil
-	}
-	_, err := decider.Get(req.Backend)
-	return err
-}
-
 // Check model-checks a consensus protocol under the engine's context and
 // state budget (plus the request's own context, when set). The walk runs
 // on the engine's cached exploration graph for (p, inputs): a repeat
@@ -582,9 +534,6 @@ func (e *Engine) checkBackend(req CheckRequest) error {
 // requests against one protocol, CheckBatch amortizes the state-space
 // expansion across them within a single call as well.
 func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error) {
-	if err := e.checkBackend(req); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	// Event payloads (Name, Sprintf details) are built only when a
 	// progress sink exists — a warm headless Check emits nothing and
@@ -626,9 +575,6 @@ func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error
 // spaces once — and a repeated chain (or a Check of the same protocol
 // and inputs) reuses them again.
 func (e *Engine) Theorem13(p model.Protocol, req CheckRequest) (*model.Chain, error) {
-	if err := e.checkBackend(req); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	if e.progress != nil {
 		e.emit(Event{Kind: "chain.start", Type: p.Name()})

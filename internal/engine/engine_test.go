@@ -181,11 +181,13 @@ func TestCancellation(t *testing.T) {
 		t.Errorf("Theorem13 on canceled ctx: err=%v, want Canceled", err)
 	}
 
-	// A deadline mid-search: XFive at n=7 is far beyond the deadline, so
-	// the decider's per-assignment poll must surface DeadlineExceeded.
+	// A deadline mid-search: XFive up to n=14 is far beyond the deadline
+	// (about 2.2s on two workers of a 2-vCPU Xeon VM, over 400x the
+	// deadline), so the decider's per-assignment poll must surface
+	// DeadlineExceeded.
 	ctx, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
-	deadlined := New(WithContext(ctx), WithMaxN(7), WithParallelism(2))
+	deadlined := New(WithContext(ctx), WithMaxN(14), WithParallelism(2))
 	start := time.Now()
 	_, err := deadlined.Analyze(types.XFive())
 	if !errors.Is(err, context.DeadlineExceeded) {

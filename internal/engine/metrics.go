@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -27,12 +26,6 @@ type Metrics struct {
 	GraphExpand *obs.Histogram
 	// GraphWalk observes walks over fully warm graphs (no expansion).
 	GraphWalk *obs.Histogram
-
-	// deciderRuns counts level decisions actually computed (memo-cache
-	// misses), labeled by the deciding backend's name. Lazily allocated
-	// under decMu so the zero Metrics and NewMetrics both work.
-	decMu       sync.Mutex
-	deciderRuns map[string]uint64
 }
 
 // NewMetrics returns a Metrics with every histogram allocated.
@@ -62,37 +55,6 @@ func (m *Metrics) observeWalk(expanded bool, d time.Duration) {
 	if h != nil {
 		h.Observe(d)
 	}
-}
-
-func (m *Metrics) observeDecide(backend string) {
-	if m == nil {
-		return
-	}
-	m.decMu.Lock()
-	if m.deciderRuns == nil {
-		m.deciderRuns = make(map[string]uint64)
-	}
-	m.deciderRuns[backend]++
-	m.decMu.Unlock()
-}
-
-// DeciderRuns snapshots the per-backend count of level decisions
-// computed (cache hits are not counted — they ran no backend). The
-// returned map is a copy; nil receivers return nil.
-func (m *Metrics) DeciderRuns() map[string]uint64 {
-	if m == nil {
-		return nil
-	}
-	m.decMu.Lock()
-	defer m.decMu.Unlock()
-	if len(m.deciderRuns) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(m.deciderRuns))
-	for k, v := range m.deciderRuns {
-		out[k] = v
-	}
-	return out
 }
 
 // WithMetrics installs a shared metrics collector. The reprod service

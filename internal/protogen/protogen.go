@@ -26,7 +26,7 @@ type Artifact struct {
 }
 
 // Types returns the distinct object types of the compiled protocol, in
-// object order. These are the inputs a level-decider backend consumes.
+// object order. These are the inputs the level deciders consume.
 func (a *Artifact) Types() []*spec.FiniteType {
 	var out []*spec.FiniteType
 	seen := make(map[*spec.FiniteType]bool)

@@ -28,8 +28,11 @@
 //
 // # Concurrency and byte-stability
 //
-// As in package discern: deciders are pure and concurrency-safe, sharded
-// scans (ShardedIsNRecording) return exactly the serial result with the
-// same lowest-ranked witness, and witness JSON round-trips
-// byte-identically for the persistent decision store.
+// As in package discern: this is the recursive reference decider (the
+// engine runs internal/decider's bitset sweep), deciders are pure and
+// concurrency-safe, sharded scans (ShardedIsNRecording) return exactly
+// the serial result with the same lowest-ranked witness, and witness
+// JSON round-trips byte-identically for the persistent decision store.
+// ColorFinal is shared with the bitset sweep, which is what keeps the
+// two deciders' witnesses identical.
 package record

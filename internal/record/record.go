@@ -3,6 +3,7 @@ package record
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/spec"
 	"repro/internal/uf"
@@ -132,10 +133,10 @@ func checkAssignment(t *spec.FiniteType, n int, ops []spec.Op, opts Options) *Wi
 }
 
 // finalValues collects the final object value of every nonempty schedule
-// in S(P) applied from u, as a map value -> bitmask of first movers,
-// using a shared-prefix DFS.
-func finalValues(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) map[spec.Value]uint32 {
-	firstMask := make(map[spec.Value]uint32)
+// in S(P) applied from u, as a per-value bitmask of first movers, using a
+// shared-prefix DFS.
+func finalValues(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) []uint32 {
+	firstMask := make([]uint32, t.NumValues())
 	inSched := make([]bool, n)
 	var dfs func(val spec.Value, first int)
 	dfs = func(val spec.Value, first int) {
@@ -159,8 +160,8 @@ func finalValues(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) map[spe
 
 // finalValuesNoShare is the ablation variant: every schedule is
 // re-simulated from u in full.
-func finalValuesNoShare(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) map[spec.Value]uint32 {
-	firstMask := make(map[spec.Value]uint32)
+func finalValuesNoShare(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) []uint32 {
+	firstMask := make([]uint32, t.NumValues())
 	inSched := make([]bool, n)
 	order := make([]int, 0, n)
 	var rec func()
@@ -192,26 +193,27 @@ func finalValuesNoShare(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) 
 func checkValueAssignment(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value, opts Options) []int {
 	// firstMask[v] = bitmask of first-movers f such that some nonempty
 	// schedule starting with f leaves the object with value v.
-	var firstMask map[spec.Value]uint32
+	var firstMask []uint32
 	if opts.NoPrefixSharing {
 		firstMask = finalValuesNoShare(t, n, ops, u)
 	} else {
 		firstMask = finalValues(t, n, ops, u)
 	}
-	return ColorFinal(n, firstMask, u)
+	return ColorFinal(uf.New(n), firstMask, u)
 }
 
 // ColorFinal turns one assignment's final-value observation sets into an
 // n-recording team assignment, or nil when none exists. firstMask[v] is
 // the bitmask of first movers f such that some nonempty schedule starting
-// with f leaves the object with value v, computed from initial value u.
-// The choice of partition is deterministic given firstMask, which is what
-// lets alternative decider backends (internal/decider) reproduce the
-// recursive search's witnesses bit for bit: any backend that derives the
-// same observation sets colors them through this one function.
-func ColorFinal(n int, firstMask map[spec.Value]uint32, u spec.Value) []int {
+// with f leaves the object with value v (zero when none does), computed
+// from initial value u; groups must hold n singleton components and is
+// consumed as scratch. The choice of partition is deterministic given
+// firstMask, which is what lets the bitset decider (internal/decider)
+// reproduce the recursive search's witnesses bit for bit: both derive the
+// same observation sets and color them through this one function, which
+// allocates only the returned teams.
+func ColorFinal(groups *uf.UnionFind, firstMask []uint32, u spec.Value) []int {
 	// Condition 1: every firstMask set must be monochromatic.
-	groups := uf.New(n)
 	for _, mask := range firstMask {
 		groups.UniteMask(mask)
 	}
@@ -227,20 +229,13 @@ func ColorFinal(n int, firstMask map[spec.Value]uint32, u spec.Value) []int {
 	// one component, or no valid coloring exists at all). Condition 2
 	// forces the opposite team to be a single process, i.e. a singleton
 	// component different from the producers' component.
-	sizes, numComponents := groups.ComponentSizes()
-	if numComponents < 2 {
+	if groups.Components() < 2 {
 		return nil
 	}
-	producer := -1
+	n := groups.Len()
+	producerRoot := groups.Find(bits.TrailingZeros32(maskU))
 	for i := 0; i < n; i++ {
-		if maskU&(1<<uint(i)) != 0 {
-			producer = i
-			break
-		}
-	}
-	producerRoot := groups.Find(producer)
-	for i := 0; i < n; i++ {
-		if sizes[i] == 1 && groups.Find(i) != producerRoot {
+		if groups.Size(i) == 1 && groups.Find(i) != producerRoot {
 			// Team 1 = {p_i}; team 0 = everything else (including all of
 			// u's producers). Then u in U_0 and |T_1| = 1 as required, and
 			// u cannot be in U_1 because p_i is not one of u's producers.

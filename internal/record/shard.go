@@ -17,9 +17,6 @@ type ShardReport = discern.ShardReport
 type ShardOptions struct {
 	// Options is the underlying decision procedure's configuration.
 	Options
-	// Contiguous selects the fixed contiguous-range split instead of the
-	// default work-stealing chunk queue, as in discern.ShardOptions.
-	Contiguous bool
 	// OnShard, if non-nil, is called once per shard as it finishes, from
 	// the shard's worker goroutine.
 	OnShard func(ShardReport)
@@ -28,8 +25,7 @@ type ShardOptions struct {
 // ShardedIsNRecording is IsNRecordingCtx with the operation-assignment
 // enumeration split across `shards` concurrent workers, exactly as
 // discern.ShardedIsNDiscerning shards the discerning scan: a
-// work-stealing chunk queue over the same symmetry-reduced tuple space
-// (or the contiguous-range baseline when opts.Contiguous is set),
+// work-stealing chunk queue over the same symmetry-reduced tuple space,
 // first-witness early exit, and deterministic lowest-ranked-witness
 // selection so the sharded and serial runs return identical results.
 // shards below 1 are clamped to 1.
@@ -38,12 +34,8 @@ func ShardedIsNRecording(ctx context.Context, t *spec.FiniteType, n, shards int,
 		panic(fmt.Sprintf("record: n-recording is undefined for n=%d (need n >= 2)", n))
 	}
 	space := discern.NewTupleSpace(t.NumOps(), n, opts.Naive)
-	search := discern.SearchSharded[Witness]
-	if opts.Contiguous {
-		search = discern.SearchShardedContiguous[Witness]
-	}
-	w, err := search(ctx, space, shards, func(ops []spec.Op) *Witness {
-		return checkAssignment(t, n, ops, opts.Options)
+	w, err := discern.SearchSharded(ctx, space, shards, func() func([]spec.Op) *Witness {
+		return func(ops []spec.Op) *Witness { return checkAssignment(t, n, ops, opts.Options) }
 	}, opts.OnShard)
 	if err != nil {
 		return false, nil, err

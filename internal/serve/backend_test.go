@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -37,61 +38,45 @@ func waitJobDone(t *testing.T, s *Server, id string) {
 	t.Fatal("job did not finish in time")
 }
 
-// TestBackendSelection drives the backend field end to end: a bitset
-// analyze answers the same analysis as the default backend, and both
-// /v1/stats and /metrics report the per-backend decision counters.
+// TestBackendSelection drives the legacy backend field end to end: every
+// name API revision 2 accepted is a no-op answering the same analysis as
+// a request naming none, and neither /v1/stats nor /metrics reports
+// per-backend decision counters any more.
 func TestBackendSelection(t *testing.T) {
 	s := New(Config{MaxN: 3})
-	code, body := post(t, s, "/v1/analyze", `{"type":"tas","backend":"bitset"}`)
-	if code != http.StatusOK {
-		t.Fatalf("analyze backend=bitset = %d %s", code, body)
-	}
-	var resp AnalyzeResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Analysis == nil || resp.Analysis.ConsensusNumber != "2" {
-		t.Fatalf("bitset analysis wrong: %+v", resp.Analysis)
+	var want []byte
+	for _, backend := range []string{"", "search", "bitset", "auto"} {
+		code, body := post(t, s, "/v1/analyze", `{"type":"tas","backend":"`+backend+`"}`)
+		if code != http.StatusOK {
+			t.Fatalf("analyze backend=%q = %d %s", backend, code, body)
+		}
+		var resp AnalyzeResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Analysis == nil || resp.Analysis.ConsensusNumber != "2" {
+			t.Fatalf("backend=%q analysis wrong: %+v", backend, resp.Analysis)
+		}
+		if want == nil {
+			want = body
+		} else if !bytes.Equal(body, want) {
+			t.Fatalf("backend=%q answered\n%s\nwant\n%s", backend, body, want)
+		}
 	}
 
-	code, body = get(t, s, "/v1/stats")
+	code, body := get(t, s, "/v1/stats")
 	if code != http.StatusOK {
 		t.Fatalf("stats = %d %s", code, body)
 	}
-	var stats StatsResponse
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
+	if strings.Contains(string(body), `"deciders"`) {
+		t.Fatalf("stats still reports deciders: %s", body)
 	}
-	if stats.Deciders["bitset"] == 0 {
-		t.Fatalf("stats deciders = %v, want bitset > 0", stats.Deciders)
-	}
-
 	code, body = get(t, s, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
 	}
-	if !strings.Contains(string(body), `reprod_decider_total{backend="bitset"}`) {
-		t.Fatalf("metrics missing reprod_decider_total{backend=\"bitset\"}:\n%s", body)
-	}
-}
-
-// TestBackendDefaultConfig: Config.DefaultBackend applies when a request
-// names no backend, and an unknown default is rejected per request.
-func TestBackendDefaultConfig(t *testing.T) {
-	s := New(Config{MaxN: 2, DefaultBackend: "bitset"})
-	if code, body := post(t, s, "/v1/analyze", `{"type":"tas"}`); code != http.StatusOK {
-		t.Fatalf("analyze with default backend = %d %s", code, body)
-	}
-	code, body := get(t, s, "/v1/stats")
-	if code != http.StatusOK {
-		t.Fatal("stats failed")
-	}
-	var stats StatsResponse
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Deciders["bitset"] == 0 || stats.Deciders["search"] != 0 {
-		t.Fatalf("deciders = %v, want only bitset", stats.Deciders)
+	if strings.Contains(string(body), "reprod_decider_total") {
+		t.Fatal("metrics still export reprod_decider_total")
 	}
 }
 
@@ -128,8 +113,8 @@ func TestBackendInvalidArgument(t *testing.T) {
 	}
 }
 
-// TestJobBackendRuns: a valid backend on a job submission is accepted
-// and the job completes on that backend.
+// TestJobBackendRuns: a legacy backend name on a job submission is
+// accepted and the job completes, deciding its levels.
 func TestJobBackendRuns(t *testing.T) {
 	s := New(Config{MaxN: 2})
 	code, body := post(t, s, "/v1/jobs", `{"kind":"analyze","analyze":{"type":"tas","backend":"bitset"}}`)
@@ -143,7 +128,7 @@ func TestJobBackendRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJobDone(t, s, v.ID)
-	if runs := s.engMetrics.DeciderRuns(); runs["bitset"] == 0 {
-		t.Fatalf("job ran no bitset decisions: %v", runs)
+	if _, misses, _ := s.cfg.Cache.Stats(); misses == 0 {
+		t.Fatal("job decided no levels")
 	}
 }

@@ -39,9 +39,7 @@ type CheckRequestBody struct {
 	// Requests is the batch; all items run over shared exploration
 	// graphs (one per distinct input vector).
 	Requests []CheckItemRequest `json:"requests"`
-	// Backend selects the level-decider backend for the whole batch
-	// ("" = the server default). Unknown names answer 400
-	// invalid_argument.
+	// Backend is a no-op kept for wire compatibility (see checkBackend).
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -101,8 +99,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			len(req.Requests), s.cfg.BatchLimit)
 		return
 	}
-	backend, err := s.resolveBackend(req.Backend)
-	if err != nil {
+	if err := checkBackend(req.Backend); err != nil {
 		s.failBackend(w, err)
 		return
 	}
@@ -112,7 +109,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	eng, cancel := s.requestEngine(r, s.cfg.MaxN, backend)
+	eng, cancel := s.requestEngine(r, s.cfg.MaxN)
 	defer cancel()
 
 	// runCheckBatch turns per-item timeouts into per-request contexts on

@@ -55,8 +55,8 @@ type Theorem13Request struct {
 	// MaxNodes bounds each stage's explored state space (0 = server
 	// default; capped at the server's CheckMaxNodes).
 	MaxNodes int `json:"maxNodes,omitempty"`
-	// Backend selects the level-decider backend ("" = the server
-	// default). Unknown names answer 400 invalid_argument at submission.
+	// Backend is a no-op kept for wire compatibility (see checkBackend);
+	// an unknown name answers 400 invalid_argument at submission.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -98,10 +98,10 @@ func progressJSON(ev engine.Event) progressEvent {
 }
 
 // jobEngine builds the engine one job runs on: bound to the job's
-// context (not any request's), running the backend the submission
-// resolved, sharing the server-wide caches, streaming every engine
-// progress event into the job's subscribable stream.
-func (s *Server) jobEngine(ctx context.Context, j *jobs.Job, maxN int, backend string) *engine.Engine {
+// context (not any request's), sharing the server-wide caches,
+// streaming every engine progress event into the job's subscribable
+// stream.
+func (s *Server) jobEngine(ctx context.Context, j *jobs.Job, maxN int) *engine.Engine {
 	opts := []engine.Option{
 		engine.WithContext(ctx),
 		engine.WithCache(s.cfg.Cache),
@@ -109,7 +109,6 @@ func (s *Server) jobEngine(ctx context.Context, j *jobs.Job, maxN int, backend s
 		engine.WithShardThreshold(s.cfg.ShardThreshold),
 		engine.WithMaxN(maxN),
 		engine.WithMetrics(s.engMetrics),
-		engine.WithBackend(backend),
 		engine.WithProgress(func(ev engine.Event) { j.Publish(ev.Kind, progressJSON(ev)) }),
 	}
 	if s.graphs != nil {
@@ -157,17 +156,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // invalidArgError marks a submission failure that must answer with the
 // invalid_argument coded envelope rather than the generic bad_request:
-// a field named a value outside its fixed set (an unknown level-decider
-// backend). jobSpec wraps, handleJobSubmit unwraps.
+// a field named a value outside its fixed set (an unknown name in the
+// legacy "backend" field). jobSpec wraps, handleJobSubmit unwraps.
 type invalidArgError struct{ err error }
 
 func (e invalidArgError) Error() string { return e.err.Error() }
 func (e invalidArgError) Unwrap() error { return e.err }
 
 // jobSpec validates a JobRequest and builds the jobs.Spec running it.
-// Validation is complete at submission — including the backend name, so
-// an unknown backend is a 400 invalid_argument answer, never a queued
-// job that fails at run time.
+// Validation is complete at submission — including the legacy backend
+// name, so an unknown one is a 400 invalid_argument answer, never a
+// queued job that fails at run time.
 func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 	spec := jobs.Spec{
 		Kind:     req.Kind,
@@ -187,13 +186,12 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 		if err != nil {
 			return spec, err
 		}
-		backend, err := s.resolveBackend(req.Analyze.Backend)
-		if err != nil {
+		if err := checkBackend(req.Analyze.Backend); err != nil {
 			return spec, invalidArgError{err}
 		}
 		spec.Label = "analyze " + label
 		spec.Run = func(ctx context.Context, j *jobs.Job) (any, error) {
-			a, err := s.jobEngine(ctx, j, maxN, backend).Analyze(t)
+			a, err := s.jobEngine(ctx, j, maxN).Analyze(t)
 			if err != nil {
 				return nil, err
 			}
@@ -217,13 +215,12 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 			return spec, fmt.Errorf("batch of %d check requests exceeds the limit of %d",
 				len(body.Requests), s.cfg.BatchLimit)
 		}
-		backend, err := s.resolveBackend(body.Backend)
-		if err != nil {
+		if err := checkBackend(body.Backend); err != nil {
 			return spec, invalidArgError{err}
 		}
 		spec.Label = "check " + label
 		spec.Run = func(ctx context.Context, j *jobs.Job) (any, error) {
-			return s.runCheckBatch(ctx, s.jobEngine(ctx, j, s.cfg.MaxN, backend), p, label, body.Requests)
+			return s.runCheckBatch(ctx, s.jobEngine(ctx, j, s.cfg.MaxN), p, label, body.Requests)
 		}
 
 	case "theorem13":
@@ -239,13 +236,12 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 			return spec, fmt.Errorf("theorem13 needs %d inputs for %s, got %d",
 				p.Procs(), label, len(body.Inputs))
 		}
-		backend, err := s.resolveBackend(body.Backend)
-		if err != nil {
+		if err := checkBackend(body.Backend); err != nil {
 			return spec, invalidArgError{err}
 		}
 		spec.Label = "theorem13 " + label
 		spec.Run = func(ctx context.Context, j *jobs.Job) (any, error) {
-			eng := s.jobEngine(ctx, j, s.cfg.MaxN, backend)
+			eng := s.jobEngine(ctx, j, s.cfg.MaxN)
 			chain, err := eng.Theorem13(p, engine.CheckRequest{
 				Inputs:     body.Inputs,
 				CrashQuota: body.CrashQuota,

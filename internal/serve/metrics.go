@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -113,25 +112,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"walk", s.engMetrics.GraphWalk},
 	} {
 		writeHistogram(&b, engName, fmt.Sprintf("phase=%q", ph.phase), ph.h.Snapshot())
-	}
-
-	// Level decisions computed per backend (cache hits run no backend
-	// and are visible in reprod_cache_requests_total instead). Sorted so
-	// the exposition is byte-stable across scrapes.
-	if runs := s.engMetrics.DeciderRuns(); len(runs) > 0 {
-		backends := make([]string, 0, len(runs))
-		for name := range runs {
-			backends = append(backends, name)
-		}
-		sort.Strings(backends)
-		var decPairs []struct {
-			labels string
-			value  float64
-		}
-		for _, name := range backends {
-			decPairs = append(decPairs, lv(fmt.Sprintf(`{backend=%q}`, name), float64(runs[name])))
-		}
-		counter("reprod_decider_total", "Level decisions computed by level-decider backend.", decPairs...)
 	}
 
 	counter("reprod_types_analyzed_total", "Type analyses completed across analyze and batch.",

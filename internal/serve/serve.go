@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/decider"
 	"repro/internal/discern"
 	"repro/internal/engine"
 	"repro/internal/jobs"
@@ -59,11 +58,6 @@ type Config struct {
 	// ShardThreshold is passed through to each request engine
 	// (see engine.WithShardThreshold).
 	ShardThreshold int
-	// DefaultBackend is the level-decider backend requests run on when
-	// they name none ("" = the engine default, "search"). Requests
-	// override it per call with their "backend" field; unknown names —
-	// here or in requests — answer 400 invalid_argument.
-	DefaultBackend string
 	// RequestTimeout bounds one request's analysis
 	// (0 = DefaultRequestTimeout; negative = no timeout).
 	RequestTimeout time.Duration
@@ -274,9 +268,7 @@ type AnalyzeRequest struct {
 	// MaxN overrides the analysis bound (0 = server default; capped at
 	// the server's MaxN).
 	MaxN int `json:"maxN,omitempty"`
-	// Backend selects the level-decider backend ("search", "bitset",
-	// "auto"; "" = the server default). Unknown names answer 400
-	// invalid_argument.
+	// Backend is a no-op kept for wire compatibility (see checkBackend).
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -284,8 +276,7 @@ type AnalyzeRequest struct {
 type BatchRequest struct {
 	Types []string `json:"types"`
 	MaxN  int      `json:"maxN,omitempty"`
-	// Backend selects the level-decider backend for the whole batch
-	// ("" = the server default).
+	// Backend is a no-op kept for wire compatibility (see checkBackend).
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -382,10 +373,6 @@ type StatsResponse struct {
 	// Protocols is the number of distinct user-submitted protocols
 	// registered by fingerprint.
 	Protocols int `json:"protocols"`
-	// Deciders counts level decisions actually computed (memo-cache
-	// misses) per level-decider backend, across every request and job
-	// engine. Absent until the first computed decision.
-	Deciders map[string]uint64 `json:"deciders,omitempty"`
 	// Compactions counts POST /v1/compact requests served OK.
 	Compactions uint64       `json:"compactions"`
 	Store       *store.Stats `json:"store,omitempty"`
@@ -430,9 +417,9 @@ const (
 	// size limit.
 	CodeTooLarge = "too_large"
 	// CodeInvalidArgument: a request field names something that does not
-	// exist in a fixed value set (today: an unknown level-decider
-	// backend). Distinct from bad_request so clients can tell a typo'd
-	// enum value from a structurally malformed request.
+	// exist in a fixed value set (today: an unknown name in the legacy
+	// "backend" field). Distinct from bad_request so clients can tell a
+	// typo'd enum value from a structurally malformed request.
 	CodeInvalidArgument = "invalid_argument"
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal = "internal"
@@ -527,25 +514,21 @@ func (s *Server) resolveMaxN(reqMaxN int) (int, error) {
 	return reqMaxN, nil
 }
 
-// resolveBackend applies the server default to a request's backend and
-// validates the result against the decider registry. A failed
-// resolution is answered 400 invalid_argument (see failBackend).
-func (s *Server) resolveBackend(reqBackend string) (string, error) {
-	name := reqBackend
-	if name == "" {
-		name = s.cfg.DefaultBackend
+// checkBackend validates a request's legacy "backend" field. API
+// revision 2 selected a level decider by name; since revision 3 one
+// decider serves every request, so the names revision 2 accepted are
+// no-ops and any other name is still an error, answered 400
+// invalid_argument (see failBackend).
+func checkBackend(name string) error {
+	switch name {
+	case "", "auto", "bitset", "search":
+		return nil
 	}
-	if name == "" {
-		return "", nil
-	}
-	if _, err := decider.Get(name); err != nil {
-		return "", err
-	}
-	return name, nil
+	return fmt.Errorf("unknown backend %q (valid: auto, bitset, search; all run the one level decider)", name)
 }
 
-// failBackend answers an unknown-backend resolution failure with the
-// invalid_argument coded envelope.
+// failBackend answers an unknown-backend name with the invalid_argument
+// coded envelope.
 func (s *Server) failBackend(w http.ResponseWriter, err error) {
 	s.failCode(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 }
@@ -564,9 +547,9 @@ func (s *Server) acquire(r *http.Request) (func(), error) {
 
 // requestEngine builds the short-lived engine for one request: bound to
 // the request context plus the per-request timeout, analyzing up to
-// maxN on the resolved backend, sharing the server's cache. The
-// returned cancel must be deferred.
-func (s *Server) requestEngine(r *http.Request, maxN int, backend string) (*engine.Engine, context.CancelFunc) {
+// maxN, sharing the server's cache. The returned cancel must be
+// deferred.
+func (s *Server) requestEngine(r *http.Request, maxN int) (*engine.Engine, context.CancelFunc) {
 	ctx := r.Context()
 	cancel := context.CancelFunc(func() {})
 	if s.cfg.RequestTimeout > 0 {
@@ -579,7 +562,6 @@ func (s *Server) requestEngine(r *http.Request, maxN int, backend string) (*engi
 		engine.WithShardThreshold(s.cfg.ShardThreshold),
 		engine.WithMaxN(maxN),
 		engine.WithMetrics(s.engMetrics),
-		engine.WithBackend(backend),
 	}
 	if s.graphs != nil {
 		opts = append(opts, engine.WithGraphCache(s.graphs))
@@ -649,8 +631,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	backend, err := s.resolveBackend(req.Backend)
-	if err != nil {
+	if err := checkBackend(req.Backend); err != nil {
 		s.failBackend(w, err)
 		return
 	}
@@ -660,7 +641,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	eng, cancel := s.requestEngine(r, maxN, backend)
+	eng, cancel := s.requestEngine(r, maxN)
 	defer cancel()
 	a, err := eng.Analyze(t)
 	if err != nil {
@@ -691,8 +672,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	backend, err := s.resolveBackend(req.Backend)
-	if err != nil {
+	if err := checkBackend(req.Backend); err != nil {
 		s.failBackend(w, err)
 		return
 	}
@@ -720,7 +700,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer release()
-		eng, cancel := s.requestEngine(r, maxN, backend)
+		eng, cancel := s.requestEngine(r, maxN)
 		defer cancel()
 		// One flat pool run for the whole batch: levels of all types
 		// interleave, and duplicate descriptors collapse in the cache.
@@ -766,7 +746,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.GraphStore = gc.Store
 	resp.Jobs = s.jobsMgr.Stats()
 	resp.Protocols = s.protocols.Len()
-	resp.Deciders = s.engMetrics.DeciderRuns()
 	resp.Compactions = s.compacted.Load()
 	hits, misses, entries := s.cfg.Cache.Stats()
 	resp.Cache.Hits = hits

@@ -21,7 +21,12 @@ import (
 //	2 — coded error envelopes ({code, error}), GET /v1/version, the
 //	    X-Reprod-Api header, and graph persistence counters in
 //	    /v1/stats.
-const APIRevision = 2
+//	3 — one level decider serves every request: the "backend" field of
+//	    analyze, batch, check and jobs is accepted as a no-op for "",
+//	    "search", "bitset" and "auto" (any other name still answers 400
+//	    invalid_argument), /v1/stats no longer reports "deciders" and
+//	    /metrics no longer exports reprod_decider_total.
+const APIRevision = 3
 
 // apiHeader is the response header carrying APIRevision on /v1 routes.
 const apiHeader = "X-Reprod-Api"

@@ -21,12 +21,19 @@ func TestBasics(t *testing.T) {
 	if u.SameComponent(1, 3) {
 		t.Error("distinct components merged")
 	}
-	sizes, num := u.ComponentSizes()
-	if num != 3 {
+	if num := u.Components(); num != 3 {
 		t.Errorf("components = %d, want 3", num)
 	}
-	if sizes[0] != 2 || sizes[2] != 1 || sizes[3] != 2 {
-		t.Errorf("sizes = %v", sizes)
+	if u.Size(0) != 2 || u.Size(2) != 1 || u.Size(3) != 2 {
+		t.Errorf("sizes = %d %d %d", u.Size(0), u.Size(2), u.Size(3))
+	}
+	// Reset restores n singletons on the same storage, at any size up to
+	// and beyond the old one.
+	for _, n := range []int{3, 8} {
+		u.Reset(n)
+		if u.Len() != n || u.Components() != n || u.SameComponent(0, 1) || u.Size(1) != 1 {
+			t.Errorf("Reset(%d): len %d, %d components", n, u.Len(), u.Components())
+		}
 	}
 }
 
@@ -89,8 +96,7 @@ func TestTwoColorProperty(t *testing.T) {
 		teams := u.TwoColor()
 		if teams == nil {
 			// Valid only if a single component remains.
-			_, num := u.ComponentSizes()
-			return num == 1
+			return u.Components() == 1
 		}
 		has := [2]bool{}
 		for i := 0; i < n; i++ {

@@ -4,9 +4,10 @@
 // It makes the paper's theory executable for finite deterministic types:
 //
 //   - deciders for Ruppert's n-discerning property and DFFR's n-recording
-//     property (package internal/discern, internal/record), which pin the
-//     consensus number and — by the paper's Theorem 14 — the recoverable
-//     consensus number of readable types exactly;
+//     property (the bitset sweep of internal/decider, checked against the
+//     recursive reference in internal/discern and internal/record), which
+//     pin the consensus number and — by the paper's Theorem 14 — the
+//     recoverable consensus number of readable types exactly;
 //   - the non-readable family T_{n,n'} of Section 4 with its wait-free and
 //     recoverable consensus algorithms, plus readable separation families
 //     (Y_n with gap 1; X4/X5 with the paper's gap 2);
@@ -195,7 +196,8 @@ func WithProgress(fn func(Event)) Option { return engine.WithProgress(fn) }
 // WithCache installs a shared decision cache.
 func WithCache(c *Cache) Option { return engine.WithCache(c) }
 
-// WithMaxN sets the largest process count Engine.Analyze checks.
+// WithMaxN sets the largest process count Engine.Analyze checks, at
+// most 16 (the level decider's cap).
 func WithMaxN(n int) Option { return engine.WithMaxN(n) }
 
 // WithBudget bounds the model checker's explored state space in nodes.
@@ -240,16 +242,6 @@ func OpenGraphStore(dir string) (*GraphStore, error) { return graphstore.Open(di
 // DefaultGraphCacheBudget is the node budget WithGraphCacheBudget(0)
 // resolves to.
 const DefaultGraphCacheBudget = engine.DefaultGraphCacheBudget
-
-// WithBackend selects the level-decider backend by name: "" or "search"
-// (the recursive-search deciders, the default), "bitset" (the
-// semi-symbolic frontier-sweep decider, n <= 16), or "auto" (bitset
-// where it applies, search above). All backends return byte-identical
-// results — see internal/decider.
-func WithBackend(name string) Option { return engine.WithBackend(name) }
-
-// Backends lists the registered level-decider backend names, sorted.
-func Backends() []string { return engine.Backends() }
 
 // WithShardThreshold controls auto-sharding of single level checks: a
 // level whose operation-assignment count exceeds the threshold is split
