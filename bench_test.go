@@ -392,9 +392,9 @@ func BenchmarkShardedLevelCheckSteal(b *testing.B) {
 // BenchmarkGraphInternWarm measures the packed-word graph walk in
 // isolation: one model.Graph is built and fully expanded by a priming
 // Check, then every iteration re-walks the interned graph. No engine,
-// cache, or event layer — allocs/op here is the floor the interning
-// dictionary, open-addressed walk overlay, and pooled frontiers buy on
-// the hot path (only the per-call Result and its arenas remain).
+// cache, or event layer — allocs/op here is the floor the packed-word
+// nodes, open-addressed walk overlay, and pooled frontiers buy on the
+// hot path (only the per-call Result and its arenas remain).
 func BenchmarkGraphInternWarm(b *testing.B) {
 	pr := proto.NewCASWaitFree(2)
 	inputs := []int{0, 1}
@@ -421,8 +421,8 @@ func BenchmarkGraphInternWarm(b *testing.B) {
 // from scratch) versus warm (one long-lived engine: after the first
 // iteration every walk runs over a fully expanded cached graph and
 // expands nothing). The warm/cold ratio is the cross-call amortization
-// the cache buys; allocs/op on the warm path is the hot-walk allocation
-// figure the 128-bit fingerprint index and pooled frontiers target.
+// the cache buys; allocs/op on the cold path counts expansion (table
+// lookups and interning), on the warm path the walk alone.
 func BenchmarkGraphCacheCheckBatch(b *testing.B) {
 	// Four distinct input vectors on the 5-process wait-free protocol:
 	// each is its own graph, so a cold batch pays four full state-space

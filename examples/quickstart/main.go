@@ -61,11 +61,20 @@ func main() {
 	hits, misses, _ := eng.Cache().Stats()
 	fmt.Printf("cache after re-analysis: %d hits, %d misses\n\n", hits, misses)
 
-	// The individual deciders expose the witnesses behind the numbers.
-	if ok, w := repro.IsNDiscerning(fad, 2); ok {
+	// The single-level deciders expose the witnesses behind the numbers
+	// (served from the same cache).
+	ok, w, err := eng.Discerning(fad, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ok {
 		fmt.Printf("fetch-and-double is 2-discerning: %s\n", w)
 	}
-	if ok, _ := repro.IsNRecording(fad, 2); !ok {
+	ok, _, err = eng.Recording(fad, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !ok {
 		fmt.Println("fetch-and-double is NOT 2-recording: like test-and-set and")
 		fmt.Println("fetch-and-add, it loses its consensus power under crash-recovery")
 		fmt.Println("(Theorem 14: recoverable consensus number 1).")

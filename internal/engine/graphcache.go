@@ -311,33 +311,34 @@ func (c *GraphCache) Sync(g *model.Graph) {
 		return
 	}
 	e.spilling = true
-	go c.spill(e)
+	go c.spill(e, true)
 }
 
-// spill exports e's graph and persists the delta, then updates the
-// entry's durable markers. Runs off the cache lock; the store
-// serializes concurrent spills internally.
-func (c *GraphCache) spill(e *gcEntry) {
+// spill exports e's graph, persists the delta and records the result:
+// counters, the entry's durable markers, or a store-less entry on error,
+// which it returns. It runs off the cache lock; the store serializes
+// concurrent spills internally. async marks the one background spill
+// Sync or eviction started, whose end reopens the entry to the next.
+func (c *GraphCache) spill(e *gcEntry, async bool) error {
 	snap := e.g.Export()
 	n, err := c.store.Spill(e.fp, e.inputs, snap)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.spilling = false
+	if async {
+		e.spilling = false
+	}
 	if err != nil {
 		c.st.Errors++
 		e.noStore = true
-		return
+		return err
 	}
 	if n > 0 {
 		c.st.Spills++
 		c.st.SpilledNodes += uint64(n)
 	}
-	if nodes := uint64(len(snap.Nodes)); nodes > e.spilledNodes {
-		e.spilledNodes = nodes
-	}
-	if exp := uint64(snap.NumExpanded()); exp > e.spilledExpanded {
-		e.spilledExpanded = exp
-	}
+	e.spilledNodes = max(e.spilledNodes, uint64(len(snap.Nodes)))
+	e.spilledExpanded = max(e.spilledExpanded, uint64(snap.NumExpanded()))
+	return nil
 }
 
 // Flush synchronously spills every dirty entry — the shutdown path,
@@ -362,28 +363,9 @@ func (c *GraphCache) Flush() error {
 
 	var first error
 	for _, e := range dirty {
-		snap := e.g.Export()
-		n, err := c.store.Spill(e.fp, e.inputs, snap)
-		c.mu.Lock()
-		if err != nil {
-			c.st.Errors++
-			e.noStore = true
-			if first == nil {
-				first = err
-			}
-		} else {
-			if n > 0 {
-				c.st.Spills++
-				c.st.SpilledNodes += uint64(n)
-			}
-			if nodes := uint64(len(snap.Nodes)); nodes > e.spilledNodes {
-				e.spilledNodes = nodes
-			}
-			if exp := uint64(snap.NumExpanded()); exp > e.spilledExpanded {
-				e.spilledExpanded = exp
-			}
+		if err := c.spill(e, false); err != nil && first == nil {
+			first = err
 		}
-		c.mu.Unlock()
 	}
 	return first
 }
@@ -435,7 +417,7 @@ func (c *GraphCache) enforce(keep *gcEntry) {
 			// exactly as an in-flight walk would, and the store serializes
 			// it against every other spill.
 			victim.spilling = true
-			go c.spill(victim)
+			go c.spill(victim, true)
 		}
 		c.unlink(victim)
 		delete(c.entries, victim.key)

@@ -9,12 +9,16 @@
 // vector) key — the same key engine.GraphCache uses — maps to one file,
 // written as a checksummed binary header followed by append-only pages.
 // Every page carries its own CRC-32C and holds a batch of fixed-width
-// node records (128-bit node fingerprint, dictionary-indexed
-// configuration, packed output-history/decision vectors, successor
-// indices) plus the local-state dictionary entries the batch introduces.
-// Node records refer to other nodes by intern-order position, and pages
-// only ever append nodes or complete previously-unexpanded ones, so the
-// file is a monotone log of model.GraphSnapshot growth.
+// node records in RPRGRAPH v2 form: the record's index, the node's
+// packed words (model.SnapshotNode: state ids of the protocol's
+// canonical closure, object values, output history), a 64-bit check
+// value over the words, the Done byte and the step and crash successor
+// indices. Records refer to other nodes by intern-order position, and
+// pages only ever append nodes or complete previously-unexpanded ones
+// (an update record repeats its node's words), so the file is a monotone
+// log of model.GraphSnapshot growth. The store keeps the persisted words
+// of every file it touched, and a spill extends a file only when the
+// snapshot's prefix matches them word for word.
 //
 // # Crash safety
 //
@@ -23,12 +27,17 @@
 // good prefix, which is always a valid snapshot (pages apply
 // all-or-nothing, so no successor reference can dangle). The next spill
 // truncates the file to that good prefix before appending. A file whose
-// header is torn loads as empty and is rewritten; a file with an alien
-// header or a newer format version is refused outright — never
-// truncated or overwritten. Records that pass the container checksums
-// are verified once more on import (model.Graph.ImportSnapshot
-// recomputes each node fingerprint), so a corrupted file degrades to a
-// partial warm load or a clean re-expansion, never a wrong graph.
+// header is torn loads as empty and is rewritten, and so does a v1 file
+// (strings and a state dictionary): it is a cache miss, and the next
+// spill rewrites it from offset 0. A file with an alien header or a
+// newer format version is refused outright — never truncated or
+// overwritten. A spill that writes a header fsyncs the file and then,
+// best effort, its directory, so a newly created file's entry survives a
+// power loss. Records that pass the container checksums are verified
+// once more on import (model.Graph.ImportSnapshot recomputes each check
+// value and validates every lane and successor rule), so a corrupted
+// file degrades to a partial warm load or a clean re-expansion, never a
+// wrong graph.
 //
 // # Concurrency and ownership
 //

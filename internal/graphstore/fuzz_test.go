@@ -15,9 +15,11 @@ import (
 // store key. The contract under test is the one the crash-recovery
 // design leans on: Load returns the good prefix of whatever is on disk,
 // or an error — it never panics, whatever a torn write, a bit flip, or
-// an adversarial file put there. Seeds include a genuine Spill output
-// and systematically damaged variants of it, so the fuzzer starts at
-// the format's interesting boundaries instead of random noise.
+// an adversarial file put there. Seeds include genuine v2 Spill outputs
+// (one page, and an incremental file whose second page completes
+// earlier records in place), systematically damaged variants of them,
+// and a v1 file, so the fuzzer starts at the format's interesting
+// boundaries instead of random noise.
 func FuzzGraphstoreLoad(f *testing.F) {
 	pr, err := registry.ParseProtocol("tas-reg")
 	if err != nil {
@@ -37,22 +39,33 @@ func FuzzGraphstoreLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := g.Check(model.CheckOpts{Inputs: inputs}); err != nil {
-		f.Fatal(err)
+	spill := func(opts model.CheckOpts) []byte {
+		if _, err := g.Check(opts); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := s.Spill(fp, inputs, g.Export()); err != nil {
+			f.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			f.Fatalf("expected 1 spilled file, got %d (err %v)", len(ents), err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, ents[0].Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
-	if _, err := s.Spill(fp, inputs, g.Export()); err != nil {
-		f.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		f.Fatalf("expected 1 spilled file, got %d (err %v)", len(ents), err)
-	}
-	valid, err := os.ReadFile(filepath.Join(dir, ents[0].Name()))
+	partial := spill(model.CheckOpts{Inputs: inputs, MaxNodes: 2})
+	valid := spill(model.CheckOpts{Inputs: inputs, CrashQuota: []int{1, 1}})
+	name := fp + "-in0_1.graph"
+	v1, err := os.ReadFile(filepath.Join("testdata", "rprgraph-v1-cas-wf-2-in0_1.graph"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	name := ents[0].Name()
 
+	f.Add(partial)
+	f.Add(v1)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-3])

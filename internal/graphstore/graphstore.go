@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -19,8 +20,10 @@ const Magic = "RPRGRAPH"
 
 // Version is the newest file-format version this package writes. Files
 // with a newer version are refused (not silently truncated): they hold
-// valid data from a newer build, which must not be destroyed.
-const Version = 1
+// valid data from a newer build, which must not be destroyed. Files with
+// an older version (v1 carried strings and a state dictionary) are a
+// cache miss: the next spill rewrites them from offset 0.
+const Version = 2
 
 const (
 	// pageMaxRecords bounds the node records of one page; a spill larger
@@ -49,23 +52,21 @@ type Store struct {
 // fileState tracks the durable good prefix of one key's file, the
 // bookkeeping delta spills extend from.
 type fileState struct {
-	// nodes and dict count the node records and dictionary entries of the
-	// good prefix; goodLen is its byte length.
+	// nodes counts the node records of the good prefix; goodLen is its
+	// byte length.
 	nodes   int
-	dict    int
 	goodLen int64
 	// unexpanded holds the persisted indices whose records are not Done
 	// yet; a spill completes them with in-place update records.
 	unexpanded map[int]struct{}
-	// fps mirrors the persisted nodes' 128-bit fingerprints, the prefix-
-	// compatibility check for spills of graphs this process never loaded.
-	fps []nodeID
+	// words holds the persisted nodes' packed identities back to back,
+	// the exact prefix-compatibility check for spills of graphs this
+	// process never loaded.
+	words []uint64
 	// bad marks a key whose file hit a write error or an incompatible
 	// in-memory graph; further spills are skipped until the next Open.
 	bad bool
 }
-
-type nodeID struct{ hi, lo uint64 }
 
 // Stats counts a store's traffic since Open.
 type Stats struct {
@@ -167,9 +168,10 @@ func (s *Store) load(fp string, inputs []int) (*model.GraphSnapshot, *fileState,
 		return nil, nil, err
 	}
 	st := &fileState{unexpanded: make(map[int]struct{})}
-	if hdr == nil {
-		// Torn header: nothing was ever durably stored. The next spill
-		// rewrites the file from offset 0.
+	if hdr == nil || hdr.version < Version {
+		// Torn header (nothing was ever durably stored) or an older
+		// format: a miss either way. The next spill rewrites the file
+		// from offset 0.
 		return nil, st, nil
 	}
 	if err := hdr.matches(fp, inputs); err != nil {
@@ -321,9 +323,10 @@ func encodeHeader(fp string, inputs []int, procs, objects int) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
 }
 
-// recordSize is the fixed width of one node record for the dimensions.
-func recordSize(procs, objects int) int {
-	return 4 + 16 + 4*procs + 4*objects + procs + procs + 1 + 4*procs + 4*procs
+// recordSize is the fixed width of one node record: its index, packed
+// words, check value, Done byte and step and crash successor indices.
+func recordSize(procs, words int) int {
+	return 4 + 8*words + 8 + 1 + 4*procs + 4*procs
 }
 
 // applyPage parses one checksummed payload and applies it to the
@@ -332,120 +335,79 @@ func recordSize(procs, objects int) int {
 // at the previous page — so a loaded snapshot never holds a dangling
 // successor reference from a half-applied batch.
 func applyPage(snap *model.GraphSnapshot, st *fileState, page []byte) bool {
-	procs, objects := snap.Procs, snap.Objects
-	if len(page) < 4 {
-		return false
-	}
-	nDict := int(binary.LittleEndian.Uint32(page[0:4]))
-	page = page[4:]
-	var newStates []string
-	for i := 0; i < nDict; i++ {
-		if len(page) < 2 {
-			return false
-		}
-		slen := int(binary.LittleEndian.Uint16(page[0:2]))
-		page = page[2:]
-		if len(page) < slen {
-			return false
-		}
-		newStates = append(newStates, string(page[:slen]))
-		page = page[slen:]
-	}
+	procs, nw := snap.Procs, model.NodeWords(snap.Procs, snap.Objects)
 	if len(page) < 4 {
 		return false
 	}
 	nRec := int(binary.LittleEndian.Uint32(page[0:4]))
 	page = page[4:]
-	rs := recordSize(procs, objects)
-	if len(page) != nRec*rs {
-		return false
+	rs := recordSize(procs, nw)
+	if nRec == 0 || nRec > len(page)/rs || len(page) != nRec*rs {
+		return false // the division guards nRec*rs against overflow
 	}
 
 	type parsed struct {
 		idx int
 		nd  model.SnapshotNode
 	}
-	recs := make([]parsed, 0, nRec)
-	dictLen := len(snap.States) + len(newStates)
+	recs := make([]parsed, nRec)
+	words := make([]uint64, nRec*nw)
+	succ := make([]int32, nRec*2*procs)
 	nodes := len(snap.Nodes)
-	for r := 0; r < nRec; r++ {
+	for r := range recs {
 		b := page[r*rs : (r+1)*rs]
 		idx := int(binary.LittleEndian.Uint32(b[0:4]))
-		if idx > nodes {
+		switch {
+		case idx == nodes:
+			nodes++
+		case idx >= len(snap.Nodes):
+			// Beyond the tail, or an update of a node this very page
+			// appends: no spill writes either.
 			return false
 		}
-		if idx == nodes {
-			nodes++
-		}
 		nd := model.SnapshotNode{
-			FPHi:      binary.LittleEndian.Uint64(b[4:12]),
-			FPLo:      binary.LittleEndian.Uint64(b[12:20]),
-			States:    make([]uint32, procs),
-			Vals:      make([]int32, objects),
-			Outs:      make([]int8, procs),
-			Decided:   make([]int8, procs),
-			StepSucc:  make([]int32, procs),
-			CrashSucc: make([]int32, procs),
+			Words:     words[r*nw : (r+1)*nw : (r+1)*nw],
+			StepSucc:  succ[2*procs*r : 2*procs*r+procs : 2*procs*r+procs],
+			CrashSucc: succ[2*procs*r+procs : 2*procs*(r+1) : 2*procs*(r+1)],
 		}
-		o := 20
-		for p := 0; p < procs; p++ {
-			sid := binary.LittleEndian.Uint32(b[o:])
-			if int(sid) >= dictLen {
-				return false
-			}
-			nd.States[p] = sid
-			o += 4
+		o := 4
+		for i := range nd.Words {
+			nd.Words[i] = binary.LittleEndian.Uint64(b[o:])
+			o += 8
 		}
-		for j := 0; j < objects; j++ {
-			nd.Vals[j] = int32(binary.LittleEndian.Uint32(b[o:]))
-			o += 4
+		if idx < len(snap.Nodes) && !slices.Equal(nd.Words, snap.Nodes[idx].Words) {
+			return false // an update must complete the node it names
 		}
-		for p := 0; p < procs; p++ {
-			nd.Outs[p] = int8(b[o])
-			o++
+		nd.Check = binary.LittleEndian.Uint64(b[o:])
+		o += 8
+		if b[o] > 1 {
+			return false
 		}
-		for p := 0; p < procs; p++ {
-			nd.Decided[p] = int8(b[o])
-			o++
-		}
-		nd.Done = b[o] != 0
+		nd.Done = b[o] == 1
 		o++
-		for p := 0; p < procs; p++ {
-			v := binary.LittleEndian.Uint32(b[o:])
-			if v == succNone {
-				nd.StepSucc[p] = -1
-			} else if v >= 1<<31 {
-				return false
-			} else {
-				nd.StepSucc[p] = int32(v)
+		for _, dst := range [][]int32{nd.StepSucc, nd.CrashSucc} {
+			for p := range dst {
+				v := binary.LittleEndian.Uint32(b[o:])
+				if v == succNone {
+					dst[p] = -1
+				} else if v >= 1<<31 {
+					return false
+				} else {
+					dst[p] = int32(v)
+				}
+				o += 4
 			}
-			o += 4
 		}
-		for p := 0; p < procs; p++ {
-			v := binary.LittleEndian.Uint32(b[o:])
-			if v == succNone {
-				nd.CrashSucc[p] = -1
-			} else if v >= 1<<31 {
-				return false
-			} else {
-				nd.CrashSucc[p] = int32(v)
-			}
-			o += 4
-		}
-		recs = append(recs, parsed{idx: idx, nd: nd})
+		recs[r] = parsed{idx: idx, nd: nd}
 	}
 
 	// Whole page parsed: apply.
-	snap.States = append(snap.States, newStates...)
-	st.dict = len(snap.States)
 	for _, r := range recs {
-		id := nodeID{r.nd.FPHi, r.nd.FPLo}
 		if r.idx == len(snap.Nodes) {
 			snap.Nodes = append(snap.Nodes, r.nd)
-			st.fps = append(st.fps, id)
+			st.words = append(st.words, r.nd.Words...)
 		} else {
 			snap.Nodes[r.idx] = r.nd
-			st.fps[r.idx] = id
 		}
 		if r.nd.Done {
 			delete(st.unexpanded, r.idx)
@@ -460,46 +422,30 @@ func applyPage(snap *model.GraphSnapshot, st *fileState, page []byte) bool {
 // encodeRecord appends one node record for position idx.
 func encodeRecord(dst []byte, idx int, nd *model.SnapshotNode) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(idx))
-	dst = binary.LittleEndian.AppendUint64(dst, nd.FPHi)
-	dst = binary.LittleEndian.AppendUint64(dst, nd.FPLo)
-	for _, sid := range nd.States {
-		dst = binary.LittleEndian.AppendUint32(dst, sid)
+	for _, w := range nd.Words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	for _, v := range nd.Vals {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	for _, o := range nd.Outs {
-		dst = append(dst, byte(o))
-	}
-	for _, d := range nd.Decided {
-		dst = append(dst, byte(d))
-	}
+	dst = binary.LittleEndian.AppendUint64(dst, nd.Check)
 	if nd.Done {
 		dst = append(dst, 1)
 	} else {
 		dst = append(dst, 0)
 	}
-	for _, si := range nd.StepSucc {
-		if si < 0 {
-			dst = binary.LittleEndian.AppendUint32(dst, succNone)
-		} else {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(si))
-		}
-	}
-	for _, ci := range nd.CrashSucc {
-		if ci < 0 {
-			dst = binary.LittleEndian.AppendUint32(dst, succNone)
-		} else {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(ci))
+	for _, succ := range [][]int32{nd.StepSucc, nd.CrashSucc} {
+		for _, si := range succ {
+			if si < 0 {
+				dst = binary.LittleEndian.AppendUint32(dst, succNone)
+			} else {
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(si))
+			}
 		}
 	}
 	return dst
 }
 
 // Spill persists the snapshot's growth beyond the key's durable prefix:
-// new dictionary entries, update records completing previously
-// unexpanded nodes, and append records for new nodes, batched into
-// CRC'd pages and fsynced. It returns the number of node records
+// update records completing previously unexpanded nodes and append
+// records for new nodes, batched into CRC'd pages and fsynced. It returns the number of node records
 // written (0 when the file is already current, the key is marked bad,
 // or the snapshot is not an extension of the persisted prefix). A write
 // error marks the key bad — later spills skip it — and is returned.
@@ -527,126 +473,122 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 	}
 	// The snapshot must extend the persisted prefix node for node. A
 	// shorter snapshot (a concurrent export raced a longer spill) or a
-	// fingerprint mismatch (the in-memory graph grew in a different
+	// node whose words differ (the in-memory graph grew in a different
 	// order, e.g. it never warm-loaded this file) is a safe no-op /
 	// permanent skip respectively.
-	if len(snap.Nodes) < st.nodes || len(snap.States) < st.dict {
+	if len(snap.Nodes) < st.nodes {
 		return 0, nil
 	}
-	for i, id := range st.fps {
-		if snap.Nodes[i].FPHi != id.hi || snap.Nodes[i].FPLo != id.lo {
+	nw := model.NodeWords(snap.Procs, snap.Objects)
+	for i := 0; i < st.nodes; i++ {
+		if !slices.Equal(snap.Nodes[i].Words, st.words[i*nw:(i+1)*nw]) {
 			st.bad = true
 			s.stats.Errors++
 			return 0, nil
 		}
 	}
 
-	var updates []int
+	// One record stream: updates first, in index order (they complete
+	// nodes already on disk), then the new tail.
+	var stream []int
 	for idx := range st.unexpanded {
 		if snap.Nodes[idx].Done {
-			updates = append(updates, idx)
+			stream = append(stream, idx)
 		}
 	}
-	newDict := snap.States[st.dict:]
-	appends := len(snap.Nodes) - st.nodes
-	if len(updates) == 0 && appends == 0 && len(newDict) == 0 {
+	slices.Sort(stream)
+	updates := len(stream)
+	for i := st.nodes; i < len(snap.Nodes); i++ {
+		stream = append(stream, i)
+	}
+	if len(stream) == 0 {
 		return 0, nil
 	}
 
-	written, err := s.write(fp, inputs, snap, st, updates, newDict)
-	if err != nil {
+	if err := s.write(fp, inputs, snap, st, stream); err != nil {
 		st.bad = true
 		s.stats.Errors++
 		return 0, err
 	}
 	// Commit the new durable prefix.
-	for _, idx := range updates {
+	for _, idx := range stream[:updates] {
 		delete(st.unexpanded, idx)
 	}
 	for i := st.nodes; i < len(snap.Nodes); i++ {
-		st.fps = append(st.fps, nodeID{snap.Nodes[i].FPHi, snap.Nodes[i].FPLo})
+		st.words = append(st.words, snap.Nodes[i].Words...)
 		if !snap.Nodes[i].Done {
 			st.unexpanded[i] = struct{}{}
 		}
 	}
 	st.nodes = len(snap.Nodes)
-	st.dict = len(snap.States)
 	s.stats.Spills++
-	s.stats.SpilledNodes += uint64(written)
-	return written, nil
+	s.stats.SpilledNodes += uint64(len(stream))
+	return len(stream), nil
 }
 
 // write performs the file I/O of one spill: truncate to the good
-// prefix, (re)write the header if none is durable, append the delta
-// pages, fsync, and advance goodLen.
-func (s *Store) write(fp string, inputs []int, snap *model.GraphSnapshot, st *fileState, updates []int, newDict []string) (int, error) {
+// prefix, (re)write the header if none is durable, append the records
+// of stream (snapshot positions) in pages, fsync, and advance goodLen.
+// A spill that writes the header also syncs the directory (best
+// effort), so the entry of a file it just created survives a power
+// loss.
+func (s *Store) write(fp string, inputs []int, snap *model.GraphSnapshot, st *fileState, stream []int) error {
 	f, err := os.OpenFile(s.path(fp, inputs), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer f.Close()
 	if fi, err := f.Stat(); err != nil {
-		return 0, err
+		return err
 	} else if fi.Size() != st.goodLen {
 		if err := f.Truncate(st.goodLen); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if _, err := f.Seek(st.goodLen, io.SeekStart); err != nil {
-		return 0, err
+		return err
 	}
 	var out []byte
-	if st.goodLen == 0 {
-		out = append(out, encodeHeader(fp, inputs, snap.Procs, snap.Objects)...)
+	newHeader := st.goodLen == 0
+	if newHeader {
+		out = encodeHeader(fp, inputs, snap.Procs, snap.Objects)
 	}
-
-	// One record stream: updates first (they complete nodes already on
-	// disk), then the new tail. The dictionary delta rides in the first
-	// page; it must, because records in that page may reference it.
-	type ref struct{ idx int }
-	stream := make([]ref, 0, len(updates)+len(snap.Nodes)-st.nodes)
-	for _, idx := range updates {
-		stream = append(stream, ref{idx})
-	}
-	for i := st.nodes; i < len(snap.Nodes); i++ {
-		stream = append(stream, ref{i})
-	}
-	written := 0
-	for start := 0; start < len(stream) || (start == 0 && len(stream) == 0); start += pageMaxRecords {
-		end := start + pageMaxRecords
-		if end > len(stream) {
-			end = len(stream)
+	rs := recordSize(snap.Procs, model.NodeWords(snap.Procs, snap.Objects))
+	out = slices.Grow(out, (len(stream)/pageMaxRecords+1)*12+len(stream)*rs)
+	for start := 0; start < len(stream); start += pageMaxRecords {
+		batch := stream[start:min(start+pageMaxRecords, len(stream))]
+		// Page: payload length and CRC (patched in below), then the
+		// payload — its record count and records.
+		page := len(out)
+		out = append(out, make([]byte, 8)...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(batch)))
+		for _, idx := range batch {
+			out = encodeRecord(out, idx, &snap.Nodes[idx])
 		}
-		var payload []byte
-		if start == 0 {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(newDict)))
-			for _, str := range newDict {
-				payload = binary.LittleEndian.AppendUint16(payload, uint16(len(str)))
-				payload = append(payload, str...)
-			}
-		} else {
-			payload = binary.LittleEndian.AppendUint32(payload, 0)
-		}
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(end-start))
-		for _, r := range stream[start:end] {
-			payload = encodeRecord(payload, r.idx, &snap.Nodes[r.idx])
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-		out = append(out, payload...)
-		written += end - start
-		if len(stream) == 0 {
-			break
-		}
+		payload := out[page+8:]
+		binary.LittleEndian.PutUint32(out[page:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(out[page+4:], crc32.Checksum(payload, castagnoli))
 	}
 	if _, err := f.Write(out); err != nil {
-		return 0, err
+		return err
 	}
 	if err := f.Sync(); err != nil {
-		return 0, err
+		return err
+	}
+	if newHeader {
+		syncDir(s.dir)
 	}
 	// The header (when freshly written) is part of out, so one advance
 	// covers both.
 	st.goodLen += int64(len(out))
-	return written, nil
+	return nil
+}
+
+// syncDir fsyncs a directory so a just-created file's directory entry is
+// durable. Best effort: some filesystems refuse directory fsync.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graphstore"
 	"repro/internal/model"
 	"repro/internal/registry"
+	"repro/internal/schedule"
 )
 
 // walkObs projects a walk result onto its caller-observable fields; two
@@ -415,5 +416,117 @@ func TestStoreRefusals(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(newerPath); !reflect.DeepEqual(got, data) {
 		t.Fatal("newer-version file was modified")
+	}
+}
+
+// TestStoreV1FileIsRewritten loads an RPRGRAPH v1 file written by the
+// v1 build (testdata: cas-wf:2 at inputs 0,1 after a crash-free and a
+// crash-quota [1,1] walk). A v1 file is a cache miss; the next spill
+// rewrites it as v2 from offset 0, and a restart then loads it warm.
+func TestStoreV1FileIsRewritten(t *testing.T) {
+	pr, fp, inputs, walks := testProtocol(t, "cas-wf:2")
+	v1, err := os.ReadFile(filepath.Join("testdata", "rprgraph-v1-cas-wf-2-in0_1.graph"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(v1[:8]) != graphstore.Magic || v1[8] != 1 {
+		t.Fatalf("testdata is not an RPRGRAPH v1 file: % x", v1[:12])
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, fp+"-in0_1.graph")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := s.Load(fp, inputs); err != nil || snap != nil {
+		t.Fatalf("v1 file: snap=%v err=%v, want a miss", snap, err)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Errors != 0 {
+		t.Fatalf("v1 load counters %+v, want one miss and no error", st)
+	}
+
+	g, want := expand(t, pr, inputs, walks)
+	snap := g.Export()
+	written, err := s.Spill(fp, inputs, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written != len(snap.Nodes) {
+		t.Fatalf("rewrite spilled %d of %d nodes", written, len(snap.Nodes))
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[:8]) != graphstore.Magic || data[8] != graphstore.Version {
+		t.Fatalf("rewritten file header % x, want version %d", data[:12], graphstore.Version)
+	}
+
+	restarted, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restarted.Load(fp, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatal("rewritten file does not load back to the export")
+	}
+	if loaded := verifyWarm(t, restarted, pr, fp, inputs, walks, want); loaded != len(snap.Nodes) {
+		t.Fatalf("restart warm-loaded %d nodes, want %d", loaded, len(snap.Nodes))
+	}
+	if st := restarted.Stats(); st.Loads != 2 || st.Errors != 0 {
+		t.Fatalf("restart counters %+v, want two loads and no error", st)
+	}
+}
+
+// TestStoreSpillRefusesDivergentPrefix spills a graph that grew in a
+// different intern order than the file's: the persisted words no longer
+// match node for node, so the spill is skipped and the file untouched.
+func TestStoreSpillRefusesDivergentPrefix(t *testing.T) {
+	pr, fp, inputs, walks := testProtocol(t, "cas-rec:2")
+	dir := t.TempDir()
+	s, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := expand(t, pr, inputs, []model.CheckOpts{{Inputs: inputs, MaxNodes: 3}})
+	if _, err := s.Spill(fp, inputs, g.Export()); err != nil {
+		t.Fatal(err)
+	}
+	path := storeFile(t, dir)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh process whose graph starts from a replayed root interns a
+	// different node first, and grows past the file.
+	other, err := model.NewGraph(pr, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range walks {
+		opts.StartTrace = schedule.Steps(0)
+		if _, err := other.Check(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s2.Spill(fp, inputs, other.Export()); n != 0 || err != nil {
+		t.Fatalf("divergent spill wrote %d records (err %v)", n, err)
+	}
+	if st := s2.Stats(); st.Errors != 1 {
+		t.Fatalf("divergent spill counters %+v, want one error", st)
+	}
+	if after, _ := os.ReadFile(path); !reflect.DeepEqual(after, before) {
+		t.Fatal("divergent spill modified the file")
 	}
 }

@@ -14,40 +14,47 @@
 //
 // All exploration runs on a Graph: a canonicalized store of
 // (configuration, output-history) nodes whose successors are computed
-// exactly once, with singleflight expansion. Node identity is a packed
-// fixed-width []uint64: NewGraph closes over the protocol's reachable
+// exactly once, with singleflight expansion. NewGraph compiles the
+// protocol once into per-process transition tables over its reachable
 // state machine (the same canonical closure structural fingerprints
-// walk) and assigns each reachable per-process state string a dense
-// uint64 id, so a node's states, object values and output history pack
-// into a handful of words — fingerprinting is a word-mix loop,
-// equality is == per word, and the graph's intern index is an
+// hash, so Fingerprint and the graph can never disagree): per state id,
+// its decision, or its object and, for each value of that object, the
+// (next value, next state id) pair. A node is nothing but its packed
+// fixed-width []uint64 — one 16-bit state id per process, one 16-bit
+// value per object and one 8-bit output per process — so a step or crash
+// successor is a table lookup over words, fingerprinting is a word-mix
+// loop, equality is == per word, and the graph's intern index is an
 // open-addressed, linear-probed table over those words (no collision
-// buckets, no string hashing on the hot path). States outside the
-// closure — alien imported snapshots — extend the dictionary
-// copy-on-write under the graph lock. Crash usage is deliberately NOT
-// part of node identity (transitions do not depend on it); each walk
-// overlays its own (node, crash-usage) bookkeeping in a per-walk
-// open-addressed table probed on the node's precomputed hash,
-// reproducing the serial checker's (configuration, crash-usage,
-// output-history) dedup exactly. Check builds a one-shot Graph; batch
-// callers (engine.CheckBatch) walk one Graph per input vector,
-// long-lived callers (the engine's graph cache) keep Graphs warm
-// across calls, and Theorem13ChainOpts walks every chain stage over
-// one Graph — all share every transition, output-merge and packing
-// computation.
+// buckets, no strings anywhere on the hot path). A Config is decoded
+// from the words only where one is returned or printed: violations,
+// critical configurations, Result.NodeConfig and the liveness detail.
+// Output merging follows one rule: a step merges every decided process
+// into the outputs; a crash successor inherits its parent's outputs
+// unmerged, so a crash into a decided initial state is merged at the
+// next step. Crash usage is deliberately NOT part of node identity
+// (transitions do not depend on it); each walk overlays its own (node,
+// crash-usage) bookkeeping in a per-walk open-addressed table probed on
+// the node's precomputed hash, reproducing the serial checker's
+// (configuration, crash-usage, output-history) dedup exactly. Check
+// builds a one-shot Graph; batch callers (engine.CheckBatch) walk one
+// Graph per input vector, long-lived callers (the engine's graph cache)
+// keep Graphs warm across calls, and Theorem13ChainOpts walks every
+// chain stage over one Graph — all share every transition, output-merge
+// and packing computation. Export and ImportSnapshot move the node
+// table in and out as words plus successor positions (GraphSnapshot),
+// the unit internal/graphstore persists.
 //
 // # Concurrency and ownership
 //
 // A Graph is safe for concurrent use by any number of Check walks, and
 // only ever grows: eviction by a caching layer merely drops a reference,
-// in-flight walks finish unharmed. The intern table and the interning
-// dictionary's extension path are guarded by the graph mutex (the
-// dictionary itself is read lock-free through an atomic pointer);
+// in-flight walks finish unharmed. The intern table is guarded by the
+// graph mutex; the compiled tables are immutable and read lock-free;
 // per-node expansion runs under a per-node once. A Result is owned by
 // the caller that obtained it and is not safe for concurrent mutation;
 // its lazily computed valency map means even read-style methods
 // (Valence, FindCritical) must not race. Walk-internal scratch
-// (frontier queues, expansion buffers, liveness sweep state) is pooled
+// (frontier queues, packing buffers, liveness sweep state) is pooled
 // per graph and never escapes into Results; the walk's visited overlay
 // and node arenas live in the Result and die with it.
 //

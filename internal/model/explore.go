@@ -55,11 +55,9 @@ func (v *Violation) String() string {
 
 // Result is the outcome of an exploration.
 type Result struct {
-	pr     Protocol
-	inputs []int
 	// g is the shared exploration graph the walk ran on; post-exploration
 	// analyses (Node, valency, critical search) resolve canonical nodes
-	// through it.
+	// and decode configurations through it.
 	g *Graph
 
 	// Nodes is the number of distinct (configuration, crash-usage) nodes
@@ -102,13 +100,7 @@ type Result struct {
 func (r *Result) OK() bool { return len(r.Violations) == 0 && !r.Truncated }
 
 type node struct {
-	cfg  Config
-	used []int // crashes used per process
-	// outs[p] is the first value process p ever output along this path
-	// (-1 if none). Outputs survive crashes in the paper's model: a
-	// process that decided, crashed and re-decided differently violates
-	// agreement even though its local decided state was erased.
-	outs   []int8
+	used   []int // crashes used per process
 	parent *node
 	via    schedule.Event
 	// ord is the node's BFS discovery index (position in Result.order),
@@ -118,8 +110,13 @@ type node struct {
 	// succ caches step successors (crash successors are recomputed).
 	succ []*node
 	// gn is the node's canonical twin in the shared exploration graph
-	// the walk ran on (see Graph); it carries the precomputed decision
-	// vector, packed-identity hash, and successor set.
+	// the walk ran on (see Graph); it carries the configuration's packed
+	// identity, the output history (gn.outs[p] is the first value process
+	// p ever output along this path, -1 if none — outputs survive crashes
+	// in the paper's model, so a process that decided, crashed and
+	// re-decided differently violates agreement even though its local
+	// decided state was erased), the precomputed decision vector, and
+	// the successor set.
 	gn *gnode
 }
 
@@ -308,25 +305,6 @@ func freshOuts(n int) []int8 {
 	return outs
 }
 
-// mergeOuts extends a path's output history with the decisions visible in
-// cfg, returning outs unchanged (same slice) if nothing new was decided.
-func mergeOuts(pr Protocol, cfg Config, outs []int8) []int8 {
-	var copied []int8
-	for p := range cfg.States {
-		if v, ok := Decision(pr, cfg, p); ok && outs[p] == -1 {
-			if copied == nil {
-				copied = make([]int8, len(outs))
-				copy(copied, outs)
-			}
-			copied[p] = int8(v)
-		}
-	}
-	if copied == nil {
-		return outs
-	}
-	return copied
-}
-
 // trace reconstructs the schedule from the initial node.
 func (n *node) trace() schedule.Schedule {
 	var rev []schedule.Event
@@ -396,13 +374,14 @@ func (w *walkState) report(kind int, nd *node, detail string) {
 	}
 	w.seen[kind] = true
 	w.r.Violations = append(w.r.Violations, &Violation{
-		Kind: kindNames[kind], Trace: nd.trace(), Config: nd.cfg, Detail: detail,
+		Kind: kindNames[kind], Trace: nd.trace(), Config: w.r.NodeConfig(nd), Detail: detail,
 	})
 }
 
 // checkSafety verifies agreement and validity over the path's output
 // history (parentOuts) extended by the decisions visible in nd's
-// configuration, read from the node's precomputed decision vector.
+// configuration, read from the node's precomputed decision vector and
+// output history.
 // Outputs persist across crashes: a process that decided, crashed and
 // re-decided a different value is an agreement violation with its own
 // earlier output.
@@ -418,7 +397,7 @@ func (w *walkState) checkSafety(nd *node, parentOuts []int8) {
 	}
 	first, firstP := -1, -1
 	for p := 0; p < n; p++ {
-		v := nd.outs[p]
+		v := nd.gn.outs[p]
 		if v < 0 {
 			continue
 		}
@@ -508,7 +487,7 @@ func (r *Result) checkLiveness(w *walkState) {
 					sc.stack = stack
 					w.report(kindWaitFreedom, child, fmt.Sprintf(
 						"cycle of crash-free steps through %s: some process runs forever without deciding",
-						child.cfg))
+						r.NodeConfig(child)))
 					return
 				}
 				continue
@@ -525,15 +504,16 @@ func (r *Result) checkLiveness(w *walkState) {
 // configuration (respecting remaining crash quota), as a sorted slice.
 // It is the engine behind valency computations.
 func (r *Result) ReachableDecisions(start *node) map[int]bool {
+	mc := r.g.m
 	out := make(map[int]bool)
 	seen := map[*node]bool{start: true}
 	stack := []*node{start}
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for p := 0; p < r.pr.Procs(); p++ {
-			if v, ok := Decision(r.pr, nd.cfg, p); ok {
-				out[v] = true
+		for p := 0; p < mc.n; p++ {
+			if t := mc.state(nd.gn.words, p); t.decided {
+				out[t.decision] = true
 			}
 		}
 		for _, child := range r.allSucc(nd) {
@@ -549,9 +529,10 @@ func (r *Result) ReachableDecisions(start *node) map[int]bool {
 // allSucc returns step and crash successors of nd that exist in the
 // explored graph. Visited nodes were expanded during the walk, so the
 // canonical crash successors are read lock-free off the graph node — no
-// CrashProc recomputation, no shared-graph mutex in the valency and
-// liveness sweeps. Nodes left unexpanded by a truncated walk fall back
-// to the locked lookup (FindCritical refuses truncated results anyway).
+// table lookup, no shared-graph mutex in the valency and liveness
+// sweeps. Nodes left unexpanded by a truncated walk fall back to the
+// locked lookup of each crash successor's words (FindCritical refuses
+// truncated results anyway).
 func (r *Result) allSucc(nd *node) []*node {
 	out := append([]*node(nil), nd.succ...)
 	if nd.gn.done.Load() {
@@ -565,9 +546,14 @@ func (r *Result) allSucc(nd *node) []*node {
 		}
 		return out
 	}
-	for p := 0; p < r.pr.Procs(); p++ {
-		next := CrashProc(r.pr, nd.cfg, p, r.inputs[p])
-		if child := r.lookupPlus(r.g.find(next, nd.outs), nd.used, p); child != nil {
+	g := r.g
+	sp := g.getScratch()
+	defer g.scratch.Put(sp)
+	w := *sp
+	for p := 0; p < g.m.n; p++ {
+		copy(w, nd.gn.words)
+		g.m.crash(w, p, g.inputs[p])
+		if child := r.lookupPlus(g.find(w), nd.used, p); child != nil {
 			out = append(out, child)
 		}
 	}
@@ -577,26 +563,22 @@ func (r *Result) allSucc(nd *node) []*node {
 // Node looks up the explored node reached by a schedule from the initial
 // configuration, or nil if the schedule leaves the explored graph.
 func (r *Result) Node(sigma schedule.Schedule) *node {
-	cfg := InitialConfig(r.pr, r.inputs)
-	used := make([]int, r.pr.Procs())
-	outs := mergeOuts(r.pr, cfg, freshOuts(r.pr.Procs()))
+	g := r.g
+	used := make([]int, g.m.n)
 	for _, e := range sigma {
 		if e.Crash {
-			cfg = CrashProc(r.pr, cfg, e.P, r.inputs[e.P])
-			used2 := make([]int, len(used))
-			copy(used2, used)
-			used2[e.P]++
-			used = used2
-		} else {
-			cfg = Step(r.pr, cfg, e.P)
-			outs = mergeOuts(r.pr, cfg, outs)
+			used[e.P]++
 		}
 	}
-	return r.lookup(r.g.find(cfg, outs), used)
+	sp := g.getScratch()
+	defer g.scratch.Put(sp)
+	g.replay(*sp, sigma)
+	return r.lookup(g.find(*sp), used)
 }
 
 // InitNode returns the initial node of the exploration.
 func (r *Result) InitNode() *node { return r.init }
 
-// NodeConfig exposes a node's configuration (for tests and reports).
-func NodeConfig(nd *node) Config { return nd.cfg }
+// NodeConfig decodes an explored node's configuration (for violations,
+// tests and reports).
+func (r *Result) NodeConfig(nd *node) Config { return r.g.m.config(nd.gn.words) }

@@ -57,7 +57,7 @@ func TestStartTraceExploresFromMidExecution(t *testing.T) {
 	if nd == nil {
 		t.Fatal("full exploration lost the p0 node")
 	}
-	if !model.NodeConfig(nd).Equal(model.NodeConfig(res.InitNode())) {
+	if !full.NodeConfig(nd).Equal(res.NodeConfig(res.InitNode())) {
 		t.Error("StartTrace root differs from the full exploration's node")
 	}
 }

@@ -41,14 +41,18 @@ const FingerprintStateBudget = 1 << 14
 // exploration graphs: unlike Name, it cannot alias two protocols that
 // would expand different state spaces.
 //
-// The closure deliberately over-approximates reachability: it considers
-// the poised operation against every value of the object's type, not
-// only values arising in real executions, so it is a pure function of
-// the protocol's structure and never depends on scheduling. Protocols
-// whose closure exceeds FingerprintStateBudget states for one process
-// return an error.
+// The hash is taken over the protocol compiled to transition tables —
+// the same tables a Graph built for it walks — so identity and
+// exploration can never disagree about the state machine. The closure
+// deliberately over-approximates reachability: it considers the poised
+// operation against every value of the object's type, not only values
+// arising in real executions, so it is a pure function of the protocol's
+// structure and never depends on scheduling. Protocols whose closure
+// exceeds FingerprintStateBudget states for one process, or with an
+// object of more than 2^16 values, return an error.
 func Fingerprint(pr Protocol) (string, error) {
-	if err := Validate(pr); err != nil {
+	mc, err := compile(pr)
+	if err != nil {
 		return "", err
 	}
 	h := sha256.New()
@@ -57,99 +61,32 @@ func Fingerprint(pr Protocol) (string, error) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
-	objs := pr.Objects()
-	wInt(pr.Procs())
-	wInt(len(objs))
-	for _, o := range objs {
-		wInt(o.Type.NumValues())
-		wInt(int(o.Init))
+	wInt(mc.n)
+	wInt(mc.m)
+	for j := range mc.nvals {
+		wInt(mc.nvals[j])
+		wInt(int(mc.init[j]))
 	}
-	for p := 0; p < pr.Procs(); p++ {
-		m, err := localMachine(pr, p)
-		if err != nil {
-			return "", err
-		}
-		wInt(len(m.states))
+	for _, pm := range mc.procs {
+		wInt(len(pm.states))
 		// Roots: the canonical ids of Init(p, 0) and Init(p, 1).
-		wInt(m.id[pr.Init(p, 0)])
-		wInt(m.id[pr.Init(p, 1)])
-		for _, st := range m.states {
-			a := pr.Poised(p, st)
-			if a.Decided {
+		wInt(int(pm.init[0]))
+		wInt(int(pm.init[1]))
+		for _, t := range pm.states {
+			if t.decided {
 				wInt(1)
-				wInt(a.Decision)
+				wInt(t.decision)
 				continue
 			}
 			wInt(0)
-			wInt(a.Obj)
-			t := objs[a.Obj].Type
-			for v := 0; v < t.NumValues(); v++ {
-				e := t.Apply(spec.Value(v), a.Op)
-				wInt(int(e.Next))
-				wInt(m.id[pr.Next(p, st, e.Resp)])
+			wInt(t.obj)
+			for _, nx := range t.next {
+				wInt(int(nx.val))
+				wInt(int(nx.state))
 			}
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// localStates is the canonical local state machine of one process: the
-// reachable states in BFS discovery order plus their canonical ids.
-type localStates struct {
-	states []string
-	id     map[string]int
-}
-
-// localMachine computes process p's reachable local-state closure under
-// the all-object-values over-approximation, assigning canonical BFS ids.
-// Successor states are discovered in ascending object-value order, so the
-// numbering is a pure function of the protocol's structure.
-func localMachine(pr Protocol, p int) (localStates, error) {
-	m := localStates{id: make(map[string]int)}
-	objs := pr.Objects()
-	add := func(s string) error {
-		if _, ok := m.id[s]; ok {
-			return nil
-		}
-		if len(m.states) >= FingerprintStateBudget {
-			return fmt.Errorf("model: fingerprint: process %d exceeds %d reachable local states",
-				p, FingerprintStateBudget)
-		}
-		m.id[s] = len(m.states)
-		m.states = append(m.states, s)
-		return nil
-	}
-	for input := 0; input <= 1; input++ {
-		if err := add(pr.Init(p, input)); err != nil {
-			return m, err
-		}
-	}
-	for i := 0; i < len(m.states); i++ {
-		st := m.states[i]
-		a := pr.Poised(p, st)
-		if a.Decided {
-			continue
-		}
-		if a.Obj < 0 || a.Obj >= len(objs) {
-			return m, fmt.Errorf("model: fingerprint: process %d state %q poised on object %d out of range",
-				p, st, a.Obj)
-		}
-		t := objs[a.Obj].Type
-		if int(a.Op) < 0 || int(a.Op) >= t.NumOps() {
-			return m, fmt.Errorf("model: fingerprint: process %d state %q poised on op %d out of range",
-				p, st, a.Op)
-		}
-		for v := 0; v < t.NumValues(); v++ {
-			next := pr.Next(p, st, t.Apply(spec.Value(v), a.Op).Resp)
-			if next == "" {
-				return m, fmt.Errorf("model: fingerprint: process %d state %q transitions to the empty state", p, st)
-			}
-			if err := add(next); err != nil {
-				return m, err
-			}
-		}
-	}
-	return m, nil
 }
 
 // ReachableStates returns process p's reachable local states under the
@@ -158,11 +95,11 @@ func localMachine(pr Protocol, p int) (localStates, error) {
 // export (protodef.Describe) and exists here so the closure used for
 // identity and the closure used for export can never drift apart.
 func ReachableStates(pr Protocol, p int) ([]string, error) {
-	m, err := localMachine(pr, p)
+	pm, err := compileProc(pr, p)
 	if err != nil {
 		return nil, err
 	}
-	return m.states, nil
+	return pm.names, nil
 }
 
 // FingerprintedResponses returns, for one non-decided local state of

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -10,13 +9,14 @@ import (
 )
 
 // Graph is a canonicalized, lazily-expanded exploration graph for one
-// (protocol, inputs) pair, shared across many Check runs. Node identity
-// is a packed fixed-width word encoding of the (configuration,
-// output-history) pair — local states translated through per-process
-// dictionaries built at NewGraph from the protocol's canonical
-// reachable state machine (the same closure model.Fingerprint hashes) —
-// so interning hashes with a word-mix loop and compares with == over
-// words, never a per-string byte loop. Nodes live in an open-addressed
+// (protocol, inputs) pair, shared across many Check runs. NewGraph
+// compiles the protocol to transition tables over its canonical
+// reachable state machine (the same closure model.Fingerprint hashes),
+// and a node is nothing but its packed fixed-width words: one state id
+// per process, one value per object and the output history. Successors
+// are table lookups over words, interning hashes with a word-mix loop
+// and compares with == over words, and a Config is decoded only where
+// one is returned or printed. Nodes live in an open-addressed
 // table (power-of-two capacity, linear probing); hash collisions only
 // cost probe steps, equality is always confirmed over the full packed
 // identity, so hashing is a pure speedup, never a correctness input.
@@ -39,14 +39,13 @@ import (
 // exploration of the same options (model.Check itself runs on a one-shot
 // Graph, so there is exactly one exploration code path).
 type Graph struct {
-	pr     Protocol
+	m      *machine
 	inputs []int
-	enc    *encoding
 
 	mu sync.Mutex
 	// table is the open-addressed interned-node index: power-of-two
 	// capacity, linear probing on gnode.hash, grown at 3/4 load. Guarded
-	// by mu, like the dictionary extensions (encoding.extend).
+	// by mu.
 	table []*gnode
 	live  int
 	// order lists the canonical nodes in intern order. It is the
@@ -67,8 +66,8 @@ type Graph struct {
 	// parent history of every walk root's safety check.
 	negOuts []int8
 
-	// scratch pools per-expansion decision/output/packing buffers,
-	// frontier pools per-walk BFS queues, and postSweep pools the
+	// scratch pools per-expansion packing buffers, frontier pools
+	// per-walk BFS queues, and postSweep pools the
 	// liveness DFS's color/stack scratch, so steady-state walks over a
 	// warm graph allocate only their own Result structures.
 	scratch   sync.Pool
@@ -121,118 +120,61 @@ func (s GraphStats) Sub(prev GraphStats) GraphStats {
 	}
 }
 
-// nodeFP is the 128-bit hashed fingerprint a snapshot node record is
-// verified by (see graph_io.go). The RUNTIME node index probes packed
-// words instead; this fingerprint survives because the on-disk graph
-// store format embeds it per record, and keeping it keeps every v1
-// store file loadable byte-identically.
-type nodeFP struct{ hi, lo uint64 }
-
-// FNV-1a 128-bit parameters (offset basis and prime).
-const (
-	fnvOffset128Hi = 0x6c62272e07bb0142
-	fnvOffset128Lo = 0x62b821756295c58d
-	fnvPrime128Hi  = 0x0000000001000000
-	fnvPrime128Lo  = 0x000000000000013b
-)
-
-// hash128 accumulates an FNV-1a 128-bit hash with no allocation. It is
-// the snapshot-record fingerprint, not the hot-path hash: interning
-// probes hashWords over the packed identity instead.
-type hash128 struct{ hi, lo uint64 }
-
-func newHash128() hash128 { return hash128{hi: fnvOffset128Hi, lo: fnvOffset128Lo} }
-
-func (h *hash128) writeByte(b byte) {
-	lo := h.lo ^ uint64(b)
-	// Multiply the 128-bit state by the FNV prime, mod 2^128.
-	carry, newLo := bits.Mul64(lo, fnvPrime128Lo)
-	h.hi = h.hi*fnvPrime128Lo + lo*fnvPrime128Hi + carry
-	h.lo = newLo
-}
-
-func (h *hash128) writeString(s string) {
-	for i := 0; i < len(s); i++ {
-		h.writeByte(s[i])
-	}
-	h.writeByte(0xff) // terminator: "ab","c" must not alias "a","bc"
-}
-
-// fingerprintOf hashes a node's identity for snapshot records — the
-// stable per-record integrity check of the RPRGRAPH v1 store format.
-// (A weak spot — object values hashed mod 2^16 — is irrelevant here:
-// ImportSnapshot compares the recomputed fingerprint for equality, it
-// never indexes by it.)
-func fingerprintOf(cfg Config, outs []int8) nodeFP {
-	h := newHash128()
-	for _, s := range cfg.States {
-		h.writeString(s)
-	}
-	h.writeByte(0xfe)
-	for _, v := range cfg.Vals {
-		h.writeByte(byte(v))
-		h.writeByte(byte(uint16(v) >> 8))
-	}
-	h.writeByte(0xfe)
-	for _, o := range outs {
-		h.writeByte(byte(o))
-	}
-	return nodeFP{hi: h.hi, lo: h.lo}
-}
-
 // gnode is one canonical node of the shared graph. All fields except the
 // expansion set are written once at intern time and read-only afterwards;
-// the expansion set (stepSucc, stepP, crashSucc) is written exactly once
-// inside the sync.Once and published by the expanded flag.
+// the expansion set (stepSucc, crashSucc) is written exactly once inside
+// the sync.Once and published by the done flag.
 type gnode struct {
-	cfg  Config
-	outs []int8
-	// words is the packed fixed-width identity (see encoding) and hash
+	// words is the packed fixed-width identity (see machine) and hash
 	// its mix — both the graph's intern index key and the walk overlay's
 	// probe hash, computed exactly once per canonical node.
 	words []uint64
 	hash  uint64
-	// decided[p] is p's decision visible in cfg (-1 if undecided),
-	// precomputed so per-request safety checks need no Protocol calls.
-	decided []int8
+	// ord is the node's position in the graph's intern order, the
+	// successor reference of its snapshot record.
+	ord int32
+	// outs is the output history decoded from the output lanes, and
+	// decided[p] p's decision in the node's configuration (-1 if
+	// undecided), precomputed so per-request safety checks need no table
+	// walk. Both are carved from one allocation.
+	outs, decided []int8
 
 	once sync.Once
 	done atomic.Bool
-	// stepSucc[i] is the step successor via process stepP[i]; decided
-	// processes take no-op steps and are omitted, exactly as in the
-	// serial BFS.
-	stepSucc []*gnode
-	stepP    []int
+	// stepSucc[p] is the step successor via process p, nil for a decided
+	// process (its no-op step cannot reach a new configuration).
 	// crashSucc[p] is the crash successor of process p, nil when p is in
 	// its initial state (crashing it changes nothing and only burns
-	// quota, so every walk skips it).
-	crashSucc []*gnode
+	// quota, so every walk skips it). Both are carved from one
+	// allocation.
+	stepSucc, crashSucc []*gnode
 }
 
 // NewGraph validates the protocol and builds an empty shared graph for
-// the given input vector. Every Check run on the graph must use exactly
-// these inputs — crash transitions and the validity default depend on
-// them, so they are part of the graph's identity. Building includes the
-// packed-encoding dictionaries (the canonical per-process reachable
-// state closures); protocols whose closure exceeds the fingerprint
-// budget, or whose objects have more than 2^16 values, are refused.
+// the given input vector (one 0 or 1 per process). Every Check run on
+// the graph must use exactly these inputs — crash transitions and the
+// validity default depend on them, so they are part of the graph's
+// identity. Building compiles the protocol's transition tables (the
+// canonical per-process reachable state closures); protocols whose
+// closure exceeds the fingerprint budget, or whose objects have more
+// than 2^16 values, are refused.
 func NewGraph(pr Protocol, inputs []int) (*Graph, error) {
-	if err := Validate(pr); err != nil {
-		return nil, err
-	}
-	if len(inputs) != pr.Procs() {
-		return nil, fmt.Errorf("model: %d inputs for %d processes", len(inputs), pr.Procs())
-	}
-	enc, err := newEncoding(pr)
+	mc, err := compile(pr)
 	if err != nil {
 		return nil, err
 	}
-	in := make([]int, len(inputs))
-	copy(in, inputs)
+	if len(inputs) != mc.n {
+		return nil, fmt.Errorf("model: %d inputs for %d processes", len(inputs), mc.n)
+	}
+	for p, in := range inputs {
+		if in != 0 && in != 1 {
+			return nil, fmt.Errorf("model: input %d of process %d is not 0 or 1", in, p)
+		}
+	}
 	return &Graph{
-		pr: pr, inputs: in, enc: enc,
+		m: mc, inputs: append([]int(nil), inputs...),
 		table:   make([]*gnode, 64),
-		negOuts: freshOuts(pr.Procs()),
+		negOuts: freshOuts(mc.n),
 	}, nil
 }
 
@@ -252,86 +194,13 @@ func (g *Graph) Stats() GraphStats {
 	}
 }
 
-// decisionVec computes the per-process decision vector of cfg (-1 for
-// undecided processes), the shared-graph form of repeated Decision calls.
-func decisionVec(pr Protocol, cfg Config) []int8 {
-	out := make([]int8, pr.Procs())
-	decisionVecInto(out, pr, cfg)
-	return out
-}
-
-// decisionVecInto is decisionVec into a caller-owned buffer (the
-// expansion scratch), so probing an already-interned successor costs no
-// allocation.
-func decisionVecInto(dst []int8, pr Protocol, cfg Config) {
-	for p := range dst {
-		if v, ok := Decision(pr, cfg, p); ok {
-			dst[p] = int8(v)
-		} else {
-			dst[p] = -1
-		}
-	}
-}
-
-// mergeDecided extends a path's output history with a decision vector,
-// returning outs unchanged (same slice) if nothing new was decided — the
-// same copy-on-write contract as mergeOuts, driven by the precomputed
-// vector instead of fresh Decision calls.
-func mergeDecided(outs []int8, decided []int8) []int8 {
-	var copied []int8
-	for p, v := range decided {
-		if v >= 0 && outs[p] == -1 {
-			if copied == nil {
-				copied = make([]int8, len(outs))
-				copy(copied, outs)
-			}
-			copied[p] = v
-		}
-	}
-	if copied == nil {
-		return outs
-	}
-	return copied
-}
-
-// mergeDecidedInto is mergeDecided with the copy landing in a
-// caller-owned scratch buffer. It returns either outs itself (owned=true:
-// nothing new was decided, the graph-owned slice may be shared) or
-// scratch (owned=false: the caller must copy before retaining).
-func mergeDecidedInto(outs, decided, scratch []int8) (res []int8, owned bool) {
-	changed := false
-	for p, v := range decided {
-		if v >= 0 && outs[p] == -1 {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return outs, true
-	}
-	copy(scratch, outs)
-	for p, v := range decided {
-		if v >= 0 && scratch[p] == -1 {
-			scratch[p] = v
-		}
-	}
-	return scratch, false
-}
-
-// exScratch is one expansion's reusable buffers, including the packing
-// buffer interning hashes through.
-type exScratch struct {
-	dec   []int8
-	outs  []int8
-	words []uint64
-}
-
-func (g *Graph) getScratch() *exScratch {
+// getScratch returns a pooled packing buffer of the graph's node width.
+func (g *Graph) getScratch() *[]uint64 {
 	if v := g.scratch.Get(); v != nil {
-		return v.(*exScratch)
+		return v.(*[]uint64)
 	}
-	n := g.pr.Procs()
-	return &exScratch{dec: make([]int8, n), outs: make([]int8, n), words: make([]uint64, g.enc.words)}
+	w := make([]uint64, g.m.words)
+	return &w
 }
 
 // probeLocked finds the canonical node with the given packed identity,
@@ -382,62 +251,49 @@ func (g *Graph) growLocked() {
 	g.table = next
 }
 
-// intern returns the canonical node for (cfg, outs), creating it with the
-// given decision vector if absent. cfg is always caller-built and fresh
-// (Step/CrashProc clone), so it is adopted as-is; outs is adopted only
-// when outsOwned (a graph-owned or walk-root slice) and copied out of the
-// expansion scratch otherwise; decided is always copied on create, so
-// callers may pass scratch. Packing runs outside the lock against the
-// dictionary snapshot; the miss fallback (impossible for deterministic
-// protocols) extends the dictionaries under the lock.
-func (g *Graph) intern(cfg Config, outs []int8, outsOwned bool, decided []int8) *gnode {
-	sc := g.getScratch()
-	w := sc.words
-	if !g.enc.packInto(w, cfg, outs) {
-		g.mu.Lock()
-		g.enc.mustPackInto(w, cfg, outs)
-		g.mu.Unlock()
+// fillNode builds a canonical node over the packed identity w, adopting
+// w itself and carving outs and decided from vec (length 2n).
+func (g *Graph) fillNode(nd *gnode, w []uint64, h uint64, vec []int8) {
+	n := g.m.n
+	nd.words, nd.hash = w, h
+	nd.outs, nd.decided = vec[:n:n], vec[n:2*n:2*n]
+	for p := 0; p < n; p++ {
+		nd.outs[p] = g.m.out(w, p)
+		nd.decided[p] = g.m.state(w, p).dec8()
 	}
+}
+
+// intern returns the canonical node with packed identity w, creating it
+// if absent. w is caller scratch: a created node copies it.
+func (g *Graph) intern(w []uint64) *gnode {
 	h := hashWords(w)
 	g.mu.Lock()
 	if nd := g.probeLocked(h, w); nd != nil {
 		g.mu.Unlock()
-		g.scratch.Put(sc)
 		return nd
 	}
-	if !outsOwned {
-		outs = append([]int8(nil), outs...)
-	}
-	nd := &gnode{cfg: cfg, outs: outs, decided: append([]int8(nil), decided...),
-		words: append([]uint64(nil), w...), hash: h}
+	nd := &gnode{ord: int32(len(g.order))}
+	g.fillNode(nd, append([]uint64(nil), w...), h, make([]int8, 2*g.m.n))
 	g.insertLocked(nd)
 	g.order = append(g.order, nd)
 	g.mu.Unlock()
 	g.interned.Add(1)
-	g.scratch.Put(sc)
 	return nd
 }
 
-// find returns the canonical node for (cfg, outs) without creating it, or
-// nil — the lookup behind post-exploration analyses (Result.Node, crash
-// successors in valency sweeps). A dictionary miss means no such node
-// was ever interned.
-func (g *Graph) find(cfg Config, outs []int8) *gnode {
-	sc := g.getScratch()
-	defer g.scratch.Put(sc)
-	if !g.enc.packInto(sc.words, cfg, outs) {
-		return nil
-	}
-	h := hashWords(sc.words)
+// find returns the canonical node with packed identity w without
+// creating it, or nil — the lookup behind post-exploration analyses
+// (Result.Node, crash successors of a truncated walk).
+func (g *Graph) find(w []uint64) *gnode {
+	h := hashWords(w)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.probeLocked(h, sc.words)
+	return g.probeLocked(h, w)
 }
 
 // ensure expands nd's successors if no walk has yet, with singleflight
 // semantics: concurrent callers agree on one expander and the rest wait.
-// The expansion performs the Step/CrashProc transitions, output merges
-// and packing/hashing the serial BFS would redo per request.
+// The expansion is one table lookup and one intern per successor.
 func (g *Graph) ensure(nd *gnode) {
 	if nd.done.Load() {
 		g.reused.Add(1)
@@ -445,28 +301,28 @@ func (g *Graph) ensure(nd *gnode) {
 	}
 	fresh := false
 	nd.once.Do(func() {
-		n := g.pr.Procs()
-		sc := g.getScratch()
+		n := g.m.n
+		sp := g.getScratch()
+		w := *sp
+		succ := make([]*gnode, 2*n)
+		nd.stepSucc, nd.crashSucc = succ[:n:n], succ[n:]
 		for p := 0; p < n; p++ {
 			if nd.decided[p] >= 0 {
 				continue
 			}
-			next := Step(g.pr, nd.cfg, p)
-			decisionVecInto(sc.dec, g.pr, next)
-			outs, owned := mergeDecidedInto(nd.outs, sc.dec, sc.outs)
-			nd.stepSucc = append(nd.stepSucc, g.intern(next, outs, owned, sc.dec))
-			nd.stepP = append(nd.stepP, p)
+			copy(w, nd.words)
+			g.m.step(w, p)
+			nd.stepSucc[p] = g.intern(w)
 		}
-		nd.crashSucc = make([]*gnode, n)
 		for p := 0; p < n; p++ {
-			if nd.cfg.States[p] == g.pr.Init(p, g.inputs[p]) {
+			if g.m.stateID(nd.words, p) == int(g.m.procs[p].init[g.inputs[p]]) {
 				continue
 			}
-			next := CrashProc(g.pr, nd.cfg, p, g.inputs[p])
-			decisionVecInto(sc.dec, g.pr, next)
-			nd.crashSucc[p] = g.intern(next, nd.outs, true, sc.dec)
+			copy(w, nd.words)
+			g.m.crash(w, p, g.inputs[p])
+			nd.crashSucc[p] = g.intern(w)
 		}
-		g.scratch.Put(sc)
+		g.scratch.Put(sp)
 		g.expanded.Add(1)
 		nd.done.Store(true)
 		fresh = true
@@ -476,12 +332,24 @@ func (g *Graph) ensure(nd *gnode) {
 	}
 }
 
+// replay writes into w the packed identity reached from the initial
+// configuration by sigma: a step merges every decided process into the
+// outputs, a crash leaves them alone.
+func (g *Graph) replay(w []uint64, sigma schedule.Schedule) {
+	g.m.initial(w, g.inputs)
+	for _, e := range sigma {
+		if e.Crash {
+			g.m.crash(w, e.P, g.inputs[e.P])
+		} else {
+			g.m.step(w, e.P)
+		}
+	}
+}
+
 // root interns the walk's starting node: the initial configuration with
 // the start trace applied. Crashes inside the trace do not consume the
-// walk's crash quota, and outputs are merged only across steps, exactly
-// as in the serial exploration. The empty-StartTrace root — every plain
-// Check — is memoized, so warm walks skip the initial-configuration
-// rebuild entirely.
+// walk's crash quota. The empty-StartTrace root — every plain Check — is
+// memoized, so warm walks skip the replay entirely.
 func (g *Graph) root(startTrace schedule.Schedule) *gnode {
 	if len(startTrace) == 0 {
 		g.rootOnce.Do(func() { g.rootNode = g.buildRoot(nil) })
@@ -491,17 +359,10 @@ func (g *Graph) root(startTrace schedule.Schedule) *gnode {
 }
 
 func (g *Graph) buildRoot(startTrace schedule.Schedule) *gnode {
-	initCfg := InitialConfig(g.pr, g.inputs)
-	initOuts := mergeDecided(freshOuts(g.pr.Procs()), decisionVec(g.pr, initCfg))
-	for _, e := range startTrace {
-		if e.Crash {
-			initCfg = CrashProc(g.pr, initCfg, e.P, g.inputs[e.P])
-		} else {
-			initCfg = Step(g.pr, initCfg, e.P)
-			initOuts = mergeDecided(initOuts, decisionVec(g.pr, initCfg))
-		}
-	}
-	return g.intern(initCfg, initOuts, true, decisionVec(g.pr, initCfg))
+	sp := g.getScratch()
+	defer g.scratch.Put(sp)
+	g.replay(*sp, startTrace)
+	return g.intern(*sp)
 }
 
 // getFrontier returns a pooled, empty BFS queue buffer.
@@ -531,7 +392,7 @@ func (g *Graph) putFrontier(buf *[]*node) {
 // private to the call, so the returned Result is identical to a serial
 // model.Check of the same options.
 func (g *Graph) Check(opts CheckOpts) (*Result, error) {
-	n := g.pr.Procs()
+	n := g.m.n
 	if len(opts.Inputs) != n {
 		return nil, fmt.Errorf("model: %d inputs for %d processes", len(opts.Inputs), n)
 	}
@@ -556,13 +417,13 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 	if hint > maxNodes {
 		hint = maxNodes
 	}
-	r := &Result{pr: g.pr, g: g, inputs: opts.Inputs, arenaHint: hint + 1}
+	r := &Result{g: g, arenaHint: hint + 1}
 	r.nodes.init(hint + 1)
 	r.order = make([]*node, 0, hint+1)
 	w := walkState{r: r, validity: opts.Validity, inputs: opts.Inputs}
 	rootG := g.root(opts.StartTrace)
 	r.init = r.newNode()
-	*r.init = node{cfg: rootG.cfg, used: r.newUsed(n), outs: rootG.outs, gn: rootG}
+	*r.init = node{used: r.newUsed(n), gn: rootG}
 	r.add(r.init)
 
 	var done <-chan struct{}
@@ -600,17 +461,19 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		g.ensure(nd.gn)
 
 		// Step successors (decided processes take no-op steps, which
-		// cannot reach new configurations — omitted from the expansion).
+		// cannot reach new configurations — nil in the expansion).
 		// Step children inherit the parent's crash-usage vector (shared,
 		// read-only).
-		for i, cg := range nd.gn.stepSucc {
+		for p, cg := range nd.gn.stepSucc {
+			if cg == nil {
+				continue
+			}
 			child := r.lookup(cg, nd.used)
 			if child == nil {
 				child = r.newNode()
-				*child = node{cfg: cg.cfg, used: nd.used, outs: cg.outs,
-					parent: nd, via: schedule.Step(nd.gn.stepP[i]), gn: cg}
+				*child = node{used: nd.used, parent: nd, via: schedule.Step(p), gn: cg}
 				r.add(child)
-				w.checkSafety(child, nd.outs)
+				w.checkSafety(child, nd.gn.outs)
 				queue = append(queue, child)
 			}
 			nd.succ = append(nd.succ, child)
@@ -632,10 +495,9 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 				copy(used, nd.used)
 				used[p]++
 				child := r.newNode()
-				*child = node{cfg: cg.cfg, used: used, outs: cg.outs,
-					parent: nd, via: schedule.Crash(p), gn: cg}
+				*child = node{used: used, parent: nd, via: schedule.Crash(p), gn: cg}
 				r.add(child)
-				w.checkSafety(child, nd.outs)
+				w.checkSafety(child, nd.gn.outs)
 				queue = append(queue, child)
 			}
 		}

@@ -1,17 +1,13 @@
 package model
 
-import (
-	"fmt"
-
-	"repro/internal/spec"
-)
+import "fmt"
 
 // GraphSnapshot is a self-contained, deterministic copy of a Graph's
 // interned node table, the unit of exchange between a live Graph and the
-// on-disk graph store (internal/graphstore). Node references are
-// positions in Nodes; local-state strings are interned once in States and
-// referenced by index, so records are fixed-width given the protocol's
-// process and object counts.
+// on-disk graph store (internal/graphstore). A node is its packed words,
+// the same identity the graph interns, and node references are positions
+// in Nodes, so records are fixed-width given the protocol's process and
+// object counts.
 //
 // The snapshot preserves the graph's intern order exactly, which makes
 // the round trip Export -> ImportSnapshot -> Export byte-stable: the
@@ -24,29 +20,22 @@ type GraphSnapshot struct {
 	Objects int
 	// Inputs is the input vector the graph is built for.
 	Inputs []int
-	// States is the local-state string dictionary, in first-use order
-	// over Nodes.
-	States []string
 	// Nodes is the interned node table in intern order.
 	Nodes []SnapshotNode
 }
 
-// SnapshotNode is one canonical graph node in exchange form. All index
-// slices have length Procs (StepSucc, CrashSucc, States, Outs, Decided)
-// or Objects (Vals).
+// SnapshotNode is one canonical graph node in exchange form. Words has
+// length NodeWords(Procs, Objects); StepSucc and CrashSucc have length
+// Procs.
 type SnapshotNode struct {
-	// FPHi, FPLo are the node's 128-bit index fingerprint — stored so a
-	// loader can verify a record's integrity independently of the
-	// container's checksums (ImportSnapshot recomputes and compares).
-	FPHi, FPLo uint64
-	// States[p] indexes the snapshot's state dictionary.
-	States []uint32
-	// Vals are the shared-object values.
-	Vals []int32
-	// Outs and Decided are the node's output history and precomputed
-	// decision vector (-1 = undecided).
-	Outs    []int8
-	Decided []int8
+	// Words is the node's packed identity: one state id per process (an
+	// index into the protocol's canonical closure), one value per object
+	// and the output history.
+	Words []uint64
+	// Check is the 64-bit hash of Words, stored so a loader can verify a
+	// record's integrity independently of the container's checksums
+	// (ImportSnapshot recomputes and compares).
+	Check uint64
 	// Done reports whether the node's expansion is included. Unexpanded
 	// nodes import with no successors and expand lazily on first walk.
 	Done bool
@@ -75,118 +64,80 @@ func (s *GraphSnapshot) NumExpanded() int {
 // after the pin) is exported unexpanded, so the snapshot is always
 // internally consistent. Because interning only appends, a later Export
 // reproduces an earlier one as its prefix — the contract the append-only
-// graph store's delta spilling relies on.
+// graph store's delta spilling relies on. The snapshot shares no memory
+// with the graph.
 func (g *Graph) Export() *GraphSnapshot {
 	g.mu.Lock()
 	nodes := make([]*gnode, len(g.order))
 	copy(nodes, g.order)
 	g.mu.Unlock()
 
-	index := make(map[*gnode]int32, len(nodes))
-	for i, nd := range nodes {
-		index[nd] = int32(i)
-	}
-	n := g.pr.Procs()
+	n, nw := g.m.n, g.m.words
 	snap := &GraphSnapshot{
 		Procs:   n,
-		Objects: len(g.pr.Objects()),
+		Objects: g.m.m,
 		Inputs:  g.Inputs(),
 		Nodes:   make([]SnapshotNode, len(nodes)),
 	}
-	dict := make(map[string]uint32)
-	stateID := func(s string) uint32 {
-		if id, ok := dict[s]; ok {
-			return id
+	words := make([]uint64, len(nodes)*nw)
+	succ := make([]int32, len(nodes)*2*n)
+	pinned := int32(len(nodes))
+	// ref resolves a successor to its position, false when it was
+	// interned after the pin.
+	ref := func(sg *gnode) (int32, bool) {
+		if sg == nil {
+			return -1, true
 		}
-		id := uint32(len(snap.States))
-		dict[s] = id
-		snap.States = append(snap.States, s)
-		return id
+		return sg.ord, sg.ord < pinned
 	}
-
 	for i, nd := range nodes {
 		rec := &snap.Nodes[i]
-		fp := fingerprintOf(nd.cfg, nd.outs)
-		rec.FPHi, rec.FPLo = fp.hi, fp.lo
-		rec.States = make([]uint32, n)
-		for p, s := range nd.cfg.States {
-			rec.States[p] = stateID(s)
-		}
-		rec.Vals = make([]int32, len(nd.cfg.Vals))
-		for j, v := range nd.cfg.Vals {
-			rec.Vals[j] = int32(v)
-		}
-		rec.Outs = append([]int8(nil), nd.outs...)
-		rec.Decided = append([]int8(nil), nd.decided...)
-		rec.StepSucc = fillInt32(n, -1)
-		rec.CrashSucc = fillInt32(n, -1)
-		if !nd.done.Load() {
-			continue
-		}
+		rec.Words = words[i*nw : (i+1)*nw : (i+1)*nw]
+		copy(rec.Words, nd.words)
+		rec.Check = nd.hash
+		rec.StepSucc = succ[2*n*i : 2*n*i+n : 2*n*i+n]
+		rec.CrashSucc = succ[2*n*i+n : 2*n*(i+1) : 2*n*(i+1)]
 		// The done flag is an acquire on the expansion set. Successors
-		// interned after the pin are not in the index; exporting such a
+		// interned after the pin are not in the snapshot; exporting such a
 		// node unexpanded keeps every reference internal.
-		ok := true
-		for j, sg := range nd.stepSucc {
-			idx, in := index[sg]
-			if !in {
-				ok = false
-				break
-			}
-			rec.StepSucc[nd.stepP[j]] = idx
+		rec.Done = nd.done.Load()
+		for p := 0; p < n && rec.Done; p++ {
+			var ok1, ok2 bool
+			rec.StepSucc[p], ok1 = ref(nd.stepSucc[p])
+			rec.CrashSucc[p], ok2 = ref(nd.crashSucc[p])
+			rec.Done = ok1 && ok2
 		}
-		if ok {
-			for p, cg := range nd.crashSucc {
-				if cg == nil {
-					continue
-				}
-				idx, in := index[cg]
-				if !in {
-					ok = false
-					break
-				}
-				rec.CrashSucc[p] = idx
+		if !rec.Done {
+			for p := 0; p < n; p++ {
+				rec.StepSucc[p], rec.CrashSucc[p] = -1, -1
 			}
 		}
-		if !ok {
-			rec.StepSucc = fillInt32(n, -1)
-			rec.CrashSucc = fillInt32(n, -1)
-			continue
-		}
-		rec.Done = true
 	}
 	return snap
 }
 
-func fillInt32(n int, v int32) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
 // ImportSnapshot populates an empty graph from a snapshot, rebuilding the
-// interned node table (and each Done node's expansion) without running a
-// single protocol transition. The graph must be freshly built by NewGraph
-// for the same protocol shape and input vector; importing into a graph
-// that already interned nodes is an error.
+// interned node table (and each Done node's expansion) without a single
+// table lookup. The graph must be freshly built by NewGraph for the same
+// protocol shape and input vector; importing into a graph that already
+// interned nodes is an error.
 //
 // Every structural property of the snapshot is validated — dimensions,
-// dictionary and successor references, object-value ranges, duplicate
-// node identities — and each node's 128-bit fingerprint is recomputed
-// from its configuration and output history and compared against the
-// stored one, so a corrupted snapshot (even one that slipped past the
-// container's checksums) is rejected as a whole rather than imported as
-// a wrong graph. Callers degrade to a cold (re-expanding) graph on
-// error; they never get a graph that walks differently from a fresh
-// expansion.
+// each record's check value against its words, state ids inside the
+// compiled closure, object values in range, zero padding lanes,
+// duplicate nodes, successor references and the successor rules (no
+// step successor for a decided process, no crash successor for a
+// process in its initial state) — so a corrupted snapshot (even one that
+// slipped past the container's checksums) is rejected as a whole rather
+// than imported as a wrong graph. Callers degrade to a cold
+// (re-expanding) graph on error; they never get a graph that walks
+// differently from a fresh expansion.
 func (g *Graph) ImportSnapshot(snap *GraphSnapshot) error {
-	n := g.pr.Procs()
-	objs := g.pr.Objects()
-	if snap.Procs != n || snap.Objects != len(objs) {
+	mc := g.m
+	n, nw := mc.n, mc.words
+	if snap.Procs != n || snap.Objects != mc.m {
 		return fmt.Errorf("model: snapshot shape %d procs/%d objects, graph has %d/%d",
-			snap.Procs, snap.Objects, n, len(objs))
+			snap.Procs, snap.Objects, n, mc.m)
 	}
 	if len(snap.Inputs) != len(g.inputs) {
 		return fmt.Errorf("model: snapshot has %d inputs, graph %d", len(snap.Inputs), len(g.inputs))
@@ -202,121 +153,87 @@ func (g *Graph) ImportSnapshot(snap *GraphSnapshot) error {
 		return fmt.Errorf("model: import into a graph with %d interned nodes", len(g.order))
 	}
 
-	total := len(snap.Nodes)
-	built := make([]*gnode, total)
 	// The node index is built as a LOCAL open-addressed table (presized so
 	// it never grows) and swapped into the graph only after every record
 	// validates — a rejected snapshot leaves the graph empty and cold, it
-	// never half-imports. Packing goes through mustPackInto: a snapshot may
-	// carry local-state strings outside the protocol's canonical closure
-	// (an alien but shape-valid record), and extension under the held
-	// graph mutex gives such states ids instead of refusing the import.
+	// never half-imports. Nodes, their words and their decoded vectors
+	// are carved from one allocation each: they live exactly as long as
+	// the graph.
+	total := len(snap.Nodes)
 	capacity := 64
 	for capacity*3 < (total+1)*4 {
 		capacity <<= 1
 	}
 	table := make([]*gnode, capacity)
 	mask := uint64(capacity - 1)
-	words := make([]uint64, g.enc.words)
+	nodes := make([]gnode, total)
+	words := make([]uint64, total*nw)
+	vecs := make([]int8, total*2*n)
+	order := make([]*gnode, total)
 	for i := range snap.Nodes {
 		rec := &snap.Nodes[i]
-		if len(rec.States) != n || len(rec.Outs) != n || len(rec.Decided) != n ||
-			len(rec.StepSucc) != n || len(rec.CrashSucc) != n || len(rec.Vals) != len(objs) {
+		if len(rec.Words) != nw || len(rec.StepSucc) != n || len(rec.CrashSucc) != n {
 			return fmt.Errorf("model: snapshot node %d has wrong field lengths", i)
 		}
-		cfg := Config{States: make([]string, n), Vals: make([]spec.Value, len(objs))}
-		for p, id := range rec.States {
-			if int(id) >= len(snap.States) {
-				return fmt.Errorf("model: snapshot node %d references state %d of %d", i, id, len(snap.States))
-			}
-			cfg.States[p] = snap.States[id]
+		if hashWords(rec.Words) != rec.Check {
+			return fmt.Errorf("model: snapshot node %d check value mismatch (corrupt record)", i)
 		}
-		for j, v := range rec.Vals {
-			if v < 0 || int(v) >= objs[j].Type.NumValues() {
-				return fmt.Errorf("model: snapshot node %d object %d value %d out of range", i, j, v)
-			}
-			cfg.Vals[j] = spec.Value(v)
+		if err := mc.checkWords(rec.Words); err != nil {
+			return fmt.Errorf("model: snapshot node %d: %w", i, err)
 		}
-		for p := 0; p < n; p++ {
-			if rec.Outs[p] < -1 || rec.Decided[p] < -1 {
-				return fmt.Errorf("model: snapshot node %d has negative output/decision", i)
-			}
-		}
-		fp := fingerprintOf(cfg, rec.Outs)
-		if fp.hi != rec.FPHi || fp.lo != rec.FPLo {
-			return fmt.Errorf("model: snapshot node %d fingerprint mismatch (corrupt record)", i)
-		}
-		g.enc.mustPackInto(words, cfg, rec.Outs)
-		h := hashWords(words)
-		slot := h & mask
-		dup := false
+		w := words[i*nw : (i+1)*nw : (i+1)*nw]
+		copy(w, rec.Words)
+		slot := rec.Check & mask
 		for table[slot] != nil {
-			if table[slot].hash == h && wordsEqual(table[slot].words, words) {
-				dup = true
-				break
+			if table[slot].hash == rec.Check && wordsEqual(table[slot].words, w) {
+				return fmt.Errorf("model: snapshot node %d duplicates an earlier node", i)
 			}
 			slot = (slot + 1) & mask
 		}
-		if dup {
-			return fmt.Errorf("model: snapshot node %d duplicates an earlier node", i)
-		}
-		nd := &gnode{
-			cfg:     cfg,
-			outs:    append([]int8(nil), rec.Outs...),
-			decided: append([]int8(nil), rec.Decided...),
-			words:   append([]uint64(nil), words...),
-			hash:    h,
-		}
+		nd := &nodes[i]
+		nd.ord = int32(i)
+		g.fillNode(nd, w, rec.Check, vecs[i*2*n:(i+1)*2*n])
 		table[slot] = nd
-		built[i] = nd
+		order[i] = nd
 	}
 
 	// Second pass: wire the expansions. References may point anywhere in
 	// the table (a node interned early can be expanded late), which is
 	// why wiring waits until every node exists.
+	succ := make([]*gnode, snap.NumExpanded()*2*n)
 	for i := range snap.Nodes {
 		rec := &snap.Nodes[i]
 		if !rec.Done {
 			continue
 		}
-		nd := built[i]
+		nd := &nodes[i]
+		nd.stepSucc, nd.crashSucc, succ = succ[:n:n], succ[n:2*n:2*n], succ[2*n:]
 		for p := 0; p < n; p++ {
-			si := rec.StepSucc[p]
-			if si >= 0 && int(si) >= total {
-				return fmt.Errorf("model: snapshot node %d step successor %d of %d", i, si, total)
+			si, ci := rec.StepSucc[p], rec.CrashSucc[p]
+			if int(si) >= total || int(ci) >= total {
+				return fmt.Errorf("model: snapshot node %d successor of process %d out of %d nodes", i, p, total)
 			}
-			if rec.Decided[p] >= 0 {
-				if si >= 0 {
-					return fmt.Errorf("model: snapshot node %d has a step successor for decided process %d", i, p)
-				}
-				continue
-			}
-			if si < 0 {
+			switch decided := nd.decided[p] >= 0; {
+			case decided && si >= 0:
+				return fmt.Errorf("model: snapshot node %d has a step successor for decided process %d", i, p)
+			case !decided && si < 0:
 				return fmt.Errorf("model: snapshot node %d done but missing step successor for process %d", i, p)
+			case si >= 0:
+				nd.stepSucc[p] = &nodes[si]
 			}
-			nd.stepSucc = append(nd.stepSucc, built[si])
-			nd.stepP = append(nd.stepP, p)
-		}
-		nd.crashSucc = make([]*gnode, n)
-		for p := 0; p < n; p++ {
-			ci := rec.CrashSucc[p]
-			if int(ci) >= total {
-				return fmt.Errorf("model: snapshot node %d crash successor %d of %d", i, ci, total)
-			}
-			inInit := nd.cfg.States[p] == g.pr.Init(p, g.inputs[p])
-			switch {
-			case ci < 0 && !inInit:
-				return fmt.Errorf("model: snapshot node %d done but missing crash successor for process %d", i, p)
-			case ci >= 0 && inInit:
+			switch inInit := mc.stateID(nd.words, p) == int(mc.procs[p].init[g.inputs[p]]); {
+			case inInit && ci >= 0:
 				return fmt.Errorf("model: snapshot node %d has a crash successor for initial-state process %d", i, p)
+			case !inInit && ci < 0:
+				return fmt.Errorf("model: snapshot node %d done but missing crash successor for process %d", i, p)
 			case ci >= 0:
-				nd.crashSucc[p] = built[ci]
+				nd.crashSucc[p] = &nodes[ci]
 			}
 		}
 		nd.done.Store(true)
 	}
 
-	g.order = built
+	g.order = order
 	g.table = table
 	g.live = total
 	g.interned.Store(uint64(total))

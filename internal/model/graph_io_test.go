@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -257,8 +258,10 @@ func TestGraphSnapshotPartial(t *testing.T) {
 }
 
 // TestGraphSnapshotImportErrors exercises the validation surface: every
-// corrupted or mismatched snapshot must be rejected whole, and a
-// non-empty graph must refuse imports.
+// corrupted or mismatched snapshot must be rejected whole, for the
+// reason the mutation plants, and a non-empty graph must refuse imports.
+// Mutations of a record's words re-seal its check value, so the lane
+// checks behind it are reached.
 func TestGraphSnapshotImportErrors(t *testing.T) {
 	pr, err := registry.ParseProtocol("cas-wf:2")
 	if err != nil {
@@ -269,10 +272,41 @@ func TestGraphSnapshotImportErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Check(model.CheckOpts{Inputs: inputs}); err != nil {
+	if _, err := g.Check(model.CheckOpts{Inputs: inputs, CrashQuota: []int{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	snap := g.Export()
+	if model.NodeWords(2, 1) != 3 {
+		t.Fatalf("cas-wf:2 packs into %d words, the lanes below assume 3", model.NodeWords(2, 1))
+	}
+	// Word 0 holds the state lanes (16 bits per process, lanes 2 and 3
+	// padding), word 1 the value lane (lanes 1-3 padding), word 2 the
+	// output lanes (8 bits per process, lanes 2-7 padding).
+	setWords := func(nd *model.SnapshotNode, fn func(w []uint64)) {
+		fn(nd.Words)
+		nd.Check = model.HashWords(nd.Words)
+	}
+	// findSucc returns a done node and process whose successor of the
+	// given kind is present (want >= 0) or absent (want < 0).
+	findSucc := func(s *model.GraphSnapshot, crash bool, present bool) (*model.SnapshotNode, int) {
+		for i := range s.Nodes {
+			nd := &s.Nodes[i]
+			if !nd.Done {
+				continue
+			}
+			succ := nd.StepSucc
+			if crash {
+				succ = nd.CrashSucc
+			}
+			for p, si := range succ {
+				if (si >= 0) == present {
+					return nd, p
+				}
+			}
+		}
+		t.Fatalf("no done node with a present=%v crash=%v successor", present, crash)
+		return nil, 0
+	}
 
 	fresh := func() *model.Graph {
 		ng, err := model.NewGraph(pr, inputs)
@@ -281,62 +315,84 @@ func TestGraphSnapshotImportErrors(t *testing.T) {
 		}
 		return ng
 	}
-	mutate := func(name string, fn func(s *model.GraphSnapshot)) {
-		// Deep-copy through a round trip of the value so mutations never
-		// leak between subtests.
+	mutate := func(name, want string, fn func(s *model.GraphSnapshot)) {
+		t.Helper()
+		// Deep-copy so mutations never leak between cases.
 		cp := *snap
 		cp.Inputs = append([]int(nil), snap.Inputs...)
-		cp.States = append([]string(nil), snap.States...)
 		cp.Nodes = make([]model.SnapshotNode, len(snap.Nodes))
 		for i, nd := range snap.Nodes {
 			c := nd
-			c.States = append([]uint32(nil), nd.States...)
-			c.Vals = append([]int32(nil), nd.Vals...)
-			c.Outs = append([]int8(nil), nd.Outs...)
-			c.Decided = append([]int8(nil), nd.Decided...)
+			c.Words = append([]uint64(nil), nd.Words...)
 			c.StepSucc = append([]int32(nil), nd.StepSucc...)
 			c.CrashSucc = append([]int32(nil), nd.CrashSucc...)
 			cp.Nodes[i] = c
 		}
 		fn(&cp)
-		if err := fresh().ImportSnapshot(&cp); err == nil {
+		err := fresh().ImportSnapshot(&cp)
+		if err == nil {
 			t.Errorf("%s: corrupted snapshot imported without error", name)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not mention %q", name, err, want)
 		}
 	}
 
-	mutate("flipped fingerprint", func(s *model.GraphSnapshot) { s.Nodes[0].FPHi ^= 1 })
-	mutate("state out of dictionary", func(s *model.GraphSnapshot) {
-		s.Nodes[0].States[0] = uint32(len(s.States)) + 7
+	mutate("flipped check value", "check value mismatch", func(s *model.GraphSnapshot) { s.Nodes[0].Check ^= 1 })
+	mutate("state id beyond the closure", "beyond its", func(s *model.GraphSnapshot) {
+		setWords(&s.Nodes[0], func(w []uint64) { w[0] |= 0xfff0 })
 	})
-	mutate("object value out of range", func(s *model.GraphSnapshot) { s.Nodes[0].Vals[0] = 99 })
-	mutate("successor out of range", func(s *model.GraphSnapshot) {
-		for i := range s.Nodes {
-			if !s.Nodes[i].Done {
-				continue
-			}
-			for p := range s.Nodes[i].StepSucc {
-				if s.Nodes[i].StepSucc[p] >= 0 {
-					s.Nodes[i].StepSucc[p] = int32(len(s.Nodes)) + 1
-					return
-				}
-			}
-		}
-		t.Fatal("no done node with a step successor")
+	mutate("value lane out of range", "out of range", func(s *model.GraphSnapshot) {
+		setWords(&s.Nodes[0], func(w []uint64) { w[1] = 99 })
 	})
-	mutate("duplicate node", func(s *model.GraphSnapshot) {
+	mutate("nonzero state padding", "padding in state lane 2", func(s *model.GraphSnapshot) {
+		setWords(&s.Nodes[0], func(w []uint64) { w[0] |= 1 << 40 })
+	})
+	mutate("nonzero value padding", "padding in value lane 1", func(s *model.GraphSnapshot) {
+		setWords(&s.Nodes[0], func(w []uint64) { w[1] |= 1 << 20 })
+	})
+	mutate("nonzero output padding", "padding in output lane 2", func(s *model.GraphSnapshot) {
+		setWords(&s.Nodes[0], func(w []uint64) { w[2] |= 1 << 20 })
+	})
+	mutate("negative output", "negative output", func(s *model.GraphSnapshot) {
+		setWords(&s.Nodes[0], func(w []uint64) { w[2] = w[2]&^0xff | 0xfe })
+	})
+	mutate("wrong word count", "wrong field lengths", func(s *model.GraphSnapshot) {
+		s.Nodes[0].Words = s.Nodes[0].Words[:2]
+	})
+	mutate("successor out of range", "out of", func(s *model.GraphSnapshot) {
+		nd, p := findSucc(s, false, true)
+		nd.StepSucc[p] = int32(len(s.Nodes)) + 1
+	})
+	mutate("step successor for a decided process", "decided process", func(s *model.GraphSnapshot) {
+		nd, p := findSucc(s, false, false)
+		nd.StepSucc[p] = 0
+	})
+	mutate("missing step successor", "missing step successor", func(s *model.GraphSnapshot) {
+		nd, p := findSucc(s, false, true)
+		nd.StepSucc[p] = -1
+	})
+	mutate("crash successor for an initial-state process", "initial-state process", func(s *model.GraphSnapshot) {
+		nd, p := findSucc(s, true, false)
+		nd.CrashSucc[p] = 0
+	})
+	mutate("missing crash successor", "missing crash successor", func(s *model.GraphSnapshot) {
+		nd, p := findSucc(s, true, true)
+		nd.CrashSucc[p] = -1
+	})
+	mutate("duplicate node", "duplicates", func(s *model.GraphSnapshot) {
 		nd := s.Nodes[0]
 		nd.Done = false
-		nd.StepSucc = append([]int32(nil), nd.StepSucc...)
-		nd.CrashSucc = append([]int32(nil), nd.CrashSucc...)
-		for p := range nd.StepSucc {
-			nd.StepSucc[p] = -1
-			nd.CrashSucc[p] = -1
-		}
+		nd.StepSucc = []int32{-1, -1}
+		nd.CrashSucc = []int32{-1, -1}
 		s.Nodes = append(s.Nodes, nd)
 	})
-	mutate("wrong inputs", func(s *model.GraphSnapshot) { s.Inputs[0], s.Inputs[1] = 1, 0 })
-	mutate("wrong shape", func(s *model.GraphSnapshot) { s.Procs++ })
+	mutate("wrong inputs", "inputs", func(s *model.GraphSnapshot) { s.Inputs[0], s.Inputs[1] = 1, 0 })
+	mutate("wrong shape", "shape", func(s *model.GraphSnapshot) { s.Procs++ })
 
+	// The unmutated snapshot imports.
+	if err := fresh().ImportSnapshot(snap); err != nil {
+		t.Fatalf("pristine snapshot refused: %v", err)
+	}
 	// A graph that already interned nodes refuses imports.
 	busy := fresh()
 	if _, err := busy.Check(model.CheckOpts{Inputs: inputs}); err != nil {

@@ -114,7 +114,7 @@ func TestObservation5UnivalenceTransfers(t *testing.T) {
 	if na == nil || nb == nil {
 		t.Fatal("nodes not explored")
 	}
-	if !model.NodeConfig(na).Equal(model.NodeConfig(nb)) {
+	if !res.NodeConfig(na).Equal(res.NodeConfig(nb)) {
 		t.Fatal("configurations should coincide")
 	}
 	if res.Valence(na) != res.Valence(nb) {

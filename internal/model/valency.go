@@ -28,8 +28,8 @@ func (r *Result) valency() map[*node]int {
 		for _, s := range r.allSucc(nd) {
 			preds[s] = append(preds[s], nd)
 		}
-		for p := 0; p < r.pr.Procs(); p++ {
-			if v := nd.gn.decided[p]; v == 0 || v == 1 {
+		for _, v := range nd.gn.decided {
+			if v == 0 || v == 1 {
 				deciding[v] = append(deciding[v], nd)
 			}
 		}
@@ -132,33 +132,35 @@ func FindCritical(r *Result) (*CriticalInfo, error) {
 // classify computes Lemma 9 (same object), the team structure and the
 // Observation 11 classification for a critical node.
 func (r *Result) classify(nd *node) (*CriticalInfo, error) {
-	n := r.pr.Procs()
+	mc := r.g.m
+	n := mc.n
 	val := r.valency()
-	objs := r.pr.Objects()
 
 	info := &CriticalInfo{
 		Trace:  nd.trace(),
-		Config: nd.cfg,
+		Config: r.NodeConfig(nd),
 		Teams:  make([]int, n),
 		U:      [2]map[spec.Value]bool{make(map[spec.Value]bool), make(map[spec.Value]bool)},
 	}
 
 	// Lemma 9: every process is poised to apply an operation to the same
-	// object in the critical configuration.
+	// object in the critical configuration. A poised state's table row
+	// is its operation's effect on that object: next[v].val is the value
+	// the operation leaves behind when applied at v.
 	obj := -1
-	ops := make([]spec.Op, n)
+	ops := make([][]tnext, n)
 	for p := 0; p < n; p++ {
-		a := r.pr.Poised(p, nd.cfg.States[p])
-		if a.Decided {
+		t := mc.state(nd.gn.words, p)
+		if t.decided {
 			return nil, fmt.Errorf("model: process p%d already decided in critical configuration", p)
 		}
 		if obj == -1 {
-			obj = a.Obj
-		} else if a.Obj != obj {
+			obj = t.obj
+		} else if t.obj != obj {
 			return nil, fmt.Errorf("model: Lemma 9 violated — p%d poised on object %d, others on %d",
-				p, a.Obj, obj)
+				p, t.obj, obj)
 		}
-		ops[p] = a.Op
+		ops[p] = t.next
 	}
 	info.Object = obj
 
@@ -166,8 +168,8 @@ func (r *Result) classify(nd *node) (*CriticalInfo, error) {
 	// successor is univalent. No process has decided (checked above), so
 	// the node's expansion carries exactly one step successor per
 	// process — read canonically instead of recomputing the transition.
-	for i, p := range nd.gn.stepP {
-		cn := r.lookup(nd.gn.stepSucc[i], nd.used)
+	for p, cg := range nd.gn.stepSucc {
+		cn := r.lookup(cg, nd.used)
 		if cn == nil {
 			return nil, fmt.Errorf("model: internal error — step successor of critical node not explored")
 		}
@@ -185,8 +187,7 @@ func (r *Result) classify(nd *node) (*CriticalInfo, error) {
 	// U_x sets: all object values produced by nonempty schedules in S(P)
 	// whose first process is on team x, each process applying its poised
 	// operation to the common object.
-	ft := objs[obj].Type
-	cur := nd.cfg.Vals[obj]
+	cur := spec.Value(mc.val(nd.gn.words, obj))
 	inSched := make([]bool, n)
 	var dfs func(v spec.Value, team int)
 	dfs = func(v spec.Value, team int) {
@@ -196,13 +197,13 @@ func (r *Result) classify(nd *node) (*CriticalInfo, error) {
 				continue
 			}
 			inSched[p] = true
-			dfs(ft.Apply(v, ops[p]).Next, team)
+			dfs(spec.Value(ops[p][v].val), team)
 			inSched[p] = false
 		}
 	}
 	for p := 0; p < n; p++ {
 		inSched[p] = true
-		dfs(ft.Apply(cur, ops[p]).Next, info.Teams[p])
+		dfs(spec.Value(ops[p][cur].val), info.Teams[p])
 		inSched[p] = false
 	}
 

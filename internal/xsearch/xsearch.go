@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/decider"
 	"repro/internal/discern"
 	"repro/internal/record"
 	"repro/internal/spec"
@@ -57,23 +58,28 @@ func HasXSignature(t *spec.FiniteType, n int) bool {
 
 // HasXSignatureShardedCtx is HasXSignature with cancellation and with the
 // two dominant level checks — (n-1)-recording and n-discerning — sharded
-// across `shards` workers (see discern.ShardedIsNDiscerning). The cheap
-// (n-2)-recording pre-filter stays serial. Sharding never changes the
-// verdict, only the core count one candidate occupies.
+// across `shards` workers of the production level decider
+// (internal/decider). The cheap (n-2)-recording pre-filter stays serial.
+// Sharding never changes the verdict, only the core count one candidate
+// occupies. n above decider.BitsetMaxN is rejected with decider.CheckN's
+// error before any work.
 func HasXSignatureShardedCtx(ctx context.Context, t *spec.FiniteType, n, shards int) (bool, error) {
 	if n < 4 {
 		panic(fmt.Sprintf("xsearch: X_n signature needs n >= 4, got %d", n))
 	}
+	if err := decider.CheckN(n); err != nil {
+		return false, err
+	}
 	if !t.Readable() {
 		return false, nil
 	}
-	if ok, _, err := record.ShardedIsNRecording(ctx, t, n-1, shards, record.ShardOptions{}); err != nil || ok {
+	if ok, _, err := decider.IsNRecording(ctx, t, n-1, shards, nil); err != nil || ok {
 		return false, err
 	}
-	if ok, _, err := record.IsNRecordingCtx(ctx, t, n-2, record.Options{}); err != nil || !ok {
+	if ok, _, err := decider.IsNRecording(ctx, t, n-2, 1, nil); err != nil || !ok {
 		return false, err
 	}
-	ok, _, err := discern.ShardedIsNDiscerning(ctx, t, n, shards, discern.ShardOptions{})
+	ok, _, err := decider.IsNDiscerning(ctx, t, n, shards, nil)
 	return ok, err
 }
 

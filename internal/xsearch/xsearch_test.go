@@ -1,8 +1,12 @@
 package xsearch
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/decider"
+	"repro/internal/discern"
+	"repro/internal/record"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
@@ -56,6 +60,48 @@ func TestNegativeSignatures(t *testing.T) {
 	}
 	if HasX4Signature(types.Register(3)) {
 		t.Error("registers are not 4-discerning, must be rejected")
+	}
+}
+
+// TestSignatureMatchesReference runs the signature check, which goes
+// through the production level decider, against the same three legs
+// decided by the recursive reference deciders over a seed window, and
+// checks it refuses n above the decider's cap with decider.CheckN's
+// error before any work.
+func TestSignatureMatchesReference(t *testing.T) {
+	reference := func(ft *spec.FiniteType, n int) bool {
+		if !ft.Readable() {
+			return false
+		}
+		if ok, _ := record.IsNRecording(ft, n-1); ok {
+			return false
+		}
+		if ok, _ := record.IsNRecording(ft, n-2); !ok {
+			return false
+		}
+		ok, _ := discern.IsNDiscerning(ft, n)
+		return ok
+	}
+	hits := 0
+	for seed := int64(1990); seed < 2000; seed++ {
+		ft := Sample(seed, 5)
+		got, err := HasXSignatureShardedCtx(context.Background(), ft, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(ft, 4); got != want {
+			t.Errorf("seed %d: signature %v, reference %v", seed, got, want)
+		}
+		if got {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Error("the seed window holds the frozen X_4 seed; expected a hit")
+	}
+	_, err := HasXSignatureShardedCtx(context.Background(), types.XFour(), decider.BitsetMaxN+1, 1)
+	if want := decider.CheckN(decider.BitsetMaxN + 1); err == nil || err.Error() != want.Error() {
+		t.Fatalf("n above the cap: error %v, want %v", err, want)
 	}
 }
 

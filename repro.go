@@ -289,18 +289,6 @@ func NewType(name string) *TypeBuilder { return spec.NewBuilder(name) }
 // explicit limit); this wrapper runs on the shared Default engine.
 func Analyze(t *Type, maxN int) (*Analysis, error) { return Default().AnalyzeTo(t, maxN) }
 
-// IsNDiscerning decides Ruppert's n-discerning property (n >= 2).
-//
-// Deprecated: use Engine.Analyze, whose per-level results are memoized;
-// this wrapper calls the decider directly and caches nothing.
-func IsNDiscerning(t *Type, n int) (bool, *DiscernWitness) { return discern.IsNDiscerning(t, n) }
-
-// IsNRecording decides DFFR's n-recording property (n >= 2).
-//
-// Deprecated: use Engine.Analyze, whose per-level results are memoized;
-// this wrapper calls the decider directly and caches nothing.
-func IsNRecording(t *Type, n int) (bool, *RecordWitness) { return record.IsNRecording(t, n) }
-
 // CheckProtocol model-checks a consensus protocol under per-process crash
 // quotas (see model.CheckOpts for details).
 //

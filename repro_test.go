@@ -22,13 +22,15 @@ func TestFacadeAnalyze(t *testing.T) {
 	}
 }
 
-// TestFacadeDeciders exercises the re-exported deciders.
+// TestFacadeDeciders exercises the engine's single-level deciders
+// through the facade.
 func TestFacadeDeciders(t *testing.T) {
-	if ok, w := IsNDiscerning(TestAndSet(), 2); !ok || w == nil {
-		t.Error("TAS should be 2-discerning with a witness")
+	eng := New()
+	if ok, w, err := eng.Discerning(TestAndSet(), 2); err != nil || !ok || w == nil {
+		t.Errorf("TAS should be 2-discerning with a witness (err %v)", err)
 	}
-	if ok, _ := IsNRecording(TestAndSet(), 2); ok {
-		t.Error("TAS should not be 2-recording")
+	if ok, _, err := eng.Recording(TestAndSet(), 2); err != nil || ok {
+		t.Errorf("TAS should not be 2-recording (err %v)", err)
 	}
 }
 
