@@ -392,9 +392,9 @@ func BenchmarkShardedLevelCheckSteal(b *testing.B) {
 // BenchmarkGraphInternWarm measures the packed-word graph walk in
 // isolation: one model.Graph is built and fully expanded by a priming
 // Check, then every iteration re-walks the interned graph. No engine,
-// cache, or event layer — allocs/op here is the floor the packed-word
-// nodes, open-addressed walk overlay, and pooled frontiers buy on the
-// hot path (only the per-call Result and its arenas remain).
+// cache, or event layer — allocs/op here is the floor of the
+// index-addressed walk: the per-call Result and its flat node, edge,
+// crash-usage and index slices, whatever the walk's size.
 func BenchmarkGraphInternWarm(b *testing.B) {
 	pr := proto.NewCASWaitFree(2)
 	inputs := []int{0, 1}
@@ -411,6 +411,36 @@ func BenchmarkGraphInternWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Check(opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGraphWalkWarmQuota measures the walk check-warm traffic runs:
+// a crash-budgeted Check, quota 1 per process, over a primed cached
+// graph (tnn-wf:4,2 on inputs 0,1,0,1: 912 walk nodes and an agreement
+// violation). Crash budgets multiply walk nodes past the graph's own
+// node count, so this is where per-node allocation would show; the
+// crash-free warm benchmarks above never see it.
+func BenchmarkGraphWalkWarmQuota(b *testing.B) {
+	pr := proto.NewTnnWaitFree(4, 2, 4)
+	inputs := []int{0, 1, 0, 1}
+	g, err := model.NewGraph(pr, inputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := model.CheckOpts{Inputs: inputs, CrashQuota: []int{1, 1, 1, 1}}
+	if _, err := g.Check(opts); err != nil { // prime: expand every node
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := g.Check(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Nodes != 912 || res.OK() {
+			b.Fatalf("walk visited %d nodes, OK=%v; want 912 and a violation", res.Nodes, res.OK())
 		}
 	}
 }
@@ -464,8 +494,10 @@ func BenchmarkGraphCacheCheckBatch(b *testing.B) {
 }
 
 // BenchmarkEngineCheckWarm pins the allocation cost of the warm Check
-// hot path — a single request walking an already-expanded cached graph,
-// the steady state of repeated /v1/check traffic. The instrumented
+// hot path — a single crash-free request walking an already-expanded
+// cached graph, through the engine's cache resolution (the
+// crash-budgeted walk of /v1/check traffic is BenchmarkGraphWalkWarmQuota's).
+// The instrumented
 // variant runs the identical workload with engine metrics histograms
 // attached; CI's alloc gate compares both against the baseline, so a
 // change that makes observability allocate on the warm path fails the

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/proto"
+	"repro/internal/registry"
 	"repro/internal/types"
 )
 
 // TestWarmCheckAllocFloor is the in-repo allocation ratchet for the
 // warm Check hot path: a headless engine re-checking a cached,
-// fully-expanded graph. The packed-word encoding, open-addressed walk
-// overlay, interned fingerprint memo, and pooled key buffer brought the
-// path from 87 allocs/op down to 9 — all nine are the per-call Result
-// and its arenas, which outlive the call and cannot be pooled. The
+// fully-expanded graph. The packed-word encoding, the index-addressed
+// walk, the graph cache's fingerprint memo and its pooled key buffer
+// leave a fixed handful: the per-call Result and its flat node, edge
+// and index slices, which outlive the call and cannot be pooled. The
 // bound below leaves headroom for incidental runtime variation but sits
-// far under the pre-pack figure, so any change that reintroduces
+// far under the pre-pack figure of 87, so any change that reintroduces
 // per-visit or per-key allocations fails here before it reaches the
 // CI bench gate.
 func TestWarmCheckAllocFloor(t *testing.T) {
@@ -31,8 +32,62 @@ func TestWarmCheckAllocFloor(t *testing.T) {
 	})
 	const limit = 20
 	if allocs > limit {
-		t.Errorf("warm Check allocates %.1f allocs/op, ratchet is %d (measured floor: 9)",
+		t.Errorf("warm Check allocates %.1f allocs/op, ratchet is %d (measured floor: 5)",
 			allocs, limit)
+	}
+}
+
+// TestWarmQuotaCheckAllocFloor is the ratchet for the walk recoverable
+// consensus is actually checked with: a crash-budgeted walk, quota 1 per
+// process, over a cached graph. Its node count grows with every crash
+// vector the budget admits, yet the walk keeps its nodes, edges,
+// crash-usage vectors and dedup index in flat slices sized from the
+// graph, and the violation cases format one detail per reported kind,
+// so the count must stay flat across walks of 147 to 912 nodes.
+func TestWarmQuotaCheckAllocFloor(t *testing.T) {
+	cases := []struct {
+		protocol string
+		inputs   []int
+		nodes    int
+		ok       bool
+	}{
+		{"tnn-wf:3,2", []int{0, 1, 1}, 166, false},
+		{"tnn-wf:4,2", []int{0, 1, 0, 1}, 912, false},
+		{"tas-reg", []int{0, 1}, 147, false},
+		{"cas-rec:3", []int{0, 1, 1}, 442, true},
+	}
+	const limit = 32
+	for _, c := range cases {
+		t.Run(c.protocol, func(t *testing.T) {
+			pr, err := registry.ParseProtocol(c.protocol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			quota := make([]int, len(c.inputs))
+			for p := range quota {
+				quota[p] = 1
+			}
+			e := New(WithParallelism(1))
+			req := CheckRequest{Inputs: c.inputs, CrashQuota: quota}
+			res, err := e.Check(pr, req) // prime the graph cache
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Nodes != c.nodes || res.OK() != c.ok {
+				t.Fatalf("walk visits %d nodes, OK=%v; the ratchet is pinned to %d nodes, OK=%v",
+					res.Nodes, res.OK(), c.nodes, c.ok)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := e.Check(pr, req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > limit {
+				t.Errorf("warm quota-1 Check of %d nodes allocates %.1f allocs/op, ratchet is %d",
+					c.nodes, allocs, limit)
+			}
+			t.Logf("%s: %d nodes, %.0f allocs/op", c.protocol, c.nodes, allocs)
+		})
 	}
 }
 

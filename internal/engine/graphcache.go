@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -85,6 +84,16 @@ type GraphCache struct {
 	// warm Gets probe entries via an allocation-free string(keyBuf) map
 	// lookup and only materialize a key string on a miss.
 	keyBuf []byte
+	// fps memoizes model.Fingerprint by the Protocol interface value
+	// itself (guarded by mu), so a caller re-checking the same protocol
+	// value (the server's resolved registry descriptors, compiled
+	// descriptors held by jobs, bench loops) pays the SHA-256 closure walk
+	// once, not per Get. The map retains its protocol keys, which is what
+	// makes interface-value keying sound: a key can never be collected and
+	// have its address reused by a different protocol while the memo
+	// still maps it. It holds at most fpMemoCap entries, never evicted,
+	// and dies with the cache.
+	fps map[model.Protocol]string
 
 	hits, misses, evicted uint64
 	st                    GraphStoreStats
@@ -171,6 +180,7 @@ func NewGraphCache(budget int) *GraphCache {
 		budget:  uint64(budget),
 		entries: make(map[string]*gcEntry),
 		byGraph: make(map[*model.Graph]*gcEntry),
+		fps:     make(map[model.Protocol]string),
 	}
 }
 
@@ -182,43 +192,8 @@ func (c *GraphCache) SetStore(s GraphStore) {
 	c.store = s
 }
 
-// fpMemo caches model.Fingerprint results keyed by the Protocol
-// interface value itself, so a caller re-checking the same protocol
-// value (registry singletons, compiled descriptors held by jobs, bench
-// loops) pays the SHA-256 closure walk once, not per Get. The map
-// retains its protocol keys, which is what makes interface-value keying
-// sound: a key can never be collected and have its address reused by a
-// different protocol while the memo still maps it. Bounded, never
-// evicted — entries are tiny next to the graphs the cache itself holds.
-var (
-	fpMemo     sync.Map // model.Protocol -> fingerprint string
-	fpMemoSize atomic.Int64
-)
-
+// fpMemoCap bounds a GraphCache's fingerprint memo.
 const fpMemoCap = 4096
-
-// fingerprintFor is model.Fingerprint through the memo. Protocols whose
-// dynamic type is not comparable (slice/map/func fields) cannot be map
-// keys and are hashed every time.
-func fingerprintFor(p model.Protocol) (string, error) {
-	t := reflect.TypeOf(p)
-	if t == nil || !t.Comparable() {
-		return model.Fingerprint(p)
-	}
-	if v, ok := fpMemo.Load(p); ok {
-		return v.(string), nil
-	}
-	fp, err := model.Fingerprint(p)
-	if err != nil {
-		return "", err
-	}
-	if fpMemoSize.Load() < fpMemoCap {
-		if _, loaded := fpMemo.LoadOrStore(p, fp); !loaded {
-			fpMemoSize.Add(1)
-		}
-	}
-	return fp, nil
-}
 
 // appendGraphKey canonicalizes the (protocol identity, inputs) cache key
 // into dst: the protocol's structural fingerprint plus the input vector.
@@ -247,11 +222,27 @@ func appendGraphKey(dst []byte, fp string, inputs []int) []byte {
 // otherwise race into. A load or import failure degrades to a cold
 // graph and marks the key store-less, never an error for the caller.
 func (c *GraphCache) Get(p model.Protocol, inputs []int) (*model.Graph, error) {
-	fp, err := fingerprintFor(p)
-	if err != nil {
-		return nil, err
-	}
+	// Protocols whose dynamic type is not comparable (slice/map/func
+	// fields) cannot be map keys and are fingerprinted every time.
+	t := reflect.TypeOf(p)
+	memo := t != nil && t.Comparable()
 	c.mu.Lock()
+	fp, ok := "", false
+	if memo {
+		fp, ok = c.fps[p]
+	}
+	if !ok {
+		// A memo miss compiles and hashes the protocol off the lock.
+		c.mu.Unlock()
+		var err error
+		if fp, err = model.Fingerprint(p); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		if memo && len(c.fps) < fpMemoCap {
+			c.fps[p] = fp
+		}
+	}
 	defer c.mu.Unlock()
 	c.keyBuf = appendGraphKey(c.keyBuf[:0], fp, inputs)
 	if e, ok := c.entries[string(c.keyBuf)]; ok {

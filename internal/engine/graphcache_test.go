@@ -191,6 +191,41 @@ func TestGraphCacheIdentity(t *testing.T) {
 	}
 }
 
+// TestGraphCacheFingerprintMemo pins the fingerprint memo's scope: it
+// lives with its cache, so a repeated protocol value is fingerprinted
+// once per cache, a new cache (a restarted server in the same process)
+// starts empty instead of inheriting every protocol an earlier one saw,
+// and the memo stops growing at fpMemoCap.
+func TestGraphCacheFingerprintMemo(t *testing.T) {
+	c := NewGraphCache(0)
+	p := proto.NewCASRecoverable(2)
+	for _, inputs := range [][]int{{0, 1}, {1, 0}, {0, 1}} {
+		if _, err := c.Get(p, inputs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Get(proto.NewCASRecoverable(2), []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.fps) != 2 {
+		t.Fatalf("memo holds %d protocols after two protocol values, want 2", len(c.fps))
+	}
+	if fresh := NewGraphCache(0); len(fresh.fps) != 0 {
+		t.Fatalf("a new cache starts with %d memoized protocols", len(fresh.fps))
+	}
+	for i := len(c.fps); i < fpMemoCap+4; i++ {
+		if _, err := c.Get(proto.NewCASWaitFree(1), []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.fps) != fpMemoCap {
+		t.Fatalf("memo holds %d protocols, want the cap %d", len(c.fps), fpMemoCap)
+	}
+	if st := c.Stats(); st.Graphs != 3 {
+		t.Fatalf("%d graphs cached, want 3 (memo entries never split a key)", st.Graphs)
+	}
+}
+
 // TestGraphCacheConcurrentChurn is the race test for the tentpole:
 // goroutines hammer CheckBatch and Theorem13 on one engine whose tiny
 // graph-cache budget keeps eviction churning, across two protocols and

@@ -32,10 +32,16 @@
 // into the outputs; a crash successor inherits its parent's outputs
 // unmerged, so a crash into a decided initial state is merged at the
 // next step. Crash usage is deliberately NOT part of node identity
-// (transitions do not depend on it); each walk overlays its own (node,
-// crash-usage) bookkeeping in a per-walk open-addressed table probed on
-// the node's precomputed hash, reproducing the serial checker's
-// (configuration, crash-usage, output-history) dedup exactly. Check
+// (transitions do not depend on it); each walk keeps its own (node,
+// crash-usage) bookkeeping, reproducing the serial checker's
+// (configuration, crash-usage, output-history) dedup exactly. A walk is
+// flat and index-addressed: its nodes live in one slice in BFS
+// discovery order (also the BFS queue), and parents, step-successor
+// ranges of one edge list, crash-usage offsets into one vector slice
+// and the per-walk dedup index (an open-addressed []int32 probed on the
+// graph node's precomputed hash, twins over one graph node chained by
+// index) all address it by int32 index, as do the liveness, valency
+// and critical-search sweeps. Check
 // builds a one-shot Graph; batch callers (engine.CheckBatch) walk one
 // Graph per input vector, long-lived callers (the engine's graph cache)
 // keep Graphs warm across calls, and Theorem13ChainOpts walks every
@@ -52,11 +58,12 @@
 // graph mutex; the compiled tables are immutable and read lock-free;
 // per-node expansion runs under a per-node once. A Result is owned by
 // the caller that obtained it and is not safe for concurrent mutation;
-// its lazily computed valency map means even read-style methods
-// (Valence, FindCritical) must not race. Walk-internal scratch
-// (frontier queues, packing buffers, liveness sweep state) is pooled
-// per graph and never escapes into Results; the walk's visited overlay
-// and node arenas live in the Result and die with it.
+// its lazily computed valency masks mean even read-style methods
+// (Valence, FindCritical) must not race.
+// A graph pools only packing buffers, which never escape into Results;
+// it holds no frontier or sweep pools. A walk's flat slices (nodes,
+// edges, crash-usage vectors, index) live in its Result and die with
+// it.
 //
 // # Byte-stability guarantees
 //

@@ -69,48 +69,41 @@ type Result struct {
 	// Truncated reports whether exploration hit MaxNodes.
 	Truncated bool
 
-	// nodes indexes this walk's nodes by their canonical graph node; the
-	// small per-bucket entries are told apart by crash-usage vector, so
-	// the walk's dedup identity is exactly the serial checker's
-	// (configuration, crash-usage, output-history) triple. The first
-	// entry per canonical node is inlined: crash-free walks (one usage
-	// vector per node) never allocate a bucket slice.
-	nodes walkIndex
-	count int
-	// order lists the nodes in BFS discovery order (init first), making
-	// post-exploration passes — in particular the liveness DFS sweep —
-	// deterministic instead of map-ordered.
-	order []*node
-	init  *node
-	// arena batch-allocates walk nodes and usedArena their crash-usage
-	// vectors (they live and die with the Result, so chunked allocation
-	// is safe and cheap). arenaHint shrinks the FIRST chunk below the
-	// 512-node default when the graph is small (its canonical node
-	// count), so a tiny walk over a tiny graph does not allocate a
-	// 512-node block; larger walks use default-size chunks — a budgeted
-	// or quota-restricted walk may visit only a slice of a big cached
-	// graph, so the hint is a cap on waste, not a preallocation target.
-	arena     []node
-	arenaHint int
-	usedArena []int
-	valences  map[*node]int
+	// nodes holds the walk's nodes in BFS discovery order, the root first.
+	// It is the BFS queue itself, and every other walk structure addresses
+	// it by int32 index: parents, step-successor ranges, twin chains, and
+	// the per-node state of the liveness, valency and critical-search
+	// sweeps, so those sweeps are deterministic and use flat slices.
+	nodes []node
+	// edges holds every expanded node's step successors, at
+	// [node.lo, node.hi).
+	edges []int32
+	// used holds the crash-usage vectors, n ints at each node.used offset.
+	// Step children share their parent's vector; only a new crash child
+	// appends one.
+	used []int
+	// index is the per-walk dedup index: an open-addressed table from
+	// canonical graph node to this walk's (node, crash-usage) twins. It
+	// probes with the gnode's precomputed packed-identity hash (linear
+	// probing, power-of-two capacity, grown at 3/4 load) and holds 0 for
+	// an empty slot, else 1 + the index of the newest walk node over that
+	// graph node; older twins chain through node.twin. The walk's dedup
+	// identity is thereby exactly the serial checker's (configuration,
+	// crash-usage, output-history) triple, and a lookup is a few int32
+	// probes with no hashing work. indexed counts occupied slots.
+	index   []int32
+	indexed int
+	// valences caches the valency masks by node index.
+	valences []uint8
 }
 
 // OK reports whether the exploration completed without violations.
 func (r *Result) OK() bool { return len(r.Violations) == 0 && !r.Truncated }
 
+// node is one (configuration, crash-usage, output-history) walk node.
 type node struct {
-	used   []int // crashes used per process
-	parent *node
-	via    schedule.Event
-	// ord is the node's BFS discovery index (position in Result.order),
-	// letting post-exploration sweeps keep per-node state in flat
-	// ord-indexed slices instead of maps.
-	ord int32
-	// succ caches step successors (crash successors are recomputed).
-	succ []*node
-	// gn is the node's canonical twin in the shared exploration graph
-	// the walk ran on (see Graph); it carries the configuration's packed
+	// gn is the node's canonical twin in the shared exploration graph the
+	// walk ran on (see Graph); it carries the configuration's packed
 	// identity, the output history (gn.outs[p] is the first value process
 	// p ever output along this path, -1 if none — outputs survive crashes
 	// in the paper's model, so a process that decided, crashed and
@@ -118,171 +111,108 @@ type node struct {
 	// decided state was erased), the precomputed decision vector, and
 	// the successor set.
 	gn *gnode
+	// parent is the discovering node's index (-1 at the root), and p and
+	// crash the event it was discovered by.
+	parent, p int32
+	// used is the offset of the node's crash-usage vector in Result.used.
+	used int32
+	// lo and hi delimit the step successors in Result.edges; the range is
+	// empty until the node is expanded.
+	lo, hi int32
+	// twin is 1 + the index of the next older walk node over gn, 0 at the
+	// end of the chain.
+	twin  int32
+	crash bool
+	// color is the liveness sweep's DFS mark.
+	color uint8
 }
 
-// wentry is one walk-index slot: a canonical graph node and its walk
-// twins. The common case of a single crash-usage vector stays inline in
-// first; further vectors overflow into rest.
-type wentry struct {
-	gn    *gnode
-	first *node
-	rest  []*node
-}
-
-// walkIndex is the per-walk dedup index: an open-addressed table from
-// canonical graph node to this walk's (node, crash-usage) twins. It
-// probes with the gnode's precomputed packed-identity hash (linear
-// probing, power-of-two capacity, grown at 3/4 load) and compares slot
-// identity by gnode pointer, so a walk lookup is a few pointer probes
-// with no hashing work at all. The table lives and dies with its Result
-// (post-exploration analyses keep using it), so unlike the frontier and
-// sweep scratch it is not pooled.
-type walkIndex struct {
-	tab  []wentry
-	live int
-}
-
-// init sizes the table so hint entries fit under 3/4 load.
-func (w *walkIndex) init(hint int) {
+// indexCap is the smallest power-of-two index capacity (at least 16)
+// holding hint entries under 3/4 load.
+func indexCap(hint int) int {
 	capacity := 16
 	for capacity*3 < hint*4 {
 		capacity <<= 1
 	}
-	w.tab = make([]wentry, capacity)
-	w.live = 0
+	return capacity
 }
 
-// slot returns the entry for gn, or the empty slot where it would be
-// inserted.
-func (w *walkIndex) slot(gn *gnode) *wentry {
-	mask := uint64(len(w.tab) - 1)
+// slot returns the index slot for gn: its twin chain's head, or the empty
+// slot where the chain would start.
+func (r *Result) slot(gn *gnode) *int32 {
+	mask := uint64(len(r.index) - 1)
 	for i := gn.hash & mask; ; i = (i + 1) & mask {
-		e := &w.tab[i]
-		if e.gn == gn || e.gn == nil {
-			return e
+		s := &r.index[i]
+		if *s == 0 || r.nodes[*s-1].gn == gn {
+			return s
 		}
 	}
 }
 
-func (w *walkIndex) grow() {
-	old := w.tab
-	next := make([]wentry, len(old)*2)
+func (r *Result) growIndex() {
+	next := make([]int32, len(r.index)*2)
 	mask := uint64(len(next) - 1)
-	for i := range old {
-		e := &old[i]
-		if e.gn == nil {
+	for _, s := range r.index {
+		if s == 0 {
 			continue
 		}
-		j := e.gn.hash & mask
-		for next[j].gn != nil {
+		j := r.nodes[s-1].gn.hash & mask
+		for next[j] != 0 {
 			j = (j + 1) & mask
 		}
-		next[j] = *e
+		next[j] = s
 	}
-	w.tab = next
+	r.index = next
 }
 
-// add registers nd in the walk's dedup index and discovery order.
-func (r *Result) add(nd *node) {
-	w := &r.nodes
-	e := w.slot(nd.gn)
-	if e.gn == nil {
-		if (w.live+1)*4 >= len(w.tab)*3 {
-			w.grow()
-			e = w.slot(nd.gn)
+// add appends nd to the walk at the head of the twin chain in its index
+// slot s (from slot, and searched in vain) and returns its index.
+func (r *Result) add(s *int32, nd node) int32 {
+	if *s == 0 {
+		if (r.indexed+1)*4 >= len(r.index)*3 {
+			r.growIndex()
+			s = r.slot(nd.gn)
 		}
-		e.gn = nd.gn
-		e.first = nd
-		w.live++
-	} else {
-		e.rest = append(e.rest, nd)
+		r.indexed++
 	}
-	nd.ord = int32(r.count)
-	r.order = append(r.order, nd)
-	r.count++
+	i := int32(len(r.nodes))
+	nd.twin = *s
+	*s = i + 1
+	r.nodes = append(r.nodes, nd)
+	return i
 }
 
-// lookup finds this walk's node for (gn, used), or nil. A nil gn (a
-// schedule that leaves the explored graph) finds nothing.
-func (r *Result) lookup(gn *gnode, used []int) *node {
+// lookup finds this walk's node over gn whose crash-usage vector equals
+// base, or base with base[p]+1 when p >= 0, and returns its index, or -1.
+// A nil gn (a schedule that leaves the explored graph) finds nothing.
+func (r *Result) lookup(gn *gnode, base []int, p int) int32 {
 	if gn == nil {
-		return nil
+		return -1
 	}
-	e := r.nodes.slot(gn)
-	if e.gn == nil {
-		return nil
-	}
-	if eqUsed(e.first.used, used) {
-		return e.first
-	}
-	for _, nd := range e.rest {
-		if eqUsed(nd.used, used) {
-			return nd
+	return r.twin(*r.slot(gn), base, p)
+}
+
+// twin searches the twin chain starting at index slot value ref for the
+// node whose crash-usage vector matches as in lookup.
+func (r *Result) twin(ref int32, base []int, p int) int32 {
+	n := int32(len(base))
+	for ; ref != 0; ref = r.nodes[ref-1].twin {
+		off := r.nodes[ref-1].used
+		if eqUsedPlus(r.used[off:off+n], base, p) {
+			return ref - 1
 		}
 	}
-	return nil
+	return -1
 }
 
-// lookupPlus finds this walk's node for (gn, base with base[p]+1) without
-// materializing the incremented usage vector.
-func (r *Result) lookupPlus(gn *gnode, base []int, p int) *node {
-	if gn == nil {
-		return nil
-	}
-	e := r.nodes.slot(gn)
-	if e.gn == nil {
-		return nil
-	}
-	if eqUsedPlus(e.first.used, base, p) {
-		return e.first
-	}
-	for _, nd := range e.rest {
-		if eqUsedPlus(nd.used, base, p) {
-			return nd
-		}
-	}
-	return nil
+// usedOf returns node i's crash-usage vector.
+func (r *Result) usedOf(i int32) []int {
+	n := int32(r.g.m.n)
+	off := r.nodes[i].used
+	return r.used[off : off+n : off+n]
 }
 
-// newNode hands out the next arena slot. The first chunk is
-// min(arenaHint, 512) — see arenaHint — and later chunks the default.
-func (r *Result) newNode() *node {
-	if len(r.arena) == 0 {
-		size := 512
-		if r.arenaHint > 0 {
-			if r.arenaHint < size {
-				size = r.arenaHint
-			}
-			r.arenaHint = 0
-		}
-		r.arena = make([]node, size)
-	}
-	nd := &r.arena[0]
-	r.arena = r.arena[1:]
-	return nd
-}
-
-// newUsed hands out an n-length crash-usage vector from the arena (full
-// capacity slice, so an append could never bleed into a neighbor).
-func (r *Result) newUsed(n int) []int {
-	if len(r.usedArena) < n {
-		r.usedArena = make([]int, 512*n)
-	}
-	u := r.usedArena[:n:n]
-	r.usedArena = r.usedArena[n:]
-	return u
-}
-
-func eqUsed(a, b []int) bool {
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// eqUsedPlus reports a == base except a[p] == base[p]+1.
+// eqUsedPlus reports a == base, except a[p] == base[p]+1 when p >= 0.
 func eqUsedPlus(a, base []int, p int) bool {
 	for i, v := range a {
 		want := base[i]
@@ -305,15 +235,16 @@ func freshOuts(n int) []int8 {
 	return outs
 }
 
-// trace reconstructs the schedule from the initial node.
-func (n *node) trace() schedule.Schedule {
-	var rev []schedule.Event
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		rev = append(rev, cur.via)
+// trace reconstructs the schedule from the root to node i.
+func (r *Result) trace(i int32) schedule.Schedule {
+	depth := 0
+	for j := i; r.nodes[j].parent >= 0; j = r.nodes[j].parent {
+		depth++
 	}
-	out := make(schedule.Schedule, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	out := make(schedule.Schedule, depth)
+	for j := i; r.nodes[j].parent >= 0; j = r.nodes[j].parent {
+		depth--
+		out[depth] = schedule.Event{P: int(r.nodes[j].p), Crash: r.nodes[j].crash}
 	}
 	return out
 }
@@ -339,7 +270,9 @@ func Check(pr Protocol, opts CheckOpts) (*Result, error) {
 type walkState struct {
 	r        *Result
 	validity func(int) bool
-	inputs   []int
+	// inputBits has bit v set when some process's input is v (inputs
+	// are 0 or 1).
+	inputBits uint8
 	// seen[k] dedups violations per kind (0 agreement, 1 validity,
 	// 2 wait-freedom): the checker records the first witness of each.
 	seen [3]bool
@@ -352,171 +285,141 @@ const (
 )
 
 // valid applies the walk's validity predicate; the consensus default —
-// a decided value must equal some process's input — is evaluated
-// directly against the input vector, with no closure.
+// a decided value must equal some process's input — is one bit test, with
+// no closure.
 func (w *walkState) valid(d int) bool {
 	if w.validity != nil {
 		return w.validity(d)
 	}
-	for _, in := range w.inputs {
-		if d == in {
-			return true
-		}
-	}
-	return false
+	return uint(d) < 2 && w.inputBits>>d&1 != 0
 }
 
 var kindNames = [3]string{"agreement", "validity", "wait-freedom"}
 
-func (w *walkState) report(kind int, nd *node, detail string) {
+func (w *walkState) report(kind int, i int32, detail string) {
 	if w.seen[kind] {
 		return
 	}
 	w.seen[kind] = true
 	w.r.Violations = append(w.r.Violations, &Violation{
-		Kind: kindNames[kind], Trace: nd.trace(), Config: w.r.NodeConfig(nd), Detail: detail,
+		Kind: kindNames[kind], Trace: w.r.trace(i), Config: w.r.NodeConfig(&w.r.nodes[i]), Detail: detail,
 	})
 }
 
 // checkSafety verifies agreement and validity over the path's output
-// history (parentOuts) extended by the decisions visible in nd's
+// history (parentOuts) extended by the decisions visible in node i's
 // configuration, read from the node's precomputed decision vector and
-// output history.
+// output history. A violation's detail is formatted only for the first
+// witness of its kind, the one report keeps.
 // Outputs persist across crashes: a process that decided, crashed and
 // re-decided a different value is an agreement violation with its own
 // earlier output.
-func (w *walkState) checkSafety(nd *node, parentOuts []int8) {
+func (w *walkState) checkSafety(i int32, parentOuts []int8) {
+	gn := w.r.nodes[i].gn
 	n := len(parentOuts)
 	for p := 0; p < n; p++ {
-		if v := nd.gn.decided[p]; v >= 0 {
-			if prev := parentOuts[p]; prev >= 0 && prev != v {
-				w.report(kindAgreement, nd, fmt.Sprintf(
+		if v := gn.decided[p]; v >= 0 {
+			if prev := parentOuts[p]; prev >= 0 && prev != v && !w.seen[kindAgreement] {
+				w.report(kindAgreement, i, fmt.Sprintf(
 					"p%d output %d, crashed, and re-decided %d", p, prev, v))
 			}
 		}
 	}
 	first, firstP := -1, -1
 	for p := 0; p < n; p++ {
-		v := nd.gn.outs[p]
+		v := gn.outs[p]
 		if v < 0 {
 			continue
 		}
-		if !w.valid(int(v)) {
-			w.report(kindValidity, nd, fmt.Sprintf(
+		if !w.valid(int(v)) && !w.seen[kindValidity] {
+			w.report(kindValidity, i, fmt.Sprintf(
 				"p%d decided %d, not an input of any process", p, v))
 		}
 		if first == -1 {
 			first, firstP = int(v), p
-		} else if int(v) != first {
-			w.report(kindAgreement, nd, fmt.Sprintf(
+		} else if int(v) != first && !w.seen[kindAgreement] {
+			w.report(kindAgreement, i, fmt.Sprintf(
 				"p%d decided %d but p%d decided %d", firstP, first, p, v))
 		}
 	}
 }
 
-// sweepFrame is one liveness-DFS stack frame.
-type sweepFrame struct {
-	nd  *node
-	idx int
-}
-
-// sweepScratch is the pooled liveness-DFS working set: per-node colors
-// (indexed by node.ord) and the explicit DFS stack. Pooled on the graph
-// (Graph.postSweep) because, unlike the Result, it dies with the Check
-// call.
-type sweepScratch struct {
-	color []uint8
-	stack []sweepFrame
-}
-
-func (g *Graph) getSweep(n int) *sweepScratch {
-	sc, _ := g.postSweep.Get().(*sweepScratch)
-	if sc == nil {
-		sc = &sweepScratch{}
-	}
-	if cap(sc.color) < n {
-		sc.color = make([]uint8, n)
-	} else {
-		sc.color = sc.color[:n]
-		clear(sc.color)
-	}
-	return sc
-}
-
-func (g *Graph) putSweep(sc *sweepScratch) {
-	// Drop the stack's node pointers so pooling never retains a finished
-	// walk's Result.
-	clear(sc.stack[:cap(sc.stack)])
-	sc.stack = sc.stack[:0]
-	g.postSweep.Put(sc)
-}
+// sweepFrame is one liveness-DFS stack frame: a node and the position of
+// its next unvisited step successor in Result.edges.
+type sweepFrame struct{ nd, e int32 }
 
 // checkLiveness detects recoverable wait-freedom violations: a cycle in
 // the step-successor graph means the adversary can schedule some process to
 // take infinitely many steps without crashing and without deciding (crash
 // edges strictly consume quota, so no cycle contains a crash). Start nodes
 // are swept in BFS discovery order, so the reported witness is
-// deterministic for a given exploration.
+// deterministic for a given exploration. The DFS colors live in the nodes
+// and the stack starts in a fixed array, so the sweep allocates only when
+// a path runs deeper than that array.
 func (r *Result) checkLiveness(w *walkState) {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	sc := r.g.getSweep(r.count)
-	defer r.g.putSweep(sc)
-	color := sc.color
+	nodes := r.nodes
 	// Iterative DFS to avoid deep recursion on long chains.
-	stack := sc.stack[:0]
-	for _, start := range r.order {
-		if color[start.ord] != white {
+	var buf [64]sweepFrame
+	stack := buf[:0]
+	for start := range nodes {
+		if nodes[start].color != white {
 			continue
 		}
-		stack = append(stack[:0], sweepFrame{nd: start})
-		color[start.ord] = gray
+		stack = append(stack[:0], sweepFrame{nd: int32(start), e: nodes[start].lo})
+		nodes[start].color = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.idx < len(f.nd.succ) {
-				child := f.nd.succ[f.idx]
-				f.idx++
-				switch color[child.ord] {
+			if f.e < nodes[f.nd].hi {
+				child := r.edges[f.e]
+				f.e++
+				switch nodes[child].color {
 				case white:
-					color[child.ord] = gray
-					stack = append(stack, sweepFrame{nd: child})
+					nodes[child].color = gray
+					stack = append(stack, sweepFrame{nd: child, e: nodes[child].lo})
 				case gray:
-					sc.stack = stack
 					w.report(kindWaitFreedom, child, fmt.Sprintf(
 						"cycle of crash-free steps through %s: some process runs forever without deciding",
-						r.NodeConfig(child)))
+						r.NodeConfig(&nodes[child])))
 					return
 				}
 				continue
 			}
-			color[f.nd.ord] = black
+			nodes[f.nd].color = black
 			stack = stack[:len(stack)-1]
 		}
 	}
-	sc.stack = stack
 }
 
 // ReachableDecisions returns the set of values decided in configurations
-// reachable from the node identified by applying sigma to the initial
-// configuration (respecting remaining crash quota), as a sorted slice.
-// It is the engine behind valency computations.
+// reachable from start within the explored (crash-budgeted) graph, as a
+// map from decided value to true (empty for nil or another Result's
+// node). It is the engine behind valency computations.
 func (r *Result) ReachableDecisions(start *node) map[int]bool {
 	mc := r.g.m
 	out := make(map[int]bool)
-	seen := map[*node]bool{start: true}
-	stack := []*node{start}
+	i := r.indexOf(start)
+	if i < 0 {
+		return out
+	}
+	seen := make([]bool, len(r.nodes))
+	seen[i] = true
+	stack := []int32{i}
+	var succ []int32
 	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for p := 0; p < mc.n; p++ {
-			if t := mc.state(nd.gn.words, p); t.decided {
+			if t := mc.state(r.nodes[i].gn.words, p); t.decided {
 				out[t.decision] = true
 			}
 		}
-		for _, child := range r.allSucc(nd) {
+		succ = r.succs(i, succ[:0])
+		for _, child := range succ {
 			if !seen[child] {
 				seen[child] = true
 				stack = append(stack, child)
@@ -526,25 +429,27 @@ func (r *Result) ReachableDecisions(start *node) map[int]bool {
 	return out
 }
 
-// allSucc returns step and crash successors of nd that exist in the
-// explored graph. Visited nodes were expanded during the walk, so the
-// canonical crash successors are read lock-free off the graph node — no
-// table lookup, no shared-graph mutex in the valency and liveness
-// sweeps. Nodes left unexpanded by a truncated walk fall back to the
-// locked lookup of each crash successor's words (FindCritical refuses
-// truncated results anyway).
-func (r *Result) allSucc(nd *node) []*node {
-	out := append([]*node(nil), nd.succ...)
+// succs appends node i's successors in the walk to buf: its step
+// successors, then the crash successors the walk reached. Visited nodes
+// were expanded during the walk, so the canonical crash successors are
+// read lock-free off the graph node — no table lookup, no shared-graph
+// mutex in the valency and critical-search sweeps. Nodes left unexpanded
+// by a truncated walk fall back to the locked lookup of each crash
+// successor's words (FindCritical refuses truncated results anyway).
+func (r *Result) succs(i int32, buf []int32) []int32 {
+	nd := &r.nodes[i]
+	buf = append(buf, r.edges[nd.lo:nd.hi]...)
+	base := r.usedOf(i)
 	if nd.gn.done.Load() {
 		for p, cg := range nd.gn.crashSucc {
 			if cg == nil {
 				continue
 			}
-			if child := r.lookupPlus(cg, nd.used, p); child != nil {
-				out = append(out, child)
+			if child := r.lookup(cg, base, p); child >= 0 {
+				buf = append(buf, child)
 			}
 		}
-		return out
+		return buf
 	}
 	g := r.g
 	sp := g.getScratch()
@@ -553,11 +458,11 @@ func (r *Result) allSucc(nd *node) []*node {
 	for p := 0; p < g.m.n; p++ {
 		copy(w, nd.gn.words)
 		g.m.crash(w, p, g.inputs[p])
-		if child := r.lookupPlus(g.find(w), nd.used, p); child != nil {
-			out = append(out, child)
+		if child := r.lookup(g.find(w), base, p); child >= 0 {
+			buf = append(buf, child)
 		}
 	}
-	return out
+	return buf
 }
 
 // Node looks up the explored node reached by a schedule from the initial
@@ -573,11 +478,29 @@ func (r *Result) Node(sigma schedule.Schedule) *node {
 	sp := g.getScratch()
 	defer g.scratch.Put(sp)
 	g.replay(*sp, sigma)
-	return r.lookup(g.find(*sp), used)
+	if i := r.lookup(g.find(*sp), used, -1); i >= 0 {
+		return &r.nodes[i]
+	}
+	return nil
+}
+
+// indexOf returns the index of a node handle (from Node or InitNode),
+// found on its graph node's twin chain, or -1 for nil or a handle from
+// another Result.
+func (r *Result) indexOf(nd *node) int32 {
+	if nd == nil {
+		return -1
+	}
+	for ref := *r.slot(nd.gn); ref != 0; ref = r.nodes[ref-1].twin {
+		if &r.nodes[ref-1] == nd {
+			return ref - 1
+		}
+	}
+	return -1
 }
 
 // InitNode returns the initial node of the exploration.
-func (r *Result) InitNode() *node { return r.init }
+func (r *Result) InitNode() *node { return &r.nodes[0] }
 
 // NodeConfig decodes an explored node's configuration (for violations,
 // tests and reports).

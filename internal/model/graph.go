@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -66,13 +67,9 @@ type Graph struct {
 	// parent history of every walk root's safety check.
 	negOuts []int8
 
-	// scratch pools per-expansion packing buffers, frontier pools
-	// per-walk BFS queues, and postSweep pools the
-	// liveness DFS's color/stack scratch, so steady-state walks over a
-	// warm graph allocate only their own Result structures.
-	scratch   sync.Pool
-	frontier  sync.Pool
-	postSweep sync.Pool
+	// scratch pools the packing buffers of expansions, root replays and
+	// post-exploration lookups.
+	scratch sync.Pool
 
 	interned atomic.Uint64
 	expanded atomic.Uint64
@@ -126,7 +123,7 @@ func (s GraphStats) Sub(prev GraphStats) GraphStats {
 // the sync.Once and published by the done flag.
 type gnode struct {
 	// words is the packed fixed-width identity (see machine) and hash
-	// its mix — both the graph's intern index key and the walk overlay's
+	// its mix — both the graph's intern index key and the walk index's
 	// probe hash, computed exactly once per canonical node.
 	words []uint64
 	hash  uint64
@@ -365,31 +362,14 @@ func (g *Graph) buildRoot(startTrace schedule.Schedule) *gnode {
 	return g.intern(*sp)
 }
 
-// getFrontier returns a pooled, empty BFS queue buffer.
-func (g *Graph) getFrontier() *[]*node {
-	if v := g.frontier.Get(); v != nil {
-		return v.(*[]*node)
-	}
-	buf := make([]*node, 0, 1024)
-	return &buf
-}
-
-// putFrontier clears and returns a queue buffer to the pool. Clearing
-// drops the walk's node pointers so pooling never retains a finished
-// walk's Result.
-func (g *Graph) putFrontier(buf *[]*node) {
-	q := *buf
-	clear(q)
-	*buf = q[:0]
-	g.frontier.Put(buf)
-}
-
 // Check explores the graph under the given options and verifies
 // agreement, validity and recoverable wait-freedom, sharing every node
 // expansion with concurrent and past walks. opts.Inputs must equal the
-// graph's inputs. The walk's own structures — crash-usage overlays,
+// graph's inputs. The walk's own structures — crash-usage vectors,
 // discovery parents, BFS order, violation traces, node counts — are
-// private to the call, so the returned Result is identical to a serial
+// private to the call and live in the returned Result, in a few flat
+// slices addressed by int32 index (a warm walk allocates a handful of
+// blocks, none per node), and the Result is identical to a serial
 // model.Check of the same options.
 func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 	n := g.m.n
@@ -410,21 +390,32 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		maxNodes = 2_000_000
 	}
 
-	// Pre-size the walk index from the graph's canonical node count: on a
-	// warm graph it is the exact bucket bound, on a cold one a harmless
-	// underestimate.
-	hint := int(g.interned.Load())
-	if hint > maxNodes {
-		hint = maxNodes
+	// Walk nodes, edges and crash-usage offsets are int32 indices; a walk
+	// that fits in memory never comes near the cap this puts on MaxNodes.
+	maxNodes = min(maxNodes, math.MaxInt32/(2*(n+1)))
+
+	// Pre-size the walk from the graph's canonical node count: on a warm
+	// graph it bounds the index's slot count exactly and a crash-free
+	// walk's node count, on a cold one it is a harmless underestimate
+	// that the slices grow past.
+	hint := min(int(g.interned.Load()), maxNodes) + 1
+	r := &Result{
+		g:     g,
+		nodes: make([]node, 0, hint),
+		edges: make([]int32, 0, n*hint),
+		index: make([]int32, indexCap(hint)),
 	}
-	r := &Result{g: g, arenaHint: hint + 1}
-	r.nodes.init(hint + 1)
-	r.order = make([]*node, 0, hint+1)
-	w := walkState{r: r, validity: opts.Validity, inputs: opts.Inputs}
-	rootG := g.root(opts.StartTrace)
-	r.init = r.newNode()
-	*r.init = node{used: r.newUsed(n), gn: rootG}
-	r.add(r.init)
+	if quota == nil {
+		r.used = make([]int, n)
+	} else {
+		r.used = make([]int, n, n*hint)
+	}
+	w := walkState{r: r, validity: opts.Validity}
+	for _, in := range opts.Inputs {
+		w.inputBits |= 1 << in
+	}
+	root := g.root(opts.StartTrace)
+	r.add(r.slot(root), node{gn: root, parent: -1})
 
 	var done <-chan struct{}
 	if opts.Ctx != nil {
@@ -438,74 +429,69 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 	// each backed by its canonical (configuration, output-history) graph
 	// node plus this walk's crash-usage vector. The loop mirrors the
 	// original serial exploration exactly; only the successor
-	// computations are delegated to the shared graph. The queue buffer is
-	// pooled; popping advances a head index so the backing array is
-	// reused instead of reallocated walk after walk.
-	fbuf := g.getFrontier()
-	queue := (*fbuf)[:0]
-	defer func() { *fbuf = queue; g.putFrontier(fbuf) }()
-	queue = append(queue, r.init)
-	head := 0
-	w.checkSafety(r.init, g.negOuts)
-	visited := 0
-	for head < len(queue) && r.count <= maxNodes {
-		if visited++; done != nil && visited%1024 == 0 {
+	// computations are delegated to the shared graph. r.nodes is the
+	// queue: head indexes the node being expanded, and children are
+	// appended behind it.
+	w.checkSafety(0, g.negOuts)
+	for head := int32(0); int(head) < len(r.nodes) && len(r.nodes) <= maxNodes; head++ {
+		if done != nil && (head+1)%1024 == 0 {
 			select {
 			case <-done:
 				return nil, opts.Ctx.Err()
 			default:
 			}
 		}
-		nd := queue[head]
-		head++
-		g.ensure(nd.gn)
+		// Appending children may move r.nodes and r.used: keep the
+		// parent's fields, not a pointer to it. base still reads the
+		// parent's vector after a move, since vectors never change once
+		// appended.
+		gn, used, base := r.nodes[head].gn, r.nodes[head].used, r.usedOf(head)
+		g.ensure(gn)
 
 		// Step successors (decided processes take no-op steps, which
 		// cannot reach new configurations — nil in the expansion).
-		// Step children inherit the parent's crash-usage vector (shared,
-		// read-only).
-		for p, cg := range nd.gn.stepSucc {
+		// Step children share the parent's crash-usage vector.
+		lo := int32(len(r.edges))
+		for p, cg := range gn.stepSucc {
 			if cg == nil {
 				continue
 			}
-			child := r.lookup(cg, nd.used)
-			if child == nil {
-				child = r.newNode()
-				*child = node{used: nd.used, parent: nd, via: schedule.Step(p), gn: cg}
-				r.add(child)
-				w.checkSafety(child, nd.gn.outs)
-				queue = append(queue, child)
+			s := r.slot(cg)
+			child := r.twin(*s, base, -1)
+			if child < 0 {
+				child = r.add(s, node{gn: cg, parent: head, p: int32(p), used: used})
+				w.checkSafety(child, gn.outs)
 			}
-			nd.succ = append(nd.succ, child)
+			r.edges = append(r.edges, child)
 		}
+		r.nodes[head].lo, r.nodes[head].hi = lo, int32(len(r.edges))
 
 		// Crash successors: quota is this walk's overlay on the shared
 		// structure; the initial-state skip is baked into the expansion.
 		// The usage vector is only materialized when the child is new.
 		for p := 0; p < len(quota); p++ {
-			if nd.used[p] >= quota[p] {
+			if base[p] >= quota[p] {
 				continue
 			}
-			cg := nd.gn.crashSucc[p]
+			cg := gn.crashSucc[p]
 			if cg == nil {
 				continue
 			}
-			if r.lookupPlus(cg, nd.used, p) == nil {
-				used := r.newUsed(n)
-				copy(used, nd.used)
-				used[p]++
-				child := r.newNode()
-				*child = node{used: used, parent: nd, via: schedule.Crash(p), gn: cg}
-				r.add(child)
-				w.checkSafety(child, nd.gn.outs)
-				queue = append(queue, child)
+			s := r.slot(cg)
+			if r.twin(*s, base, p) >= 0 {
+				continue
 			}
+			off := int32(len(r.used))
+			r.used = append(r.used, base...)
+			r.used[int(off)+p]++
+			child := r.add(s, node{gn: cg, parent: head, p: int32(p), crash: true, used: off})
+			w.checkSafety(child, gn.outs)
 		}
 	}
-	if r.count > maxNodes {
+	if len(r.nodes) > maxNodes {
 		r.Truncated = true
 	}
-	r.Nodes = r.count
+	r.Nodes = len(r.nodes)
 
 	if !opts.SkipLiveness && !r.Truncated {
 		r.checkLiveness(&w)

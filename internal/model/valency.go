@@ -16,35 +16,52 @@ const (
 )
 
 // valency computes, for every explored node, the set of binary decisions
-// reachable from it, by backward closure from deciding nodes. The
-// computation is cycle-safe and linear in the size of the explored graph.
-func (r *Result) valency() map[*node]int {
+// reachable from it, by backward closure from deciding nodes over
+// predecessor lists in compressed form (preds[start[i]:start[i+1]] are
+// node i's predecessors). The computation is cycle-safe and linear in
+// the size of the explored graph.
+func (r *Result) valency() []uint8 {
 	if r.valences != nil {
 		return r.valences
 	}
-	preds := make(map[*node][]*node, r.count)
-	var deciding [2][]*node
-	for _, nd := range r.order {
-		for _, s := range r.allSucc(nd) {
-			preds[s] = append(preds[s], nd)
-		}
-		for _, v := range nd.gn.decided {
-			if v == 0 || v == 1 {
-				deciding[v] = append(deciding[v], nd)
-			}
+	n := len(r.nodes)
+	start := make([]int32, n+1)
+	var succ []int32
+	for i := range r.nodes {
+		succ = r.succs(int32(i), succ[:0])
+		for _, s := range succ {
+			start[s+1]++
 		}
 	}
-	val := make(map[*node]int, r.count)
-	for v := 0; v <= 1; v++ {
-		bit := 1 << uint(v)
-		queue := append([]*node(nil), deciding[v]...)
-		for _, nd := range queue {
-			val[nd] |= bit
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	preds := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for i := range r.nodes {
+		succ = r.succs(int32(i), succ[:0])
+		for _, s := range succ {
+			preds[fill[s]] = int32(i)
+			fill[s]++
 		}
-		for len(queue) > 0 {
-			nd := queue[0]
-			queue = queue[1:]
-			for _, p := range preds[nd] {
+	}
+	val := make([]uint8, n)
+	var queue []int32
+	for v := int8(0); v <= 1; v++ {
+		bit := uint8(1) << v
+		queue = queue[:0]
+		for i := range r.nodes {
+			for _, d := range r.nodes[i].gn.decided {
+				if d == v {
+					val[i] |= bit
+					queue = append(queue, int32(i))
+					break
+				}
+			}
+		}
+		for head := 0; head < len(queue); head++ {
+			nd := queue[head]
+			for _, p := range preds[start[nd]:start[nd+1]] {
 				if val[p]&bit == 0 {
 					val[p] |= bit
 					queue = append(queue, p)
@@ -61,7 +78,11 @@ func (r *Result) valency() map[*node]int {
 // are decidable, Valence0/Valence1 if univalent, ValenceNone if no
 // decision is reachable (only possible for truncated or broken protocols).
 func (r *Result) Valence(nd *node) int {
-	return r.valency()[nd]
+	i := r.indexOf(nd)
+	if i < 0 {
+		return ValenceNone
+	}
+	return int(r.valency()[i])
 }
 
 // CriticalInfo describes a critical execution found by FindCritical and
@@ -102,16 +123,17 @@ func FindCritical(r *Result) (*CriticalInfo, error) {
 		return nil, fmt.Errorf("model: exploration truncated; criticality would be unsound")
 	}
 	val := r.valency()
-	if val[r.init]&Bivalent != Bivalent {
+	if val[0]&Bivalent != Bivalent {
 		return nil, fmt.Errorf("%w: initial configuration is not bivalent", ErrNoCritical)
 	}
 	// BFS through bivalent nodes.
-	seen := map[*node]bool{r.init: true}
-	queue := []*node{r.init}
-	for len(queue) > 0 {
-		nd := queue[0]
-		queue = queue[1:]
-		succ := r.allSucc(nd)
+	seen := make([]bool, len(r.nodes))
+	seen[0] = true
+	queue := []int32{0}
+	var succ []int32
+	for head := 0; head < len(queue); head++ {
+		nd := queue[head]
+		succ = r.succs(nd, succ[:0])
 		anyBivalent := false
 		for _, s := range succ {
 			if val[s]&Bivalent == Bivalent {
@@ -130,14 +152,15 @@ func FindCritical(r *Result) (*CriticalInfo, error) {
 }
 
 // classify computes Lemma 9 (same object), the team structure and the
-// Observation 11 classification for a critical node.
-func (r *Result) classify(nd *node) (*CriticalInfo, error) {
+// Observation 11 classification for critical node i.
+func (r *Result) classify(i int32) (*CriticalInfo, error) {
 	mc := r.g.m
 	n := mc.n
 	val := r.valency()
+	nd := &r.nodes[i]
 
 	info := &CriticalInfo{
-		Trace:  nd.trace(),
+		Trace:  r.trace(i),
 		Config: r.NodeConfig(nd),
 		Teams:  make([]int, n),
 		U:      [2]map[spec.Value]bool{make(map[spec.Value]bool), make(map[spec.Value]bool)},
@@ -169,11 +192,11 @@ func (r *Result) classify(nd *node) (*CriticalInfo, error) {
 	// the node's expansion carries exactly one step successor per
 	// process — read canonically instead of recomputing the transition.
 	for p, cg := range nd.gn.stepSucc {
-		cn := r.lookup(cg, nd.used)
-		if cn == nil {
+		cn := r.lookup(cg, r.usedOf(i), -1)
+		if cn < 0 {
 			return nil, fmt.Errorf("model: internal error — step successor of critical node not explored")
 		}
-		switch val[cn] {
+		switch int(val[cn]) {
 		case Valence0:
 			info.Teams[p] = 0
 		case Valence1:

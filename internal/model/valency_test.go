@@ -20,6 +20,45 @@ func TestBivalentInitialConfiguration(t *testing.T) {
 	}
 }
 
+// TestNodeHandlesBelongToTheirResult pins node-handle identity: a handle
+// from Node or InitNode addresses its own Result's walk, so another
+// Result — even of the same graph and options — answers ValenceNone and
+// reaches no decisions from it, and a nil handle behaves the same.
+func TestNodeHandlesBelongToTheirResult(t *testing.T) {
+	pr := proto.NewCASWaitFree(2)
+	g, err := model.NewGraph(pr, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := model.CheckOpts{Inputs: []int{0, 1}}
+	a, err := g.Check(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := g.Check(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := b.Valence(b.InitNode()); v != model.Bivalent {
+		t.Fatalf("own initial valence = %d, want bivalent", v)
+	}
+	if len(b.ReachableDecisions(b.InitNode())) != 2 {
+		t.Fatal("own initial node should reach both decisions")
+	}
+	if v := b.Valence(a.InitNode()); v != model.ValenceNone {
+		t.Errorf("another Result's node has valence %d, want ValenceNone", v)
+	}
+	if d := b.ReachableDecisions(a.InitNode()); len(d) != 0 {
+		t.Errorf("another Result's node reaches %v, want nothing", d)
+	}
+	if v := b.Valence(nil); v != model.ValenceNone {
+		t.Errorf("nil handle has valence %d, want ValenceNone", v)
+	}
+	if d := b.ReachableDecisions(nil); len(d) != 0 {
+		t.Errorf("nil handle reaches %v, want nothing", d)
+	}
+}
+
 // TestUnivalentInitialConfiguration: with equal inputs, validity forces
 // univalence.
 func TestUnivalentInitialConfiguration(t *testing.T) {

@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/protodef"
 )
 
 func TestCheckBatchEndpoint(t *testing.T) {
@@ -198,5 +203,94 @@ func TestBatchPerItemErrorPaths(t *testing.T) {
 	}
 	if resp.Results[2].Analysis == nil || resp.Results[2].Error != "" {
 		t.Fatalf("register:2 should analyze: %+v", resp.Results[2])
+	}
+}
+
+// TestNamedProtocolResolvedOnce pins the server's registry-descriptor
+// memo: a descriptor resolves to one protocol value, so the graph
+// cache's fingerprint memo serves every later request naming it instead
+// of recompiling and re-hashing a fresh value. The memo keeps at most
+// protodef.DefaultStoreLimit descriptors; past the bound, descriptors
+// still resolve, parsed per request.
+func TestNamedProtocolResolvedOnce(t *testing.T) {
+	s := New(Config{})
+	first, label, err := s.resolveProtocol("tnn-wf:3,2", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := s.resolveProtocol("tnn-wf:3,2", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != again || label != "tnn-wf:3,2" {
+		t.Fatalf("one descriptor resolved to two protocol values (label %q)", label)
+	}
+	if _, _, err := s.resolveProtocol("bogus", ""); err == nil {
+		t.Fatal("unknown descriptor resolved")
+	}
+	for procs := 1; procs <= protodef.DefaultStoreLimit+8; procs++ {
+		if _, _, err := s.resolveProtocol(fmt.Sprintf("cas-wf:%d", procs), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.named) != protodef.DefaultStoreLimit {
+		t.Fatalf("memo holds %d descriptors, want the bound %d", len(s.named), protodef.DefaultStoreLimit)
+	}
+	past := fmt.Sprintf("cas-wf:%d", protodef.DefaultStoreLimit+8)
+	p1, _, err := s.resolveProtocol(past, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, _, err := s.resolveProtocol(past, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 == p2 || p1.Procs() != protodef.DefaultStoreLimit+8 {
+		t.Fatalf("a descriptor past the bound was memoized or misparsed (procs %d)", p1.Procs())
+	}
+}
+
+// TestConcurrentNamedChecksIdentical runs by-name checks concurrently
+// through the shared descriptor and fingerprint memos (run it under
+// -race): every reply's results must be byte-identical to a serial
+// check's.
+func TestConcurrentNamedChecksIdentical(t *testing.T) {
+	body := `{"protocol": "tnn-wf:3,2", "requests": [
+		{"inputs": [0, 1, 1], "crashQuota": [1, 1, 1]},
+		{"inputs": [0, 1, 1]},
+		{"inputs": [1, 0, 0], "crashQuota": [0, 1, 1]}
+	]}`
+	results := func(s *Server) []byte {
+		code, reply := post(t, s, "/v1/check", body)
+		if code != http.StatusOK {
+			t.Errorf("check = %d %s", code, reply)
+			return nil
+		}
+		var resp CheckResponse
+		if err := json.Unmarshal(reply, &resp); err != nil {
+			t.Error(err)
+			return nil
+		}
+		out, err := json.Marshal(resp.Results)
+		if err != nil {
+			t.Error(err)
+		}
+		return out
+	}
+	want := results(New(Config{}))
+	s := New(Config{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := results(s); !bytes.Equal(got, want) {
+				t.Errorf("concurrent by-name check answered\n%s\nwant\n%s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(s.named) != 1 {
+		t.Fatalf("memo holds %d descriptors after one descriptor's checks, want 1", len(s.named))
 	}
 }

@@ -102,13 +102,38 @@ func (s *Server) resolveProtocol(name, fingerprint string) (model.Protocol, stri
 		}
 		return c, fingerprint, nil
 	case name != "":
-		p, err := registry.ParseProtocol(name)
+		p, err := s.namedProtocol(name)
 		if err != nil {
 			return nil, "", err
 		}
 		return p, name, nil
 	}
 	return nil, "", fmt.Errorf("protocol or protocolFingerprint required")
+}
+
+// namedProtocol resolves a registry descriptor to the one protocol value
+// the server keeps for it (see Server.named).
+func (s *Server) namedProtocol(name string) (model.Protocol, error) {
+	s.namedMu.Lock()
+	p, ok := s.named[name]
+	s.namedMu.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := registry.ParseProtocol(name)
+	if err != nil {
+		return nil, err
+	}
+	s.namedMu.Lock()
+	defer s.namedMu.Unlock()
+	if kept, ok := s.named[name]; ok {
+		// A concurrent request resolved the descriptor first: share its value.
+		return kept, nil
+	}
+	if len(s.named) < protodef.DefaultStoreLimit {
+		s.named[name] = p
+	}
+	return p, nil
 }
 
 // resolveAnalyzeType resolves the type of an analyze request: a registry

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/discern"
 	"repro/internal/engine"
 	"repro/internal/jobs"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/protodef"
 	"repro/internal/record"
@@ -124,6 +126,14 @@ type Server struct {
 	// protocols is the fingerprint-keyed registry of user-submitted
 	// protocols (POST /v1/protocols).
 	protocols *protodef.Store
+	// named maps each registry descriptor a check resolved to its
+	// protocol value (guarded by namedMu), so every request naming the
+	// descriptor checks one value and the graph cache's fingerprint memo
+	// hits instead of recompiling it. It keeps at most
+	// protodef.DefaultStoreLimit descriptors; past that, a descriptor is
+	// parsed per request.
+	namedMu sync.Mutex
+	named   map[string]model.Protocol
 	// logger is Config.Logger or a nop logger, never nil.
 	logger *slog.Logger
 	// engMetrics collects engine-side latency histograms (graph
@@ -185,6 +195,7 @@ func New(cfg Config) *Server {
 		DefaultTimeout: cfg.JobTimeout,
 	})
 	s.protocols = protodef.NewStore(0)
+	s.named = make(map[string]model.Protocol)
 	s.logger = cfg.Logger
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
