@@ -3,7 +3,10 @@ package repro
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/record"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/types"
 	"repro/internal/universal"
@@ -648,6 +652,29 @@ func BenchmarkEngineAnalyzeCached(b *testing.B) {
 		if _, err := eng.Analyze(types.Tnn(5, 2)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServeAnalyzeCached measures a /v1/analyze through the HTTP
+// handler whose every level is in the decision cache — the reply a
+// restarted server serves from its journal. It runs the whole request:
+// decode, descriptor parse, cached levels and reply encoding. The
+// product is the bench type pool's heaviest parse.
+func BenchmarkServeAnalyzeCached(b *testing.B) {
+	s := serve.New(serve.Config{Parallelism: 2})
+	body := `{"type":"product:faa:6,counter:6"}`
+	analyze := func(b *testing.B) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("analyze = %d %s", rec.Code, rec.Body)
+		}
+	}
+	analyze(b) // prime the decision cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyze(b)
 	}
 }
 

@@ -107,6 +107,19 @@ func (c *Cache) do(ctx context.Context, k propKey, compute func() (propResult, e
 	}
 }
 
+// lookup returns the memoized result for k and counts a hit. A key that
+// is absent or still being computed is reported as not found and counted
+// nowhere: its caller goes through do, which counts it.
+func (c *Cache) lookup(k propKey) (propResult, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.m[k]
+	if ok {
+		c.hits++
+	}
+	return r, ok
+}
+
 // Stats reports the cumulative hit/miss counts and the number of distinct
 // memoized decisions.
 func (c *Cache) Stats() (hits, misses uint64, entries int) {

@@ -21,9 +21,12 @@
 // Analyze calls — interleave freely on the pool. A Cache may back any
 // number of engines at once (WithCache); its singleflight layer
 // guarantees concurrent identical level checks run the underlying
-// decider exactly once. Progress consumers are invoked under an
-// engine-held mutex, so one emission at a time; the consumer must not
-// call back into the engine.
+// decider exactly once. Levels already memoized in the cache are
+// answered on the calling goroutine, each with its "level.done" event
+// (Cached set); only the misses reach the pool, so an analysis whose
+// every level hits starts no worker. Progress consumers are invoked
+// under an engine-held mutex, so one emission at a time; the consumer
+// must not call back into the engine.
 //
 // # The exploration-graph cache
 //

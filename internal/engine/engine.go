@@ -286,6 +286,9 @@ func (e *Engine) shardProgress(j levelJob) func(discern.ShardReport) {
 	}
 }
 
+// key is the job's decision-cache key.
+func (j levelJob) key() propKey { return propKey{fp: j.fp, prop: j.prop, n: j.n} }
+
 // run decides the job with the bitset decider, consulting and feeding
 // the cache. Level checks whose assignment space is large enough — and
 // for which workers are idle — are sharded across the pool (see
@@ -294,8 +297,7 @@ func (e *Engine) run(j levelJob) error {
 	start := time.Now()
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	key := propKey{fp: j.fp, prop: j.prop, n: j.n}
-	res, cached, err := e.cache.do(e.ctx, key, func() (propResult, error) {
+	res, cached, err := e.cache.do(e.ctx, j.key(), func() (propResult, error) {
 		var r propResult
 		var err error
 		shards := e.shardsFor(j.t, j.n)
@@ -314,10 +316,16 @@ func (e *Engine) run(j levelJob) error {
 	if err != nil {
 		return err
 	}
-	// Witnesses are served as deep copies: their Teams/Ops slices are
-	// exported, and the cached originals outlive any one call (the
-	// Default engine's cache is process-wide), so a caller mutating an
-	// Analysis must not corrupt later analyses.
+	e.deliver(j, res, cached, start)
+	return nil
+}
+
+// deliver writes a decided level into the job's analysis and emits its
+// "level.done" event. Witnesses are served as deep copies: their
+// Teams/Ops slices are exported, and the cached originals outlive any
+// one call (the Default engine's cache is process-wide), so a caller
+// mutating an Analysis must not corrupt later analyses.
+func (e *Engine) deliver(j levelJob, res propResult, cached bool, start time.Time) {
 	j.mu.Lock()
 	switch j.prop {
 	case Discerning:
@@ -334,23 +342,37 @@ func (e *Engine) run(j levelJob) error {
 	j.mu.Unlock()
 	e.emit(Event{Kind: "level.done", Type: j.t.Name(), Property: j.prop, N: j.n,
 		OK: res.ok, Cached: cached, Elapsed: time.Since(start)})
-	return nil
 }
 
-// runPool drains jobs through the shared worker pool, stopping early on
-// the first error or on engine-context cancellation (later jobs are
-// skipped, in-flight ones finish).
+// runPool answers the jobs whose levels are memoized on the calling
+// goroutine and drains the rest through the shared worker pool, stopping
+// early on the first error or on engine-context cancellation (later jobs
+// are skipped, in-flight ones finish). A level another call is computing
+// right now is not memoized yet: it goes to the pool and waits there, in
+// the cache's singleflight. jobs is reordered in place.
 func (e *Engine) runPool(jobs []levelJob) error {
+	misses := jobs[:0]
+	for _, j := range jobs {
+		start := time.Now()
+		if res, ok := e.cache.lookup(j.key()); ok {
+			e.deliver(j, res, true, start)
+			continue
+		}
+		misses = append(misses, j)
+	}
+	if len(misses) == 0 {
+		return nil
+	}
 	// Heaviest levels first: the pool's makespan is bounded by its
 	// largest job, so schedule high n (exponentially dominant) early.
-	sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].n > jobs[k].n })
+	sort.SliceStable(misses, func(i, k int) bool { return misses[i].n > misses[k].n })
 
-	fed, err := pool.Run(e.ctx, len(jobs), e.parallelism,
-		func(i int) error { return e.run(jobs[i]) })
+	fed, err := pool.Run(e.ctx, len(misses), e.parallelism,
+		func(i int) error { return e.run(misses[i]) })
 	if err != nil {
 		return err
 	}
-	if fed < len(jobs) {
+	if fed < len(misses) {
 		// Feeding stopped early, which only the context can cause when
 		// no job errored; the analysis maps are incomplete.
 		if cerr := e.ctx.Err(); cerr != nil {

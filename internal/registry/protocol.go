@@ -3,7 +3,6 @@ package registry
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/model"
@@ -128,13 +127,20 @@ func ProtocolHelp() string {
 	for _, e := range ProtocolEntries() {
 		fmt.Fprintf(&b, "  %-22s %s\n", e.Usage, e.Help)
 	}
+	fmt.Fprintf(&b, "  (descriptors: at most %d bytes, parameters at most %d)\n",
+		MaxDescriptorLen, MaxParam)
 	return b.String()
 }
 
 // ParseProtocol resolves a descriptor like "tnn-wf:3,2" or "cas-rec:3"
 // into a model-checkable consensus protocol. Unknown names error with
-// the list of valid descriptors.
+// the list of valid descriptors. Like Parse, it rejects descriptors
+// longer than MaxDescriptorLen and parameters above MaxParam before
+// building anything.
 func ParseProtocol(desc string) (model.Protocol, error) {
+	if err := checkLen("protocol", desc); err != nil {
+		return nil, err
+	}
 	desc = strings.TrimSpace(desc)
 	if desc == "" {
 		return nil, fmt.Errorf("empty protocol descriptor")
@@ -144,15 +150,9 @@ func ParseProtocol(desc string) (model.Protocol, error) {
 		if e.Name != name {
 			continue
 		}
-		var args []int
-		if hasArgs && rest != "" {
-			for _, part := range strings.Split(rest, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					return nil, fmt.Errorf("%s: bad parameter %q", name, part)
-				}
-				args = append(args, v)
-			}
+		args, err := parseArgs(name, rest, hasArgs)
+		if err != nil {
+			return nil, err
 		}
 		if len(args) < e.MinArgs || len(args) > e.MaxArgs {
 			return nil, fmt.Errorf("%s: want %d..%d parameters, got %d (usage: %s)",

@@ -226,12 +226,34 @@ func Help() string {
 		fmt.Fprintf(&b, "  %-14s %s\n", e.Usage, e.Help)
 	}
 	b.WriteString("  product:A,B    independent pair of two registered types\n")
+	fmt.Fprintf(&b, "  (descriptors: at most %d bytes, parameters at most %d, products at most %d table cells)\n",
+		MaxDescriptorLen, MaxParam, MaxProductCells)
 	return b.String()
 }
 
+// Bounds on a descriptor, checked by Parse and ParseProtocol before
+// anything is built. Descriptors arrive from HTTP requests, so they are
+// untrusted input, and the cost of building a type or protocol grows
+// with its parameters.
+const (
+	// MaxDescriptorLen bounds a descriptor's length in bytes.
+	MaxDescriptorLen = 128
+	// MaxParam bounds every integer parameter of a descriptor.
+	MaxParam = 128
+	// MaxProductCells bounds the transition table of a product type,
+	// values × operations. A larger product is rejected before it is
+	// built.
+	MaxProductCells = 1 << 16
+)
+
 // Parse resolves a descriptor like "tnn:5,2", "tas" or
-// "product:tas,register:2" into a type.
+// "product:tas,register:2" into a type. Descriptors longer than
+// MaxDescriptorLen, parameters above MaxParam and products of more than
+// MaxProductCells table cells are rejected before any type is built.
 func Parse(desc string) (*spec.FiniteType, error) {
+	if err := checkLen("type", desc); err != nil {
+		return nil, err
+	}
 	desc = strings.TrimSpace(desc)
 	if desc == "" {
 		return nil, fmt.Errorf("empty type descriptor")
@@ -241,17 +263,9 @@ func Parse(desc string) (*spec.FiniteType, error) {
 		if !hasArgs {
 			return nil, fmt.Errorf("product needs two component descriptors: product:A,B")
 		}
-		left, right, err := splitProductArgs(rest)
+		a, b, err := splitProductArgs(rest)
 		if err != nil {
 			return nil, err
-		}
-		a, err := Parse(left)
-		if err != nil {
-			return nil, fmt.Errorf("product left component: %w", err)
-		}
-		b, err := Parse(right)
-		if err != nil {
-			return nil, fmt.Errorf("product right component: %w", err)
 		}
 		return types.Product(a, b), nil
 	}
@@ -259,15 +273,9 @@ func Parse(desc string) (*spec.FiniteType, error) {
 		if e.Name != name {
 			continue
 		}
-		var args []int
-		if hasArgs && rest != "" {
-			for _, part := range strings.Split(rest, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					return nil, fmt.Errorf("%s: bad parameter %q", name, part)
-				}
-				args = append(args, v)
-			}
+		args, err := parseArgs(name, rest, hasArgs)
+		if err != nil {
+			return nil, err
 		}
 		if len(args) < e.MinArgs || len(args) > e.MaxArgs {
 			return nil, fmt.Errorf("%s: want %d..%d parameters, got %d (usage: %s)",
@@ -278,27 +286,65 @@ func Parse(desc string) (*spec.FiniteType, error) {
 	return nil, fmt.Errorf("unknown type %q (valid names: %s)", name, strings.Join(Names(), ", "))
 }
 
+// checkLen rejects a descriptor longer than MaxDescriptorLen.
+func checkLen(kind, desc string) error {
+	if len(desc) > MaxDescriptorLen {
+		return fmt.Errorf("%s descriptor of %d bytes exceeds the maximum of %d", kind, len(desc), MaxDescriptorLen)
+	}
+	return nil
+}
+
+// parseArgs parses the comma-separated integer parameters of a
+// descriptor, rejecting any above MaxParam.
+func parseArgs(name, rest string, hasArgs bool) ([]int, error) {
+	var args []int
+	for more := hasArgs && rest != ""; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("%s: bad parameter %q", name, part)
+		}
+		if v > MaxParam {
+			return nil, fmt.Errorf("%s: parameter %d exceeds the maximum of %d", name, v, MaxParam)
+		}
+		args = append(args, v)
+	}
+	return args, nil
+}
+
 // splitProductArgs splits "A,B" at the top-level comma, where A and B may
-// themselves contain commas inside their own parameter lists. The split
-// point is the comma that leaves both sides parseable; the first comma
-// that follows a complete descriptor wins. A descriptor is complete when
-// its parameter count cannot grow (heuristic: try every comma position).
-func splitProductArgs(rest string) (string, string, error) {
-	idxs := []int{}
+// themselves contain commas inside their own parameter lists, and returns
+// the two component types. The split point is the first comma that
+// leaves both sides parseable (every comma position is tried in order);
+// when none does, the error of the last side tried is reported. A pair
+// whose product would exceed MaxProductCells is rejected here, before
+// the product is built.
+func splitProductArgs(rest string) (*spec.FiniteType, *spec.FiniteType, error) {
+	var last error
 	for i, c := range rest {
-		if c == ',' {
-			idxs = append(idxs, i)
-		}
-	}
-	for _, i := range idxs {
-		left, right := rest[:i], rest[i+1:]
-		if _, err := Parse(left); err != nil {
+		if c != ',' {
 			continue
 		}
-		if _, err := Parse(right); err != nil {
+		a, err := Parse(rest[:i])
+		if err != nil {
+			last = err
 			continue
 		}
-		return left, right, nil
+		b, err := Parse(rest[i+1:])
+		if err != nil {
+			last = err
+			continue
+		}
+		values, ops := a.NumValues()*b.NumValues(), a.NumOps()+b.NumOps()
+		if values*ops > MaxProductCells {
+			return nil, nil, fmt.Errorf("product: %d values × %d operations = %d table cells exceed the maximum of %d",
+				values, ops, values*ops, MaxProductCells)
+		}
+		return a, b, nil
 	}
-	return "", "", fmt.Errorf("cannot split product components in %q", rest)
+	if last != nil {
+		return nil, nil, fmt.Errorf("cannot split product components in %q: %w", rest, last)
+	}
+	return nil, nil, fmt.Errorf("cannot split product components in %q", rest)
 }

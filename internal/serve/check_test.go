@@ -228,15 +228,27 @@ func TestNamedProtocolResolvedOnce(t *testing.T) {
 	if _, _, err := s.resolveProtocol("bogus", ""); err == nil {
 		t.Fatal("unknown descriptor resolved")
 	}
-	for procs := 1; procs <= protodef.DefaultStoreLimit+8; procs++ {
-		if _, _, err := s.resolveProtocol(fmt.Sprintf("cas-wf:%d", procs), ""); err != nil {
+	// Distinct descriptors within registry.MaxParam: cas-wf, cas-rec
+	// and tnn-wf:3,1 at 1, 2, ... processes in turn.
+	var descs []string
+	procsOf := map[string]int{}
+	for procs := 1; len(descs) < protodef.DefaultStoreLimit+8; procs++ {
+		for _, format := range []string{"cas-wf:%d", "cas-rec:%d", "tnn-wf:3,1,%d"} {
+			desc := fmt.Sprintf(format, procs)
+			descs = append(descs, desc)
+			procsOf[desc] = procs
+		}
+	}
+	descs = descs[:protodef.DefaultStoreLimit+8]
+	for _, desc := range descs {
+		if _, _, err := s.resolveProtocol(desc, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(s.named) != protodef.DefaultStoreLimit {
 		t.Fatalf("memo holds %d descriptors, want the bound %d", len(s.named), protodef.DefaultStoreLimit)
 	}
-	past := fmt.Sprintf("cas-wf:%d", protodef.DefaultStoreLimit+8)
+	past := descs[len(descs)-1]
 	p1, _, err := s.resolveProtocol(past, "")
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +257,8 @@ func TestNamedProtocolResolvedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1 == p2 || p1.Procs() != protodef.DefaultStoreLimit+8 {
-		t.Fatalf("a descriptor past the bound was memoized or misparsed (procs %d)", p1.Procs())
+	if p1 == p2 || p1.Procs() != procsOf[past] {
+		t.Fatalf("a descriptor past the bound was memoized or misparsed (%s: procs %d)", past, p1.Procs())
 	}
 }
 
@@ -292,5 +304,38 @@ func TestConcurrentNamedChecksIdentical(t *testing.T) {
 	wg.Wait()
 	if len(s.named) != 1 {
 		t.Fatalf("memo holds %d descriptors after one descriptor's checks, want 1", len(s.named))
+	}
+}
+
+// TestOversizedDescriptorsAnswer400 pins the descriptor bounds at the
+// HTTP boundary: an oversized type or protocol descriptor is a 400
+// bad_request answered before anything is built, and a rejected
+// protocol leaves no entry in the server's descriptor memo.
+func TestOversizedDescriptorsAnswer400(t *testing.T) {
+	s := New(Config{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/analyze", `{"type":"faa:1000000"}`},
+		{"/v1/batch", `{"types":["faa:1000000"]}`},
+		{"/v1/check", `{"protocol":"tnn-wf:100000,1","requests":[{"inputs":[0,1]}]}`},
+		{"/v1/jobs", `{"kind":"check","check":{"protocol":"tnn-wf:100000,1","requests":[{"inputs":[0,1]}]}}`},
+	} {
+		code, body := post(t, s, c.path, c.body)
+		var er errorResponse
+		if c.path == "/v1/batch" {
+			// A batch answers 200 with the descriptor's error in its item.
+			var resp BatchResponse
+			if err := json.Unmarshal(body, &resp); err != nil || code != http.StatusOK ||
+				len(resp.Results) != 1 || !strings.Contains(resp.Results[0].Error, "maximum of 128") {
+				t.Errorf("POST %s %s = %d %s, want the bound in the item error", c.path, c.body, code, body)
+			}
+			continue
+		}
+		if err := json.Unmarshal(body, &er); err != nil || code != http.StatusBadRequest ||
+			er.Code != CodeBadRequest || !strings.Contains(er.Error, "maximum of 128") {
+			t.Errorf("POST %s %s = %d %s, want 400 %s naming the bound", c.path, c.body, code, body, CodeBadRequest)
+		}
+	}
+	if len(s.named) != 0 {
+		t.Fatalf("rejected descriptors left %d entries in the descriptor memo", len(s.named))
 	}
 }

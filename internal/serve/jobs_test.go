@@ -269,8 +269,9 @@ func TestJobQueueFullAnswers429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-queue submit = %d %s, want 429", code, body)
 	}
-	if !bytes.Contains(body, []byte(`"code": "`+CodeQueueFull+`"`)) {
-		t.Fatalf("429 body has no %s code: %s", CodeQueueFull, body)
+	var envelope errorResponse
+	if err := json.Unmarshal(body, &envelope); err != nil || envelope.Code != CodeQueueFull {
+		t.Fatalf("429 body has no %s code (%v): %s", CodeQueueFull, err, body)
 	}
 	st := srv.jobsMgr.Stats()
 	if st.Rejected != 1 || st.Queued != 1 || st.Running != 1 {

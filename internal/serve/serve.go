@@ -467,13 +467,12 @@ func codeForStatus(status int) string {
 	return CodeInternal
 }
 
-// writeJSON writes one JSON response body.
+// writeJSON writes one JSON response body, compact: whitespace is not
+// part of the wire contract (see APIRevision).
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	json.NewEncoder(w).Encode(body)
 }
 
 // fail answers with a coded JSON error and counts it; the code is

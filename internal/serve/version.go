@@ -26,6 +26,10 @@ import (
 //	    "search", "bitset" and "auto" (any other name still answers 400
 //	    invalid_argument), /v1/stats no longer reports "deciders" and
 //	    /metrics no longer exports reprod_decider_total.
+//
+// Replies are compact JSON. Servers up to early revision 3 indented
+// them; whitespace is not part of the wire contract, so dropping the
+// indentation bumped no revision.
 const APIRevision = 3
 
 // apiHeader is the response header carrying APIRevision on /v1 routes.

@@ -2,6 +2,8 @@ package spec
 
 import (
 	"fmt"
+	"maps"
+	"strings"
 )
 
 // Builder constructs FiniteType instances incrementally. A Builder is not
@@ -13,6 +15,10 @@ import (
 //	b.Transition("0", "TAS", 0, "1")
 //	...
 //	t, err := b.Build()
+//
+// Names are resolved to indices once, through the name→index maps;
+// transitions are stored by index, in one row per value with one cell
+// per operation, and Build copies the rows into the type's table.
 type Builder struct {
 	name       string
 	valueNames []string
@@ -20,25 +26,34 @@ type Builder struct {
 	opNames    []string
 	opIdx      map[string]Op
 	respNames  map[Response]string
-	// transitions[valueName][opName] = effect
-	transitions map[string]map[string]Effect
-	errs        []error
+	// rows holds the declared transitions row-major: the transition of
+	// value v under operation o is rows[v*width+o]. width is the
+	// operation count the rows were laid out for; declaring operations
+	// after transitions lays them out again.
+	rows  []cell
+	width int
+	errs  []error
 }
 
-// NewBuilder returns a Builder for a type with the given name.
+// cell is one slot of the builder's rows: an effect, and whether a
+// transition declared it.
+type cell struct {
+	Effect
+	set bool
+}
+
+// NewBuilder returns a Builder for a type with the given name. Its maps
+// are made on first use, sized by the first declaration.
 func NewBuilder(name string) *Builder {
-	return &Builder{
-		name:        name,
-		valueIdx:    make(map[string]Value),
-		opIdx:       make(map[string]Op),
-		respNames:   make(map[Response]string),
-		transitions: make(map[string]map[string]Effect),
-	}
+	return &Builder{name: name}
 }
 
 // Values declares the values of the type, in order. The first declared
 // value has index 0. Duplicate names are recorded as errors.
 func (b *Builder) Values(names ...string) *Builder {
+	if b.valueIdx == nil {
+		b.valueIdx = make(map[string]Value, len(names))
+	}
 	for _, n := range names {
 		if _, dup := b.valueIdx[n]; dup {
 			b.errs = append(b.errs, fmt.Errorf("duplicate value name %q", n))
@@ -52,6 +67,9 @@ func (b *Builder) Values(names ...string) *Builder {
 
 // Ops declares the operations of the type, in order.
 func (b *Builder) Ops(names ...string) *Builder {
+	if b.opIdx == nil {
+		b.opIdx = make(map[string]Op, len(names))
+	}
 	for _, n := range names {
 		if _, dup := b.opIdx[n]; dup {
 			b.errs = append(b.errs, fmt.Errorf("duplicate operation name %q", n))
@@ -66,6 +84,9 @@ func (b *Builder) Ops(names ...string) *Builder {
 // NameResponse attaches a human-readable name to a response code. Naming is
 // optional and affects only rendering.
 func (b *Builder) NameResponse(r Response, name string) *Builder {
+	if b.respNames == nil {
+		b.respNames = make(map[Response]string)
+	}
 	b.respNames[r] = name
 	return b
 }
@@ -75,30 +96,54 @@ func (b *Builder) NameResponse(r Response, name string) *Builder {
 // declared. Redefining a transition is recorded as an error, since the
 // specification must be deterministic.
 func (b *Builder) Transition(from, op string, resp Response, next string) *Builder {
-	if _, ok := b.valueIdx[from]; !ok {
+	v, ok := b.valueIdx[from]
+	if !ok {
 		b.errs = append(b.errs, fmt.Errorf("transition from undeclared value %q", from))
 		return b
 	}
-	if _, ok := b.valueIdx[next]; !ok {
+	n, ok := b.valueIdx[next]
+	if !ok {
 		b.errs = append(b.errs, fmt.Errorf("transition to undeclared value %q", next))
 		return b
 	}
-	if _, ok := b.opIdx[op]; !ok {
+	o, ok := b.opIdx[op]
+	if !ok {
 		b.errs = append(b.errs, fmt.Errorf("transition via undeclared operation %q", op))
 		return b
 	}
-	row, ok := b.transitions[from]
-	if !ok {
-		row = make(map[string]Effect)
-		b.transitions[from] = row
-	}
-	if _, dup := row[op]; dup {
-		b.errs = append(b.errs, fmt.Errorf(
-			"non-deterministic specification: transition (%q, %q) defined twice", from, op))
-		return b
-	}
-	row[op] = Effect{Resp: resp, Next: b.valueIdx[next]}
+	b.set(v, o, Effect{Resp: resp, Next: n})
 	return b
+}
+
+// set declares the transition of value v under operation o, recording a
+// redefinition as an error.
+func (b *Builder) set(v Value, o Op, e Effect) {
+	c := &b.layout()[int(v)*b.width+int(o)]
+	if c.set {
+		b.errs = append(b.errs, fmt.Errorf(
+			"non-deterministic specification: transition (%q, %q) defined twice",
+			b.valueNames[v], b.opNames[o]))
+		return
+	}
+	*c = cell{Effect: e, set: true}
+}
+
+// layout returns the rows, with one cell for every declared value and
+// operation.
+func (b *Builder) layout() []cell {
+	nv, no := len(b.valueNames), len(b.opNames)
+	if no != b.width && len(b.rows) > 0 {
+		rows := make([]cell, nv*no)
+		for v := 0; v < len(b.rows)/b.width; v++ {
+			copy(rows[v*no:], b.rows[v*b.width:(v+1)*b.width])
+		}
+		b.rows = rows
+	}
+	b.width = no
+	if len(b.rows) < nv*no {
+		b.rows = append(b.rows, make([]cell, nv*no-len(b.rows))...)
+	}
+	return b.rows
 }
 
 // ReadOp declares op to be a Read operation: for every value v it returns a
@@ -106,14 +151,29 @@ func (b *Builder) Transition(from, op string, resp Response, next string) *Build
 // and leaves the value unchanged. base lets callers keep Read responses
 // disjoint from other responses.
 func (b *Builder) ReadOp(op string, base Response) *Builder {
-	if _, ok := b.opIdx[op]; !ok {
+	o, ok := b.opIdx[op]
+	if !ok {
 		b.errs = append(b.errs, fmt.Errorf("ReadOp on undeclared operation %q", op))
 		return b
 	}
+	// Every read response's name is a slice of one string.
+	const prefix = "read:"
+	size := 0
+	for _, vn := range b.valueNames {
+		size += len(prefix) + len(vn)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for _, vn := range b.valueNames {
+		all.WriteString(prefix)
+		all.WriteString(vn)
+	}
+	names := all.String()
 	for i, vn := range b.valueNames {
 		r := base + Response(i)
-		b.NameResponse(r, "read:"+vn)
-		b.Transition(vn, op, r, vn)
+		b.NameResponse(r, names[:len(prefix)+len(vn)])
+		names = names[len(prefix)+len(vn):]
+		b.set(Value(i), o, Effect{Resp: r, Next: Value(i)})
 	}
 	return b
 }
@@ -126,35 +186,38 @@ func (b *Builder) Build() (*FiniteType, error) {
 		return nil, fmt.Errorf("type %q: %d specification error(s), first: %w",
 			b.name, len(b.errs), b.errs[0])
 	}
-	if len(b.valueNames) == 0 {
+	nv, no := len(b.valueNames), len(b.opNames)
+	if nv == 0 {
 		return nil, fmt.Errorf("type %q has no values", b.name)
 	}
-	if len(b.opNames) == 0 {
+	if no == 0 {
 		return nil, fmt.Errorf("type %q has no operations", b.name)
 	}
-	table := make([][]Effect, len(b.valueNames))
-	for v, vn := range b.valueNames {
-		table[v] = make([]Effect, len(b.opNames))
-		for o, on := range b.opNames {
-			e, ok := b.transitions[vn][on]
-			if !ok {
-				return nil, fmt.Errorf("type %q: missing transition (%q, %q)", b.name, vn, on)
+	rows := b.layout()
+	flat := make([]Effect, nv*no)
+	table := make([][]Effect, nv)
+	for v := range table {
+		row := flat[v*no : (v+1)*no : (v+1)*no]
+		for o := range row {
+			c := rows[v*no+o]
+			if !c.set {
+				return nil, fmt.Errorf("type %q: missing transition (%q, %q)",
+					b.name, b.valueNames[v], b.opNames[o])
 			}
-			table[v][o] = e
+			row[o] = c.Effect
 		}
+		table[v] = row
 	}
-	respNames := make(map[Response]string, len(b.respNames))
-	for k, v := range b.respNames {
-		respNames[k] = v
-	}
+	// The built type shares the builder's name slices: both only ever
+	// append, and the type's views end at today's length.
 	t := &FiniteType{
 		name:       b.name,
-		valueNames: append([]string(nil), b.valueNames...),
-		opNames:    append([]string(nil), b.opNames...),
-		respNames:  respNames,
+		valueNames: b.valueNames[:nv:nv],
+		opNames:    b.opNames[:no:no],
+		respNames:  maps.Clone(b.respNames),
 		table:      table,
 	}
-	for o := 0; o < t.NumOps(); o++ {
+	for o := 0; o < no; o++ {
 		if t.IsReadOp(Op(o)) {
 			t.readOps = append(t.readOps, Op(o))
 		}

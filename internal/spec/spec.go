@@ -115,16 +115,18 @@ func (t *FiniteType) ApplyAll(v Value, ops []Op) Value {
 // the response uniquely identifies v (distinct values yield distinct
 // responses).
 func (t *FiniteType) IsReadOp(o Op) bool {
+	// Values first: most operations fail here, before any allocation.
+	for v, row := range t.table {
+		if row[o].Next != Value(v) {
+			return false
+		}
+	}
 	seen := make(map[Response]bool, t.NumValues())
-	for v := 0; v < t.NumValues(); v++ {
-		e := t.table[v][o]
-		if e.Next != Value(v) {
+	for _, row := range t.table {
+		if seen[row[o].Resp] {
 			return false
 		}
-		if seen[e.Resp] {
-			return false
-		}
-		seen[e.Resp] = true
+		seen[row[o].Resp] = true
 	}
 	return true
 }

@@ -24,32 +24,36 @@ import (
 func Product(a, b *spec.FiniteType) *spec.FiniteType {
 	bld := spec.NewBuilder(fmt.Sprintf("product(%s,%s)", a.Name(), b.Name()))
 
-	name := func(va, vb int) string {
-		return "(" + a.ValueName(spec.Value(va)) + "," + b.ValueName(spec.Value(vb)) + ")"
-	}
-	for va := 0; va < a.NumValues(); va++ {
-		for vb := 0; vb < b.NumValues(); vb++ {
-			bld.Values(name(va, vb))
+	// Each product value and operation is named once; value (va, vb) is
+	// values[va*nb+vb], and b's operation o is ops[a.NumOps()+o].
+	na, nb := a.NumValues(), b.NumValues()
+	values := make([]string, 0, na*nb)
+	for va := 0; va < na; va++ {
+		for vb := 0; vb < nb; vb++ {
+			values = append(values, "("+a.ValueName(spec.Value(va))+","+b.ValueName(spec.Value(vb))+")")
 		}
 	}
+	ops := make([]string, 0, a.NumOps()+b.NumOps())
 	for o := 0; o < a.NumOps(); o++ {
-		bld.Ops("L." + a.OpName(spec.Op(o)))
+		ops = append(ops, "L."+a.OpName(spec.Op(o)))
 	}
 	for o := 0; o < b.NumOps(); o++ {
-		bld.Ops("R." + b.OpName(spec.Op(o)))
+		ops = append(ops, "R."+b.OpName(spec.Op(o)))
 	}
+	bld.Values(values...)
+	bld.Ops(ops...)
 
-	for va := 0; va < a.NumValues(); va++ {
-		for vb := 0; vb < b.NumValues(); vb++ {
-			from := name(va, vb)
+	for va := 0; va < na; va++ {
+		for vb := 0; vb < nb; vb++ {
+			from := values[va*nb+vb]
 			for o := 0; o < a.NumOps(); o++ {
 				e := a.Apply(spec.Value(va), spec.Op(o))
-				bld.Transition(from, "L."+a.OpName(spec.Op(o)), e.Resp, name(int(e.Next), vb))
+				bld.Transition(from, ops[o], e.Resp, values[int(e.Next)*nb+vb])
 			}
 			for o := 0; o < b.NumOps(); o++ {
 				e := b.Apply(spec.Value(vb), spec.Op(o))
-				bld.Transition(from, "R."+b.OpName(spec.Op(o)),
-					ProductRespOffset+e.Resp, name(va, int(e.Next)))
+				bld.Transition(from, ops[a.NumOps()+o],
+					ProductRespOffset+e.Resp, values[va*nb+int(e.Next)])
 			}
 		}
 	}

@@ -55,41 +55,15 @@ func Tnn(n, nPrime int) *spec.FiniteType {
 	}
 	b := spec.NewBuilder(fmt.Sprintf("T[%d,%d]", n, nPrime))
 
-	// Values, in a fixed order: s, then s_{0,1..n-1}, then s_{1,1..n-1},
-	// then s_bot.
-	b.Values("s")
-	for x := 0; x <= 1; x++ {
-		for i := 1; i <= n-1; i++ {
-			b.Values(TnnValueName(x, i))
-		}
-	}
-	b.Values("s_bot")
+	names := tnnValueNames(n)
+	b.Values(names...)
 
 	b.Ops("op0", "op1", "opR")
 	b.NameResponse(TnnResp0, "0")
 	b.NameResponse(TnnResp1, "1")
 	b.NameResponse(TnnRespBot, "bot")
 
-	// op0 and op1 from the initial value.
-	b.Transition("s", "op0", TnnResp0, TnnValueName(0, 1))
-	b.Transition("s", "op1", TnnResp1, TnnValueName(1, 1))
-
-	// op0/op1 from s_{x,i}: return x, advance the counter (to s_bot from
-	// s_{x,n-1}).
-	for x := 0; x <= 1; x++ {
-		resp := TnnResp0
-		if x == 1 {
-			resp = TnnResp1
-		}
-		for i := 1; i <= n-1; i++ {
-			next := "s_bot"
-			if i < n-1 {
-				next = TnnValueName(x, i+1)
-			}
-			b.Transition(TnnValueName(x, i), "op0", resp, next)
-			b.Transition(TnnValueName(x, i), "op1", resp, next)
-		}
-	}
+	tnnCounterTransitions(b, n, names)
 
 	// Everything applied to s_bot returns bot and leaves the value.
 	b.Transition("s_bot", "op0", TnnRespBot, "s_bot")
@@ -108,7 +82,7 @@ func Tnn(n, nPrime int) *spec.FiniteType {
 	idx := 1
 	for x := 0; x <= 1; x++ {
 		for i := 1; i <= n-1; i++ {
-			name := TnnValueName(x, i)
+			name := names[TnnValue(n, x, i)]
 			if i <= nPrime {
 				b.Transition(name, "opR", readResp(name, idx), name)
 			} else {
@@ -119,6 +93,44 @@ func Tnn(n, nPrime int) *spec.FiniteType {
 	}
 
 	return b.MustBuild()
+}
+
+// tnnValueNames returns the value names of T_{n,n'} and Y_n in value
+// order (see TnnValue): s, then s_{0,1..n-1}, then s_{1,1..n-1}, then
+// s_bot.
+func tnnValueNames(n int) []string {
+	names := make([]string, 0, 2*n)
+	names = append(names, "s")
+	for x := 0; x <= 1; x++ {
+		for i := 1; i <= n-1; i++ {
+			names = append(names, TnnValueName(x, i))
+		}
+	}
+	return append(names, "s_bot")
+}
+
+// tnnCounterTransitions declares op0 and op1 on every value but s_bot,
+// shared by T_{n,n'} and Y_n: from s, op_x returns x and moves to
+// s_{x,1}; from s_{x,i} both return x and advance the counter, to s_bot
+// from s_{x,n-1}.
+func tnnCounterTransitions(b *spec.Builder, n int, names []string) {
+	b.Transition("s", "op0", TnnResp0, names[TnnValue(n, 0, 1)])
+	b.Transition("s", "op1", TnnResp1, names[TnnValue(n, 1, 1)])
+	for x := 0; x <= 1; x++ {
+		resp := TnnResp0
+		if x == 1 {
+			resp = TnnResp1
+		}
+		for i := 1; i <= n-1; i++ {
+			next := "s_bot"
+			if i < n-1 {
+				next = names[TnnValue(n, x, i+1)]
+			}
+			from := names[TnnValue(n, x, i)]
+			b.Transition(from, "op0", resp, next)
+			b.Transition(from, "op1", resp, next)
+		}
+	}
 }
 
 // TnnValue returns the spec.Value of a named T_{n,n'} state in the value

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/spec"
 )
@@ -17,6 +18,15 @@ const (
 	RespReadBase spec.Response = 2000
 )
 
+// indexedNames returns prefix0, prefix1, ..., prefix{k-1}.
+func indexedNames(prefix string, k int) []string {
+	names := make([]string, k)
+	for i := range names {
+		names[i] = prefix + strconv.Itoa(i)
+	}
+	return names
+}
+
 // Register returns a readable read/write register over k values
 // ("v0"..."v{k-1}"), with Write_i operations (response RespOK) and a Read
 // operation. Registers have consensus number 1.
@@ -25,19 +35,15 @@ func Register(k int) *spec.FiniteType {
 		panic(fmt.Sprintf("Register: need k >= 1, got %d", k))
 	}
 	b := spec.NewBuilder(fmt.Sprintf("register[%d]", k))
-	names := make([]string, k)
-	for i := range names {
-		names[i] = fmt.Sprintf("v%d", i)
-	}
+	names := indexedNames("v", k)
+	writes := indexedNames("write", k)
 	b.Values(names...)
-	for i := 0; i < k; i++ {
-		b.Ops(fmt.Sprintf("write%d", i))
-	}
+	b.Ops(writes...)
 	b.Ops("read")
 	b.NameResponse(RespOK, "ok")
 	for _, from := range names {
-		for i := 0; i < k; i++ {
-			b.Transition(from, fmt.Sprintf("write%d", i), RespOK, names[i])
+		for i, w := range writes {
+			b.Transition(from, w, RespOK, names[i])
 		}
 	}
 	b.ReadOp("read", RespReadBase)
@@ -68,18 +74,14 @@ func Swap(k int) *spec.FiniteType {
 		panic(fmt.Sprintf("Swap: need k >= 1, got %d", k))
 	}
 	b := spec.NewBuilder(fmt.Sprintf("swap[%d]", k))
-	names := make([]string, k)
-	for i := range names {
-		names[i] = fmt.Sprintf("v%d", i)
-	}
+	names := indexedNames("v", k)
+	swaps := indexedNames("swap", k)
 	b.Values(names...)
-	for i := 0; i < k; i++ {
-		b.Ops(fmt.Sprintf("swap%d", i))
-	}
+	b.Ops(swaps...)
 	b.Ops("read")
 	for from := 0; from < k; from++ {
-		for i := 0; i < k; i++ {
-			b.Transition(names[from], fmt.Sprintf("swap%d", i), spec.Response(from), names[i])
+		for i, sw := range swaps {
+			b.Transition(names[from], sw, spec.Response(from), names[i])
 		}
 	}
 	b.ReadOp("read", RespReadBase)
@@ -94,10 +96,7 @@ func FetchAdd(m int) *spec.FiniteType {
 		panic(fmt.Sprintf("FetchAdd: need modulus >= 2, got %d", m))
 	}
 	b := spec.NewBuilder(fmt.Sprintf("fetch-and-add[%d]", m))
-	names := make([]string, m)
-	for i := range names {
-		names[i] = fmt.Sprintf("%d", i)
-	}
+	names := indexedNames("", m)
 	b.Values(names...)
 	b.Ops("FAA", "read")
 	for v := 0; v < m; v++ {
@@ -118,15 +117,10 @@ func CompareAndSwap(k int) *spec.FiniteType {
 		panic(fmt.Sprintf("CompareAndSwap: need k >= 2 proposal values, got %d", k))
 	}
 	b := spec.NewBuilder(fmt.Sprintf("compare-and-swap[%d]", k))
-	names := make([]string, 0, k+1)
-	names = append(names, "bot")
-	for i := 0; i < k; i++ {
-		names = append(names, fmt.Sprintf("v%d", i))
-	}
+	names := append([]string{"bot"}, indexedNames("v", k)...)
+	cas := indexedNames("cas", k)
 	b.Values(names...)
-	for i := 0; i < k; i++ {
-		b.Ops(fmt.Sprintf("cas%d", i))
-	}
+	b.Ops(cas...)
 	b.Ops("read")
 	// Response conventions: a successful CAS returns 100; a failed CAS
 	// returns 200 + index of the value that was already installed.
@@ -134,8 +128,7 @@ func CompareAndSwap(k int) *spec.FiniteType {
 	for i := 0; i < k; i++ {
 		b.NameResponse(200+spec.Response(i), "lost:"+names[i+1])
 	}
-	for i := 0; i < k; i++ {
-		op := fmt.Sprintf("cas%d", i)
+	for i, op := range cas {
 		b.Transition("bot", op, 100, names[i+1])
 		for j := 0; j < k; j++ {
 			b.Transition(names[j+1], op, 200+spec.Response(j), names[j+1])
@@ -177,10 +170,7 @@ func Counter(m int) *spec.FiniteType {
 		panic(fmt.Sprintf("Counter: need bound >= 2, got %d", m))
 	}
 	b := spec.NewBuilder(fmt.Sprintf("counter[%d]", m))
-	names := make([]string, m)
-	for i := range names {
-		names[i] = fmt.Sprintf("%d", i)
-	}
+	names := indexedNames("", m)
 	b.Values(names...)
 	b.Ops("inc", "read")
 	b.NameResponse(RespOK, "ok")
@@ -203,23 +193,19 @@ func MaxRegister(m int) *spec.FiniteType {
 		panic(fmt.Sprintf("MaxRegister: need bound >= 2, got %d", m))
 	}
 	b := spec.NewBuilder(fmt.Sprintf("max-register[%d]", m))
-	names := make([]string, m)
-	for i := range names {
-		names[i] = fmt.Sprintf("%d", i)
-	}
+	names := indexedNames("", m)
+	wmax := indexedNames("wmax", m)
 	b.Values(names...)
-	for i := 0; i < m; i++ {
-		b.Ops(fmt.Sprintf("wmax%d", i))
-	}
+	b.Ops(wmax...)
 	b.Ops("read")
 	b.NameResponse(RespOK, "ok")
 	for v := 0; v < m; v++ {
-		for i := 0; i < m; i++ {
+		for i, op := range wmax {
 			next := v
 			if i > v {
 				next = i
 			}
-			b.Transition(names[v], fmt.Sprintf("wmax%d", i), RespOK, names[next])
+			b.Transition(names[v], op, RespOK, names[next])
 		}
 	}
 	b.ReadOp("read", RespReadBase)

@@ -119,35 +119,15 @@ func TnnReadable(n int) *spec.FiniteType {
 	}
 	b := spec.NewBuilder(fmt.Sprintf("Y[%d]", n))
 
-	b.Values("s")
-	for x := 0; x <= 1; x++ {
-		for i := 1; i <= n-1; i++ {
-			b.Values(TnnValueName(x, i))
-		}
-	}
-	b.Values("s_bot")
+	names := tnnValueNames(n)
+	b.Values(names...)
 
 	b.Ops("op0", "op1", "read")
 	b.NameResponse(TnnResp0, "0")
 	b.NameResponse(TnnResp1, "1")
 	b.NameResponse(TnnRespBot, "bot")
 
-	b.Transition("s", "op0", TnnResp0, TnnValueName(0, 1))
-	b.Transition("s", "op1", TnnResp1, TnnValueName(1, 1))
-	for x := 0; x <= 1; x++ {
-		resp := TnnResp0
-		if x == 1 {
-			resp = TnnResp1
-		}
-		for i := 1; i <= n-1; i++ {
-			next := "s_bot"
-			if i < n-1 {
-				next = TnnValueName(x, i+1)
-			}
-			b.Transition(TnnValueName(x, i), "op0", resp, next)
-			b.Transition(TnnValueName(x, i), "op1", resp, next)
-		}
-	}
+	tnnCounterTransitions(b, n, names)
 	b.Transition("s_bot", "op0", TnnRespBot, "s_bot")
 	b.Transition("s_bot", "op1", TnnRespBot, "s_bot")
 	b.ReadOp("read", RespReadBase)
