@@ -396,9 +396,10 @@ func BenchmarkShardedLevelCheckSteal(b *testing.B) {
 // BenchmarkGraphInternWarm measures the packed-word graph walk in
 // isolation: one model.Graph is built and fully expanded by a priming
 // Check, then every iteration re-walks the interned graph. No engine,
-// cache, or event layer — allocs/op here is the floor of the
-// index-addressed walk: the per-call Result and its flat node, edge,
-// crash-usage and index slices, whatever the walk's size.
+// cache, or event layer — allocs/op here is the floor of the walk over
+// dense ids: the per-call Result, its node list and one block holding
+// the twin-chain heads, crash-usage rows and edge list, whatever the
+// walk's size.
 func BenchmarkGraphInternWarm(b *testing.B) {
 	pr := proto.NewCASWaitFree(2)
 	inputs := []int{0, 1}
@@ -675,6 +676,29 @@ func BenchmarkServeAnalyzeCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analyze(b)
+	}
+}
+
+// BenchmarkServeCheckWarm measures a warm /v1/check through the HTTP
+// handler: decode, graph-cache resolution, the crash-budgeted walk and
+// reply encoding. The walk is BenchmarkGraphWalkWarmQuota's (tnn-wf:4,2
+// on inputs 0,1,0,1 at quota 1 over a primed graph: 912 walk nodes and
+// an agreement violation), the request check-warm traffic sends.
+func BenchmarkServeCheckWarm(b *testing.B) {
+	s := serve.New(serve.Config{Parallelism: 2})
+	body := `{"protocol":"tnn-wf:4,2","requests":[{"inputs":[0,1,0,1],"crashQuota":[1,1,1,1]}]}`
+	check := func(b *testing.B) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("check = %d %s", rec.Code, rec.Body)
+		}
+	}
+	check(b) // prime the graph cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check(b)
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 
 // TestWarmCheckAllocFloor is the in-repo allocation ratchet for the
 // warm Check hot path: a headless engine re-checking a cached,
-// fully-expanded graph. The packed-word encoding, the index-addressed
-// walk, the graph cache's fingerprint memo and its pooled key buffer
-// leave a fixed handful: the per-call Result and its flat node, edge
-// and index slices, which outlive the call and cannot be pooled. The
-// bound below leaves headroom for incidental runtime variation but sits
-// far under the pre-pack figure of 87, so any change that reintroduces
-// per-visit or per-key allocations fails here before it reaches the
-// CI bench gate.
+// fully-expanded graph. The packed-word encoding, the walk over dense
+// ids, the graph cache's fingerprint memo and its pooled key buffer
+// leave a fixed handful: the per-call Result, its node list and one
+// block holding the twin-chain heads, crash-usage rows and edge list,
+// which outlive the call and cannot be pooled. The bound below leaves
+// headroom for incidental runtime variation but sits far under the
+// pre-pack figure of 87, so any change that reintroduces per-visit or
+// per-key allocations fails here before it reaches the CI bench gate.
 func TestWarmCheckAllocFloor(t *testing.T) {
 	e := New(WithParallelism(1))
 	pr := proto.NewCASWaitFree(2)
@@ -32,7 +32,7 @@ func TestWarmCheckAllocFloor(t *testing.T) {
 	})
 	const limit = 20
 	if allocs > limit {
-		t.Errorf("warm Check allocates %.1f allocs/op, ratchet is %d (measured floor: 5)",
+		t.Errorf("warm Check allocates %.1f allocs/op, ratchet is %d (measured floor: 3)",
 			allocs, limit)
 	}
 }
@@ -41,9 +41,10 @@ func TestWarmCheckAllocFloor(t *testing.T) {
 // consensus is actually checked with: a crash-budgeted walk, quota 1 per
 // process, over a cached graph. Its node count grows with every crash
 // vector the budget admits, yet the walk keeps its nodes, edges,
-// crash-usage vectors and dedup index in flat slices sized from the
-// graph, and the violation cases format one detail per reported kind,
-// so the count must stay flat across walks of 147 to 912 nodes.
+// twin-chain heads and interned crash-usage rows in flat slices sized
+// from the graph, and the violation cases format one detail per
+// reported kind, so the count must stay flat across walks of 147 to 912
+// nodes.
 func TestWarmQuotaCheckAllocFloor(t *testing.T) {
 	cases := []struct {
 		protocol string

@@ -157,11 +157,14 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Submit enqueues a job. It returns ErrQueueFull when the queue is at
-// capacity (the caller should back off) and ErrClosed during shutdown.
-func (m *Manager) Submit(spec Spec) (*Job, error) {
+// Submit enqueues a job and returns it with its view as queued, taken
+// before any worker can pop it: a fast job may be done by the time
+// Submit returns, but the view still shows the state it was queued in.
+// It returns ErrQueueFull when the queue is at capacity (the caller
+// should back off) and ErrClosed during shutdown.
+func (m *Manager) Submit(spec Spec) (*Job, View, error) {
 	if spec.Run == nil {
-		return nil, fmt.Errorf("jobs: spec has no Run function")
+		return nil, View{}, fmt.Errorf("jobs: spec has no Run function")
 	}
 	if spec.Timeout <= 0 {
 		spec.Timeout = m.cfg.DefaultTimeout
@@ -169,11 +172,11 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return nil, View{}, ErrClosed
 	}
 	if m.queued >= m.cfg.QueueLimit {
 		m.rejected++
-		return nil, ErrQueueFull
+		return nil, View{}, ErrQueueFull
 	}
 	m.seq++
 	j := &Job{
@@ -190,7 +193,8 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.queued++
 	m.cond.Signal()
 	j.publish("job.queued", nil)
-	return j, nil
+	// Workers pop under m.mu, so the job is still queued here.
+	return j, j.View(), nil
 }
 
 // Get resolves a job by ID (queued, running, or finished within the

@@ -31,7 +31,7 @@ func TestJobLifecycleAndEvents(t *testing.T) {
 	m := jobs.NewManager(jobs.Config{Workers: 1})
 	defer m.Close(context.Background())
 
-	j, err := m.Submit(jobs.Spec{
+	j, _, err := m.Submit(jobs.Spec{
 		Kind: "demo",
 		Run: func(ctx context.Context, j *jobs.Job) (any, error) {
 			j.Publish("step", map[string]int{"n": 1})
@@ -77,7 +77,7 @@ func TestJobLifecycleAndEvents(t *testing.T) {
 func TestSubscribeAfterTerminal(t *testing.T) {
 	m := jobs.NewManager(jobs.Config{Workers: 1})
 	defer m.Close(context.Background())
-	j, err := m.Submit(jobs.Spec{Kind: "demo", Run: func(context.Context, *jobs.Job) (any, error) {
+	j, _, err := m.Submit(jobs.Spec{Kind: "demo", Run: func(context.Context, *jobs.Job) (any, error) {
 		return nil, errors.New("boom")
 	}})
 	if err != nil {
@@ -113,17 +113,17 @@ func TestQueueFullRejects(t *testing.T) {
 		}
 		return nil, nil
 	}
-	if _, err := m.Submit(jobs.Spec{Kind: "block", Run: block}); err != nil {
+	if _, _, err := m.Submit(jobs.Spec{Kind: "block", Run: block}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// Queue slot 1 of 1.
-	if _, err := m.Submit(jobs.Spec{Kind: "wait", Run: func(context.Context, *jobs.Job) (any, error) {
+	if _, _, err := m.Submit(jobs.Spec{Kind: "wait", Run: func(context.Context, *jobs.Job) (any, error) {
 		return nil, nil
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := m.Submit(jobs.Spec{Kind: "over", Run: func(context.Context, *jobs.Job) (any, error) {
+	_, _, err := m.Submit(jobs.Spec{Kind: "over", Run: func(context.Context, *jobs.Job) (any, error) {
 		return nil, nil
 	}})
 	if !errors.Is(err, jobs.ErrQueueFull) {
@@ -141,7 +141,7 @@ func TestPriorityOrdering(t *testing.T) {
 
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if _, err := m.Submit(jobs.Spec{Kind: "gate", Run: func(ctx context.Context, _ *jobs.Job) (any, error) {
+	if _, _, err := m.Submit(jobs.Spec{Kind: "gate", Run: func(ctx context.Context, _ *jobs.Job) (any, error) {
 		close(started)
 		<-release
 		return nil, nil
@@ -153,7 +153,7 @@ func TestPriorityOrdering(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	mk := func(name string, prio int) {
-		if _, err := m.Submit(jobs.Spec{Kind: name, Priority: prio,
+		if _, _, err := m.Submit(jobs.Spec{Kind: name, Priority: prio,
 			Run: func(context.Context, *jobs.Job) (any, error) {
 				mu.Lock()
 				order = append(order, name)
@@ -190,7 +190,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	defer m.Close(context.Background())
 
 	started := make(chan struct{})
-	running, err := m.Submit(jobs.Spec{Kind: "running", Run: func(ctx context.Context, _ *jobs.Job) (any, error) {
+	running, _, err := m.Submit(jobs.Spec{Kind: "running", Run: func(ctx context.Context, _ *jobs.Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -199,7 +199,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := m.Submit(jobs.Spec{Kind: "queued", Run: func(context.Context, *jobs.Job) (any, error) {
+	queued, _, err := m.Submit(jobs.Spec{Kind: "queued", Run: func(context.Context, *jobs.Job) (any, error) {
 		return nil, nil
 	}})
 	if err != nil {
@@ -232,7 +232,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 func TestTimeoutFailsJob(t *testing.T) {
 	m := jobs.NewManager(jobs.Config{Workers: 1})
 	defer m.Close(context.Background())
-	j, err := m.Submit(jobs.Spec{Kind: "slow", Timeout: 20 * time.Millisecond,
+	j, _, err := m.Submit(jobs.Spec{Kind: "slow", Timeout: 20 * time.Millisecond,
 		Run: func(ctx context.Context, _ *jobs.Job) (any, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -255,7 +255,7 @@ func TestTimeoutFailsJob(t *testing.T) {
 func TestCloseDrainsAndRejects(t *testing.T) {
 	m := jobs.NewManager(jobs.Config{Workers: 1})
 	started := make(chan struct{})
-	if _, err := m.Submit(jobs.Spec{Kind: "block", Run: func(ctx context.Context, _ *jobs.Job) (any, error) {
+	if _, _, err := m.Submit(jobs.Spec{Kind: "block", Run: func(ctx context.Context, _ *jobs.Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -263,7 +263,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := m.Submit(jobs.Spec{Kind: "queued", Run: func(context.Context, *jobs.Job) (any, error) {
+	queued, _, err := m.Submit(jobs.Spec{Kind: "queued", Run: func(context.Context, *jobs.Job) (any, error) {
 		return nil, nil
 	}})
 	if err != nil {
@@ -277,7 +277,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if st := queued.State(); st != jobs.StateCanceled {
 		t.Fatalf("queued job after Close: %s", st)
 	}
-	if _, err := m.Submit(jobs.Spec{Kind: "late", Run: func(context.Context, *jobs.Job) (any, error) {
+	if _, _, err := m.Submit(jobs.Spec{Kind: "late", Run: func(context.Context, *jobs.Job) (any, error) {
 		return nil, nil
 	}}); !errors.Is(err, jobs.ErrClosed) {
 		t.Fatalf("Submit after Close: %v", err)
@@ -287,7 +287,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 func TestReplayRingBounded(t *testing.T) {
 	m := jobs.NewManager(jobs.Config{Workers: 1, ReplayLimit: 8})
 	defer m.Close(context.Background())
-	j, err := m.Submit(jobs.Spec{Kind: "chatty", Run: func(_ context.Context, j *jobs.Job) (any, error) {
+	j, _, err := m.Submit(jobs.Spec{Kind: "chatty", Run: func(_ context.Context, j *jobs.Job) (any, error) {
 		for i := 0; i < 100; i++ {
 			j.Publish("tick", i)
 		}
@@ -312,5 +312,37 @@ func TestReplayRingBounded(t *testing.T) {
 	// Seq gap is visible: first retained event's Seq > 1.
 	if replay[0].Seq <= 1 {
 		t.Fatalf("expected a visible gap, first seq = %d", replay[0].Seq)
+	}
+}
+
+// TestSubmitViewIsQueued submits jobs that finish at once to live
+// workers: a worker may pop and finish a job before Submit's caller
+// looks at it, yet the view Submit returns must show the job as queued,
+// the state a 202 reply promises.
+func TestSubmitViewIsQueued(t *testing.T) {
+	m := jobs.NewManager(jobs.Config{Workers: 4, QueueLimit: 256, HistoryLimit: 256})
+	defer m.Close(context.Background())
+	const total = 200
+	submitted := make([]*jobs.Job, 0, total)
+	for i := 0; i < total; i++ {
+		j, view, err := m.Submit(jobs.Spec{Kind: "instant", Run: func(context.Context, *jobs.Job) (any, error) {
+			return "ok", nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.ID != j.ID() || view.Kind != "instant" || view.State != jobs.StateQueued ||
+			view.Started != "" || view.Finished != "" || view.Result != nil || view.Events != 1 {
+			t.Fatalf("job %d: submission view = %+v, want the queued job", i, view)
+		}
+		submitted = append(submitted, j)
+	}
+	for _, j := range submitted {
+		_, ch, cancel := j.Subscribe(0)
+		drain(t, nil, ch)
+		cancel()
+		if st := j.State(); st != jobs.StateDone {
+			t.Fatalf("job %s ended %s, want done", j.ID(), st)
+		}
 	}
 }

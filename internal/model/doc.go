@@ -34,19 +34,35 @@
 // next step. Crash usage is deliberately NOT part of node identity
 // (transitions do not depend on it); each walk keeps its own (node,
 // crash-usage) bookkeeping, reproducing the serial checker's
-// (configuration, crash-usage, output-history) dedup exactly. A walk is
-// flat and index-addressed: its nodes live in one slice in BFS
+// (configuration, crash-usage, output-history) dedup exactly.
+//
+// A walk runs over dense ids. Its nodes live in one slice in BFS
 // discovery order (also the BFS queue), and parents, step-successor
-// ranges of one edge list, crash-usage offsets into one vector slice
-// and the per-walk dedup index (an open-addressed []int32 probed on the
-// graph node's precomputed hash, twins over one graph node chained by
-// index) all address it by int32 index, as do the liveness, valency
-// and critical-search sweeps. Check
-// builds a one-shot Graph; batch callers (engine.CheckBatch) walk one
-// Graph per input vector, long-lived callers (the engine's graph cache)
-// keep Graphs warm across calls, and Theorem13ChainOpts walks every
-// chain stage over one Graph — all share every transition, output-merge
-// and packing computation. Export and ImportSnapshot move the node
+// ranges of one edge list, and the liveness, valency and
+// critical-search sweeps all address it by int32 index. The dedup index
+// is head, a []int32 addressed by the graph node's intern order
+// (gnode.ord): head[ord] heads the chain of walk nodes over that graph
+// node, one per crash-usage vector. It is sized to the graph when the
+// walk starts and grown when a cold walk meets a node interned since;
+// at 4 bytes per graph node against the graph's 152 or more (a gnode
+// alone), even a walk a client truncates with MaxNodes is bounded by
+// its graph. Each walk interns its crash-usage vectors once, as rows of
+// one []int32 with a memo from (usage id, process) to the id after one
+// more crash, so a walk node carries a usage id and a twin test is one
+// int32 compare. Safety facts are computed once per edge: an expansion
+// (and ImportSnapshot) records in two 16-bit masks per node whether the
+// default safety check of each step and crash successor reports
+// anything — a re-decision against the parent's outputs, two outputs
+// that disagree, or an output that is no process's input. The walk runs
+// the full check only on flagged edges, under a custom Validity, or on
+// edges of processes past the sixteenth, so the first witness, its
+// trace and its detail text are the serial checker's.
+//
+// Check builds a one-shot Graph; batch callers (engine.CheckBatch) walk
+// one Graph per input vector, long-lived callers (the engine's graph
+// cache) keep Graphs warm across calls, and Theorem13ChainOpts walks
+// every chain stage over one Graph — all share every transition,
+// output-merge and packing computation. Export and ImportSnapshot move the node
 // table in and out as words plus successor positions (GraphSnapshot),
 // the unit internal/graphstore persists.
 //
@@ -62,8 +78,7 @@
 // (Valence, FindCritical) must not race.
 // A graph pools only packing buffers, which never escape into Results;
 // it holds no frontier or sweep pools. A walk's flat slices (nodes,
-// edges, crash-usage vectors, index) live in its Result and die with
-// it.
+// edges, head, crash-usage rows) live in its Result and die with it.
 //
 // # Byte-stability guarantees
 //

@@ -78,21 +78,21 @@ type Result struct {
 	// edges holds every expanded node's step successors, at
 	// [node.lo, node.hi).
 	edges []int32
-	// used holds the crash-usage vectors, n ints at each node.used offset.
-	// Step children share their parent's vector; only a new crash child
-	// appends one.
-	used []int
-	// index is the per-walk dedup index: an open-addressed table from
-	// canonical graph node to this walk's (node, crash-usage) twins. It
-	// probes with the gnode's precomputed packed-identity hash (linear
-	// probing, power-of-two capacity, grown at 3/4 load) and holds 0 for
-	// an empty slot, else 1 + the index of the newest walk node over that
-	// graph node; older twins chain through node.twin. The walk's dedup
-	// identity is thereby exactly the serial checker's (configuration,
-	// crash-usage, output-history) triple, and a lookup is a few int32
-	// probes with no hashing work. indexed counts occupied slots.
-	index   []int32
-	indexed int
+	// head is the walk's dedup index, addressed by the graph's intern
+	// order: head[gn.ord] is 1 + the index of the newest walk node over
+	// graph node gn, 0 if the walk has none, and older twins chain
+	// through node.twin. It is sized to the graph when the walk starts and
+	// grown when a cold walk meets a node interned since, so it costs 4
+	// bytes per graph node against the graph's 152 or more.
+	head []int32
+	// usage holds the walk's interned crash-usage vectors, one row of 2n
+	// int32 per usage id: the vector's n crash counts, then its memo,
+	// where memo[p] is the id of the vector plus one crash of p (0 until
+	// computed: id 0 is the all-zero vector, the sum of no crash). A
+	// twin test is thereby one int32 compare, and the walk's dedup
+	// identity is exactly the serial checker's (configuration,
+	// crash-usage, output-history) triple.
+	usage []int32
 	// valences caches the valency masks by node index.
 	valences []uint8
 }
@@ -114,8 +114,8 @@ type node struct {
 	// parent is the discovering node's index (-1 at the root), and p and
 	// crash the event it was discovered by.
 	parent, p int32
-	// used is the offset of the node's crash-usage vector in Result.used.
-	used int32
+	// usage is the id of the node's crash-usage vector in Result.usage.
+	usage int32
 	// lo and hi delimit the step successors in Result.edges; the range is
 	// empty until the node is expanded.
 	lo, hi int32
@@ -127,54 +127,20 @@ type node struct {
 	color uint8
 }
 
-// indexCap is the smallest power-of-two index capacity (at least 16)
-// holding hint entries under 3/4 load.
-func indexCap(hint int) int {
-	capacity := 16
-	for capacity*3 < hint*4 {
-		capacity <<= 1
+// headOf returns graph node gn's twin-chain head, first growing head
+// over the nodes interned since the walk sized it.
+func (r *Result) headOf(gn *gnode) *int32 {
+	if int(gn.ord) >= len(r.head) {
+		grown := make([]int32, max(2*len(r.head), int(gn.ord)+1, int(r.g.interned.Load())))
+		copy(grown, r.head)
+		r.head = grown
 	}
-	return capacity
+	return &r.head[gn.ord]
 }
 
-// slot returns the index slot for gn: its twin chain's head, or the empty
-// slot where the chain would start.
-func (r *Result) slot(gn *gnode) *int32 {
-	mask := uint64(len(r.index) - 1)
-	for i := gn.hash & mask; ; i = (i + 1) & mask {
-		s := &r.index[i]
-		if *s == 0 || r.nodes[*s-1].gn == gn {
-			return s
-		}
-	}
-}
-
-func (r *Result) growIndex() {
-	next := make([]int32, len(r.index)*2)
-	mask := uint64(len(next) - 1)
-	for _, s := range r.index {
-		if s == 0 {
-			continue
-		}
-		j := r.nodes[s-1].gn.hash & mask
-		for next[j] != 0 {
-			j = (j + 1) & mask
-		}
-		next[j] = s
-	}
-	r.index = next
-}
-
-// add appends nd to the walk at the head of the twin chain in its index
-// slot s (from slot, and searched in vain) and returns its index.
+// add appends nd to the walk at the head of its twin chain, whose head
+// s is (from headOf, and searched in vain), and returns its index.
 func (r *Result) add(s *int32, nd node) int32 {
-	if *s == 0 {
-		if (r.indexed+1)*4 >= len(r.index)*3 {
-			r.growIndex()
-			s = r.slot(nd.gn)
-		}
-		r.indexed++
-	}
 	i := int32(len(r.nodes))
 	nd.twin = *s
 	*s = i + 1
@@ -182,48 +148,89 @@ func (r *Result) add(s *int32, nd node) int32 {
 	return i
 }
 
-// lookup finds this walk's node over gn whose crash-usage vector equals
-// base, or base with base[p]+1 when p >= 0, and returns its index, or -1.
-// A nil gn (a schedule that leaves the explored graph) finds nothing.
-func (r *Result) lookup(gn *gnode, base []int, p int) int32 {
-	if gn == nil {
+// lookup finds this walk's node over gn with crash-usage id u and
+// returns its index, or -1. A nil gn (a schedule that leaves the
+// explored graph), a node interned after the walk or a negative u finds
+// nothing.
+func (r *Result) lookup(gn *gnode, u int32) int32 {
+	if gn == nil || u < 0 || int(gn.ord) >= len(r.head) {
 		return -1
 	}
-	return r.twin(*r.slot(gn), base, p)
+	return r.twin(r.head[gn.ord], u)
 }
 
-// twin searches the twin chain starting at index slot value ref for the
-// node whose crash-usage vector matches as in lookup.
-func (r *Result) twin(ref int32, base []int, p int) int32 {
-	n := int32(len(base))
+// twin searches the twin chain starting at head value ref for the node
+// with crash-usage id u.
+func (r *Result) twin(ref int32, u int32) int32 {
 	for ; ref != 0; ref = r.nodes[ref-1].twin {
-		off := r.nodes[ref-1].used
-		if eqUsedPlus(r.used[off:off+n], base, p) {
+		if r.nodes[ref-1].usage == u {
 			return ref - 1
 		}
 	}
 	return -1
 }
 
-// usedOf returns node i's crash-usage vector.
-func (r *Result) usedOf(i int32) []int {
-	n := int32(r.g.m.n)
-	off := r.nodes[i].used
-	return r.used[off : off+n : off+n]
+// usageRow returns crash-usage id u's row: its n crash counts, then its
+// memo.
+func (r *Result) usageRow(u int32) []int32 {
+	s := 2 * int32(r.g.m.n)
+	return r.usage[u*s : (u+1)*s : (u+1)*s]
 }
 
-// eqUsedPlus reports a == base, except a[p] == base[p]+1 when p >= 0.
-func eqUsedPlus(a, base []int, p int) bool {
-	for i, v := range a {
-		want := base[i]
-		if i == p {
-			want++
+// crashUsage returns the id of crash-usage vector u plus one crash of p.
+// With intern set it interns that vector on first sight and memoizes the
+// answer; without, it changes nothing and returns -1 for a vector the
+// walk never met. Vectors are interned along one canonical path, crashes
+// counted in process order, so every prefix of an interned vector's path
+// is interned too, and a vector reached along another path is found by
+// descending its canonical path, never by comparing vectors.
+func (r *Result) crashUsage(u int32, p int, intern bool) int32 {
+	n := r.g.m.n
+	if c := r.usageRow(u)[n+p]; c != 0 {
+		return c
+	}
+	// used stays valid if interning moves r.usage: counts never change.
+	used := r.usageRow(u)[:n]
+	id := int32(0)
+	for q, k := range used {
+		if q == p {
+			k++
 		}
-		if v != want {
-			return false
+		for ; k > 0; k-- {
+			next := r.usageRow(id)[n+q]
+			if next == 0 {
+				if !intern {
+					return -1
+				}
+				next = r.internUsage(id, q)
+			}
+			id = next
 		}
 	}
-	return true
+	if intern {
+		r.usageRow(u)[n+p] = id
+	}
+	return id
+}
+
+// internUsage appends crash-usage vector u plus one crash of p, records
+// it as u's memo for p, and returns its id. The rows grow by make and
+// copy: appending a made slice allocates a temporary under -race.
+func (r *Result) internUsage(u int32, p int) int32 {
+	n := r.g.m.n
+	id := int32(len(r.usage) / (2 * n))
+	if len(r.usage)+2*n > cap(r.usage) {
+		grown := make([]int32, len(r.usage), 2*cap(r.usage))
+		copy(grown, r.usage)
+		r.usage = grown
+	}
+	r.usage = r.usage[:len(r.usage)+2*n]
+	row := r.usageRow(id)
+	copy(row, r.usageRow(u)[:n])
+	clear(row[n:])
+	row[p]++
+	r.usageRow(u)[n+p] = id
+	return id
 }
 
 // freshOuts returns an all-undecided output vector.
@@ -270,9 +277,6 @@ func Check(pr Protocol, opts CheckOpts) (*Result, error) {
 type walkState struct {
 	r        *Result
 	validity func(int) bool
-	// inputBits has bit v set when some process's input is v (inputs
-	// are 0 or 1).
-	inputBits uint8
 	// seen[k] dedups violations per kind (0 agreement, 1 validity,
 	// 2 wait-freedom): the checker records the first witness of each.
 	seen [3]bool
@@ -291,7 +295,15 @@ func (w *walkState) valid(d int) bool {
 	if w.validity != nil {
 		return w.validity(d)
 	}
-	return uint(d) < 2 && w.inputBits>>d&1 != 0
+	return w.r.g.validInput(d)
+}
+
+// full reports whether a new child reached by an edge of process p, out
+// of a node with edge flags flags, takes the full safety check: the edge
+// is flagged, p is beyond the flag width, or a custom validity makes the
+// default flags meaningless. Any other child would report nothing.
+func (w *walkState) full(flags uint16, p int) bool {
+	return w.validity != nil || p >= flagWidth || flags>>p&1 != 0
 }
 
 var kindNames = [3]string{"agreement", "validity", "wait-freedom"}
@@ -439,13 +451,12 @@ func (r *Result) ReachableDecisions(start *node) map[int]bool {
 func (r *Result) succs(i int32, buf []int32) []int32 {
 	nd := &r.nodes[i]
 	buf = append(buf, r.edges[nd.lo:nd.hi]...)
-	base := r.usedOf(i)
 	if nd.gn.done.Load() {
 		for p, cg := range nd.gn.crashSucc {
 			if cg == nil {
 				continue
 			}
-			if child := r.lookup(cg, base, p); child >= 0 {
+			if child := r.lookup(cg, r.crashUsage(nd.usage, p, false)); child >= 0 {
 				buf = append(buf, child)
 			}
 		}
@@ -458,7 +469,7 @@ func (r *Result) succs(i int32, buf []int32) []int32 {
 	for p := 0; p < g.m.n; p++ {
 		copy(w, nd.gn.words)
 		g.m.crash(w, p, g.inputs[p])
-		if child := r.lookup(g.find(w), base, p); child >= 0 {
+		if child := r.lookup(g.find(w), r.crashUsage(nd.usage, p, false)); child >= 0 {
 			buf = append(buf, child)
 		}
 	}
@@ -466,19 +477,23 @@ func (r *Result) succs(i int32, buf []int32) []int32 {
 }
 
 // Node looks up the explored node reached by a schedule from the initial
-// configuration, or nil if the schedule leaves the explored graph.
+// configuration, or nil if the schedule leaves the explored graph. Its
+// crash-usage id is found by counting the schedule's crashes in process
+// order, the order usage vectors are interned in.
 func (r *Result) Node(sigma schedule.Schedule) *node {
 	g := r.g
-	used := make([]int, g.m.n)
-	for _, e := range sigma {
-		if e.Crash {
-			used[e.P]++
+	u := int32(0)
+	for p := 0; p < g.m.n && u >= 0; p++ {
+		for _, e := range sigma {
+			if e.Crash && e.P == p && u >= 0 {
+				u = r.crashUsage(u, p, false)
+			}
 		}
 	}
 	sp := g.getScratch()
 	defer g.scratch.Put(sp)
 	g.replay(*sp, sigma)
-	if i := r.lookup(g.find(*sp), used, -1); i >= 0 {
+	if i := r.lookup(g.find(*sp), u); i >= 0 {
 		return &r.nodes[i]
 	}
 	return nil
@@ -488,10 +503,10 @@ func (r *Result) Node(sigma schedule.Schedule) *node {
 // found on its graph node's twin chain, or -1 for nil or a handle from
 // another Result.
 func (r *Result) indexOf(nd *node) int32 {
-	if nd == nil {
+	if nd == nil || int(nd.gn.ord) >= len(r.head) {
 		return -1
 	}
-	for ref := *r.slot(nd.gn); ref != 0; ref = r.nodes[ref-1].twin {
+	for ref := r.head[nd.gn.ord]; ref != 0; ref = r.nodes[ref-1].twin {
 		if &r.nodes[ref-1] == nd {
 			return ref - 1
 		}

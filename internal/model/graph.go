@@ -66,6 +66,9 @@ type Graph struct {
 	// negOuts is the shared all-undecided output vector (read-only), the
 	// parent history of every walk root's safety check.
 	negOuts []int8
+	// inputBits has bit v set when some process's input is v (inputs
+	// are 0 or 1): the default validity test is one bit test.
+	inputBits uint8
 
 	// scratch pools the packing buffers of expansions, root replays and
 	// post-exploration lookups.
@@ -119,17 +122,25 @@ func (s GraphStats) Sub(prev GraphStats) GraphStats {
 
 // gnode is one canonical node of the shared graph. All fields except the
 // expansion set are written once at intern time and read-only afterwards;
-// the expansion set (stepSucc, crashSucc) is written exactly once inside
-// the sync.Once and published by the done flag.
+// the expansion set (stepSucc, crashSucc and their edge flags) is
+// written exactly once inside the sync.Once and published by the done
+// flag.
 type gnode struct {
 	// words is the packed fixed-width identity (see machine) and hash
-	// its mix — both the graph's intern index key and the walk index's
-	// probe hash, computed exactly once per canonical node.
+	// its mix — the graph's intern index key and the snapshot record's
+	// check value, computed exactly once per canonical node.
 	words []uint64
 	hash  uint64
 	// ord is the node's position in the graph's intern order, the
-	// successor reference of its snapshot record.
+	// successor reference of its snapshot record and the index of its
+	// twin chain in every walk (Result.head).
 	ord int32
+	// stepFlags and crashFlags hold one bit per edge of the first
+	// flagWidth processes: bit p is set when the default safety check of
+	// the step (crash) successor via p, against this node's outputs,
+	// reports a violation. They belong to the expansion set and fill the
+	// padding after ord, so they cost no memory.
+	stepFlags, crashFlags uint16
 	// outs is the output history decoded from the output lanes, and
 	// decided[p] p's decision in the node's configuration (-1 if
 	// undecided), precomputed so per-request safety checks need no table
@@ -145,6 +156,53 @@ type gnode struct {
 	// quota, so every walk skips it). Both are carved from one
 	// allocation.
 	stepSucc, crashSucc []*gnode
+}
+
+// flagWidth is the number of processes whose edges carry safety flags
+// (gnode.stepFlags, crashFlags); a walk gives edges of later processes
+// the full safety check.
+const flagWidth = 16
+
+// validInput is the consensus default validity: d is some process's
+// input.
+func (g *Graph) validInput(d int) bool {
+	return uint(d) < 2 && g.inputBits>>d&1 != 0
+}
+
+// unsafeEdge reports whether the default safety check of child, reached
+// from a node whose output history is parentOuts, reports anything: a
+// process re-deciding against its earlier output, two outputs that
+// disagree, or an output that is no process's input. These depend only
+// on the edge, so they are computed once per expansion, not per walk.
+func (g *Graph) unsafeEdge(parentOuts []int8, child *gnode) bool {
+	decided := child.decided[:len(child.outs)]
+	parentOuts = parentOuts[:len(child.outs)]
+	first := int8(-1)
+	for p, v := range child.outs {
+		if d := decided[p]; d >= 0 && parentOuts[p] >= 0 && parentOuts[p] != d {
+			return true
+		}
+		if v < 0 {
+			continue
+		}
+		if !g.validInput(int(v)) || first >= 0 && v != first {
+			return true
+		}
+		first = v
+	}
+	return false
+}
+
+// flagEdges sets nd's edge flags from its expansion set.
+func (g *Graph) flagEdges(nd *gnode) {
+	for p := 0; p < min(g.m.n, flagWidth); p++ {
+		if c := nd.stepSucc[p]; c != nil && g.unsafeEdge(nd.outs, c) {
+			nd.stepFlags |= 1 << p
+		}
+		if c := nd.crashSucc[p]; c != nil && g.unsafeEdge(nd.outs, c) {
+			nd.crashFlags |= 1 << p
+		}
+	}
 }
 
 // NewGraph validates the protocol and builds an empty shared graph for
@@ -168,11 +226,15 @@ func NewGraph(pr Protocol, inputs []int) (*Graph, error) {
 			return nil, fmt.Errorf("model: input %d of process %d is not 0 or 1", in, p)
 		}
 	}
-	return &Graph{
+	g := &Graph{
 		m: mc, inputs: append([]int(nil), inputs...),
 		table:   make([]*gnode, 64),
 		negOuts: freshOuts(mc.n),
-	}, nil
+	}
+	for _, in := range inputs {
+		g.inputBits |= 1 << in
+	}
+	return g, nil
 }
 
 // Inputs returns the input vector the graph is built for.
@@ -290,7 +352,8 @@ func (g *Graph) find(w []uint64) *gnode {
 
 // ensure expands nd's successors if no walk has yet, with singleflight
 // semantics: concurrent callers agree on one expander and the rest wait.
-// The expansion is one table lookup and one intern per successor.
+// The expansion is one table lookup and one intern per successor, plus
+// the successors' edge flags.
 func (g *Graph) ensure(nd *gnode) {
 	if nd.done.Load() {
 		g.reused.Add(1)
@@ -320,6 +383,7 @@ func (g *Graph) ensure(nd *gnode) {
 			nd.crashSucc[p] = g.intern(w)
 		}
 		g.scratch.Put(sp)
+		g.flagEdges(nd)
 		g.expanded.Add(1)
 		nd.done.Store(true)
 		fresh = true
@@ -365,12 +429,12 @@ func (g *Graph) buildRoot(startTrace schedule.Schedule) *gnode {
 // Check explores the graph under the given options and verifies
 // agreement, validity and recoverable wait-freedom, sharing every node
 // expansion with concurrent and past walks. opts.Inputs must equal the
-// graph's inputs. The walk's own structures — crash-usage vectors,
-// discovery parents, BFS order, violation traces, node counts — are
-// private to the call and live in the returned Result, in a few flat
-// slices addressed by int32 index (a warm walk allocates a handful of
-// blocks, none per node), and the Result is identical to a serial
-// model.Check of the same options.
+// graph's inputs. The walk's own structures — twin-chain heads,
+// crash-usage ids, discovery parents, BFS order, violation traces, node
+// counts — are private to the call and live in the returned Result, in
+// a few flat slices addressed by int32 index (a warm walk allocates a
+// handful of blocks, none per node), and the Result is identical to a
+// serial model.Check of the same options.
 func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 	n := g.m.n
 	if len(opts.Inputs) != n {
@@ -390,32 +454,9 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		maxNodes = 2_000_000
 	}
 
-	// Walk nodes, edges and crash-usage offsets are int32 indices; a walk
-	// that fits in memory never comes near the cap this puts on MaxNodes.
+	// Walk nodes, edges and usage ids are int32 indices; a walk that
+	// fits in memory never comes near the cap this puts on MaxNodes.
 	maxNodes = min(maxNodes, math.MaxInt32/(2*(n+1)))
-
-	// Pre-size the walk from the graph's canonical node count: on a warm
-	// graph it bounds the index's slot count exactly and a crash-free
-	// walk's node count, on a cold one it is a harmless underestimate
-	// that the slices grow past.
-	hint := min(int(g.interned.Load()), maxNodes) + 1
-	r := &Result{
-		g:     g,
-		nodes: make([]node, 0, hint),
-		edges: make([]int32, 0, n*hint),
-		index: make([]int32, indexCap(hint)),
-	}
-	if quota == nil {
-		r.used = make([]int, n)
-	} else {
-		r.used = make([]int, n, n*hint)
-	}
-	w := walkState{r: r, validity: opts.Validity}
-	for _, in := range opts.Inputs {
-		w.inputBits |= 1 << in
-	}
-	root := g.root(opts.StartTrace)
-	r.add(r.slot(root), node{gn: root, parent: -1})
 
 	var done <-chan struct{}
 	if opts.Ctx != nil {
@@ -424,14 +465,18 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		}
 		done = opts.Ctx.Done()
 	}
+	root := g.root(opts.StartTrace)
+	r := g.newResult(quota, maxNodes)
+	w := walkState{r: r, validity: opts.Validity}
+	r.add(r.headOf(root), node{gn: root, parent: -1})
 
 	// BFS over (configuration, crash-usage, output-history) walk nodes,
 	// each backed by its canonical (configuration, output-history) graph
-	// node plus this walk's crash-usage vector. The loop mirrors the
+	// node plus this walk's crash-usage id. The loop mirrors the
 	// original serial exploration exactly; only the successor
-	// computations are delegated to the shared graph. r.nodes is the
-	// queue: head indexes the node being expanded, and children are
-	// appended behind it.
+	// computations and the edges' safety facts come from the shared
+	// graph. r.nodes is the queue: head indexes the node being expanded,
+	// and children are appended behind it.
 	w.checkSafety(0, g.negOuts)
 	for head := int32(0); int(head) < len(r.nodes) && len(r.nodes) <= maxNodes; head++ {
 		if done != nil && (head+1)%1024 == 0 {
@@ -441,26 +486,29 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 			default:
 			}
 		}
-		// Appending children may move r.nodes and r.used: keep the
-		// parent's fields, not a pointer to it. base still reads the
-		// parent's vector after a move, since vectors never change once
-		// appended.
-		gn, used, base := r.nodes[head].gn, r.nodes[head].used, r.usedOf(head)
+		// Appending children may move r.nodes and r.usage: keep the
+		// parent's fields, not a pointer to it. used still reads the
+		// parent's counts after a move, since counts never change once
+		// interned.
+		gn, u := r.nodes[head].gn, r.nodes[head].usage
+		used := r.usageRow(u)[:n]
 		g.ensure(gn)
 
 		// Step successors (decided processes take no-op steps, which
 		// cannot reach new configurations — nil in the expansion).
-		// Step children share the parent's crash-usage vector.
+		// Step children share the parent's crash-usage id.
 		lo := int32(len(r.edges))
 		for p, cg := range gn.stepSucc {
 			if cg == nil {
 				continue
 			}
-			s := r.slot(cg)
-			child := r.twin(*s, base, -1)
+			s := r.headOf(cg)
+			child := r.twin(*s, u)
 			if child < 0 {
-				child = r.add(s, node{gn: cg, parent: head, p: int32(p), used: used})
-				w.checkSafety(child, gn.outs)
+				child = r.add(s, node{gn: cg, parent: head, p: int32(p), usage: u})
+				if w.full(gn.stepFlags, p) {
+					w.checkSafety(child, gn.outs)
+				}
 			}
 			r.edges = append(r.edges, child)
 		}
@@ -468,24 +516,20 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 
 		// Crash successors: quota is this walk's overlay on the shared
 		// structure; the initial-state skip is baked into the expansion.
-		// The usage vector is only materialized when the child is new.
 		for p := 0; p < len(quota); p++ {
-			if base[p] >= quota[p] {
-				continue
-			}
 			cg := gn.crashSucc[p]
-			if cg == nil {
+			if cg == nil || int(used[p]) >= quota[p] {
 				continue
 			}
-			s := r.slot(cg)
-			if r.twin(*s, base, p) >= 0 {
+			c := r.crashUsage(u, p, true)
+			s := r.headOf(cg)
+			if r.twin(*s, c) >= 0 {
 				continue
 			}
-			off := int32(len(r.used))
-			r.used = append(r.used, base...)
-			r.used[int(off)+p]++
-			child := r.add(s, node{gn: cg, parent: head, p: int32(p), crash: true, used: off})
-			w.checkSafety(child, gn.outs)
+			child := r.add(s, node{gn: cg, parent: head, p: int32(p), crash: true, usage: c})
+			if w.full(gn.crashFlags, p) {
+				w.checkSafety(child, gn.outs)
+			}
 		}
 	}
 	if len(r.nodes) > maxNodes {
@@ -497,4 +541,29 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		r.checkLiveness(&w)
 	}
 	return r, nil
+}
+
+// newResult sizes a walk from the graph's canonical node count: on a
+// warm graph it is head's exact length and bounds a crash-free walk's
+// node count, on a cold one it is a harmless underestimate that the
+// slices grow past. head, the crash-usage rows (room for every vector
+// the quota admits, up to 64) and the edge list are carved from one
+// pointer-free block.
+func (g *Graph) newResult(quota []int, maxNodes int) *Result {
+	n := g.m.n
+	interned := int(g.interned.Load())
+	hint := min(interned, maxNodes) + 1
+	rows := 1
+	for _, q := range quota {
+		rows = min(rows*(min(max(q, 0), 63)+1), 64)
+	}
+	usage := interned + 2*n*rows
+	buf := make([]int32, usage+n*hint)
+	return &Result{
+		g:     g,
+		nodes: make([]node, 0, hint),
+		head:  buf[:interned:interned],
+		usage: buf[interned : interned+2*n : usage],
+		edges: buf[usage:usage:len(buf)],
+	}
 }

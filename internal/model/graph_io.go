@@ -197,9 +197,10 @@ func (g *Graph) ImportSnapshot(snap *GraphSnapshot) error {
 		order[i] = nd
 	}
 
-	// Second pass: wire the expansions. References may point anywhere in
-	// the table (a node interned early can be expanded late), which is
-	// why wiring waits until every node exists.
+	// Second pass: wire the expansions and compute their edge flags.
+	// References may point anywhere in the table (a node interned early
+	// can be expanded late), which is why wiring waits until every node
+	// exists.
 	succ := make([]*gnode, snap.NumExpanded()*2*n)
 	for i := range snap.Nodes {
 		rec := &snap.Nodes[i]
@@ -230,6 +231,7 @@ func (g *Graph) ImportSnapshot(snap *GraphSnapshot) error {
 				nd.crashSucc[p] = &nodes[ci]
 			}
 		}
+		g.flagEdges(nd)
 		nd.done.Store(true)
 	}
 

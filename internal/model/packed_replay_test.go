@@ -8,6 +8,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/protogen"
 	"repro/internal/schedule"
+	"repro/internal/spec"
+	"repro/internal/types"
 )
 
 // refNode is one node of the reference explorer: the pre-pack serial
@@ -71,12 +73,13 @@ func refTrace(nd *refNode) schedule.Schedule {
 // refCheck is an independent serial model checker sharing NO code with
 // Graph.Check beyond the primitive transition functions: plain
 // string-keyed map dedup, per-node Decision calls, recursion-free
-// liveness DFS over a map. It reproduces the checker's observable
-// contract — BFS discovery order, first-witness-per-kind violations
-// with identical detail strings, MaxNodes truncation, wait-freedom
-// cycle detection — so any divergence from the packed-word graph is a
-// packed-encoding bug, not a modeling choice.
-func refCheck(pr model.Protocol, inputs []int, quota []int, maxNodes int) *refResult {
+// liveness DFS over a map, and the full safety check on every new node.
+// It reproduces the checker's observable contract — BFS discovery
+// order, first-witness-per-kind violations with identical detail
+// strings, MaxNodes truncation, wait-freedom cycle detection — so any
+// divergence from the packed-word graph is a packed-encoding bug, not a
+// modeling choice. A nil validity selects the consensus default.
+func refCheck(pr model.Protocol, inputs []int, quota []int, maxNodes int, validity func(int) bool) *refResult {
 	n := pr.Procs()
 	res := &refResult{}
 	seen := [3]bool{}
@@ -90,13 +93,16 @@ func refCheck(pr model.Protocol, inputs []int, quota []int, maxNodes int) *refRe
 			kind: kind, trace: refTrace(nd).String(), config: nd.cfg.String(), detail: detail,
 		})
 	}
-	valid := func(d int) bool {
-		for _, in := range inputs {
-			if d == in {
-				return true
+	valid := validity
+	if valid == nil {
+		valid = func(d int) bool {
+			for _, in := range inputs {
+				if d == in {
+					return true
+				}
 			}
+			return false
 		}
-		return false
 	}
 	decidedVec := func(cfg model.Config) []int8 {
 		out := make([]int8, n)
@@ -278,18 +284,31 @@ func compareToRef(t *testing.T, label string, res *model.Result, ref *refResult)
 // pre-pack string-keyed serial replay, both on a cold graph and again on
 // the same (now warm) graph.
 func TestPackedCheckMatchesReplay(t *testing.T) {
+	checkCorpusMatchesReplay(t, nil)
+}
+
+// TestPackedCheckCustomValidityMatchesReplay runs the corpus again under
+// a validity predicate that is not the consensus default. The graph's
+// edge flags describe the default check only, so every new child must
+// take the full safety check; a walk that trusted the flags would miss
+// each decision of 1, which the default accepts.
+func TestPackedCheckCustomValidityMatchesReplay(t *testing.T) {
+	checkCorpusMatchesReplay(t, func(d int) bool { return d == 0 })
+}
+
+func checkCorpusMatchesReplay(t *testing.T, validity func(int) bool) {
 	const seeds = 120
 	const maxNodes = 200_000
 	for seed := uint64(0); seed < seeds; seed++ {
 		a := protogen.Generate(seed)
 		pr := a.Compiled
-		ref := refCheck(pr, a.Inputs, a.CrashQuota, maxNodes)
+		ref := refCheck(pr, a.Inputs, a.CrashQuota, maxNodes, validity)
 
 		g, err := model.NewGraph(pr, a.Inputs)
 		if err != nil {
 			t.Fatalf("seed %d: NewGraph: %v", seed, err)
 		}
-		opts := model.CheckOpts{Inputs: a.Inputs, CrashQuota: a.CrashQuota, MaxNodes: maxNodes}
+		opts := model.CheckOpts{Inputs: a.Inputs, CrashQuota: a.CrashQuota, MaxNodes: maxNodes, Validity: validity}
 		cold, err := g.Check(opts)
 		if err != nil {
 			t.Fatalf("seed %d: cold Check: %v", seed, err)
@@ -300,5 +319,68 @@ func TestPackedCheckMatchesReplay(t *testing.T) {
 			t.Fatalf("seed %d: warm Check: %v", seed, err)
 		}
 		compareToRef(t, fmt.Sprintf("seed %d warm", seed), warm, ref)
+	}
+}
+
+// wideProto has more processes than a graph node has edge flags: p0 to
+// p15 decide 0 at once, and p16 applies test-and-set and decides 0 if it
+// won, 1 if it lost. Crashed and run again, p16 loses and re-decides 1
+// against its earlier output 0. That is the protocol's only violation,
+// and the edge that shows it is a step of p16, beyond the flag width.
+type wideProto struct{ tas *spec.FiniteType }
+
+func (w *wideProto) Name() string { return "wide" }
+func (w *wideProto) Procs() int   { return 17 }
+func (w *wideProto) Objects() []model.ObjectSpec {
+	return []model.ObjectSpec{{Type: w.tas, Init: 0}}
+}
+func (w *wideProto) Init(p, input int) string {
+	if p < 16 {
+		return "done"
+	}
+	return "tas"
+}
+func (w *wideProto) Poised(p int, state string) model.Action {
+	switch state {
+	case "tas":
+		return model.Apply(0, 0)
+	case "lost":
+		return model.Decide(1)
+	}
+	return model.Decide(0)
+}
+func (w *wideProto) Next(p int, state string, resp spec.Response) string {
+	if resp == 0 {
+		return "won"
+	}
+	return "lost"
+}
+
+// TestWideProtocolMatchesReplay checks that edges of processes beyond
+// the edge-flag width take the full safety check: the violation
+// wideProto exhibits must be found, cold and warm, exactly as the
+// reference reports it.
+func TestWideProtocolMatchesReplay(t *testing.T) {
+	pr := &wideProto{tas: types.TestAndSet()}
+	inputs := make([]int, pr.Procs())
+	inputs[16] = 1
+	quota := make([]int, pr.Procs())
+	for p := range quota {
+		quota[p] = 1
+	}
+	ref := refCheck(pr, inputs, quota, 1000, nil)
+	if len(ref.violations) != 1 || !strings.HasPrefix(ref.violations[0].detail, "p16 output 0, crashed") {
+		t.Fatalf("reference violations %+v, want only p16's re-decision", ref.violations)
+	}
+	g, err := model.NewGraph(pr, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []string{"cold", "warm"} {
+		res, err := g.Check(model.CheckOpts{Inputs: inputs, CrashQuota: quota, MaxNodes: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareToRef(t, run, res, ref)
 	}
 }

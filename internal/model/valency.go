@@ -192,7 +192,7 @@ func (r *Result) classify(i int32) (*CriticalInfo, error) {
 	// the node's expansion carries exactly one step successor per
 	// process — read canonically instead of recomputing the transition.
 	for p, cg := range nd.gn.stepSucc {
-		cn := r.lookup(cg, r.usedOf(i), -1)
+		cn := r.lookup(cg, nd.usage)
 		if cn < 0 {
 			return nil, fmt.Errorf("model: internal error — step successor of critical node not explored")
 		}

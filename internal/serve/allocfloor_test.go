@@ -45,3 +45,43 @@ func TestCachedAnalyzeAllocFloor(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmCheckServeAllocFloor is the allocation ratchet for a warm
+// /v1/check through ServeHTTP: one crash-budgeted walk, quota 1 per
+// process, over a primed graph — the request check-warm traffic sends.
+// The request decodes, resolves its cached graph, walks it and encodes
+// the reply; the walk itself allocates a fixed handful of flat slices.
+// The bounds leave headroom over today's counts (133 and 113 allocs/op
+// before the walk moved to dense ids, 148 and 121 under -race), and a
+// per-visit allocation would add hundreds: the walks have 912 and 442
+// nodes. tnn-wf:4,2 reports an agreement violation, cas-rec:3 passes.
+func TestWarmCheckServeAllocFloor(t *testing.T) {
+	cases := []struct {
+		protocol, inputs, quota string
+		limit                   float64
+	}{
+		{"tnn-wf:4,2", "0,1,0,1", "1,1,1,1", 160},
+		{"cas-rec:3", "0,1,1", "1,1,1", 130},
+	}
+	for _, c := range cases {
+		t.Run(c.protocol, func(t *testing.T) {
+			s := New(Config{Parallelism: 2})
+			body := `{"protocol":"` + c.protocol + `","requests":[{"inputs":[` + c.inputs +
+				`],"crashQuota":[` + c.quota + `]}]}`
+			check := func() {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("check %s = %d %s", c.protocol, rec.Code, rec.Body)
+				}
+			}
+			check() // prime the graph cache
+			allocs := testing.AllocsPerRun(50, check)
+			if allocs > c.limit {
+				t.Errorf("warm check of %s allocates %.1f allocs/op, ratchet is %.0f",
+					c.protocol, allocs, c.limit)
+			}
+			t.Logf("%s: %.0f allocs/op", c.protocol, allocs)
+		})
+	}
+}

@@ -122,7 +122,9 @@ func (s *Server) jobEngine(ctx context.Context, j *jobs.Job, maxN int) *engine.E
 // handleJobSubmit serves POST /v1/jobs. The request is validated fully
 // at submission — protocol/type resolution, bounds — so a queued job can
 // only fail on execution errors, and bad requests answer 400 instead of
-// becoming failed jobs. A full queue answers 429.
+// becoming failed jobs. A full queue answers 429. The 202 reply is the
+// view Submit took while the job was still queued: a fast job may be
+// done before the reply is written.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -139,7 +141,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	j, err := s.jobsMgr.Submit(spec)
+	_, view, err := s.jobsMgr.Submit(spec)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		s.fail(w, http.StatusTooManyRequests, "%v", err)
@@ -151,7 +153,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.View())
+	writeJSON(w, http.StatusAccepted, view)
 }
 
 // invalidArgError marks a submission failure that must answer with the

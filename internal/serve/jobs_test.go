@@ -240,7 +240,7 @@ func TestJobQueueFullAnswers429(t *testing.T) {
 
 	release := make(chan struct{})
 	started := make(chan struct{})
-	blocker, err := srv.jobsMgr.Submit(jobs.Spec{
+	blocker, _, err := srv.jobsMgr.Submit(jobs.Spec{
 		Kind: "test.block",
 		Run: func(ctx context.Context, j *jobs.Job) (any, error) {
 			close(started)
