@@ -134,6 +134,9 @@ func run(args []string) error {
 	if err := decider.CheckN(*maxN); err != nil {
 		return fmt.Errorf("-max-n: %w", err)
 	}
+	if err := ef.Validate(); err != nil {
+		return err
+	}
 	if err := jf.Validate(); err != nil {
 		return err
 	}

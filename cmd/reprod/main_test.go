@@ -212,6 +212,7 @@ func TestRunErrors(t *testing.T) {
 		{"-max-jobs", "0"},
 		{"-max-jobs", "-3"},
 		{"-job-queue", "0"},
+		{"-graph-cache-budget", "-1"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v should fail", args)

@@ -28,13 +28,12 @@ type EngineFlags struct {
 	// empty = in-memory only), so sweeps resume across runs.
 	CacheFile string
 	// GraphCacheBudget bounds the engine's exploration-graph cache in
-	// total interned nodes (-graph-cache-budget; 0 = engine default,
-	// negative = disable graph caching).
+	// total interned nodes (-graph-cache-budget; 0 = engine default;
+	// negative is rejected by Validate).
 	GraphCacheBudget int
 	// GraphDir persists expanded exploration graphs under this directory
 	// (-graph-dir; empty = in-memory only), so model-checking runs
-	// warm-start across processes. It needs graph caching enabled and is
-	// ignored (with a warning) when -graph-cache-budget is negative.
+	// warm-start across processes.
 	GraphDir string
 
 	// Cache is the persistent cache opened for -cache-file; it is set by
@@ -63,10 +62,20 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	fs.StringVar(&f.CacheFile, "cache-file", "",
 		"persist the decision cache at this path (journal + snapshot), resuming prior runs' decisions")
 	fs.IntVar(&f.GraphCacheBudget, "graph-cache-budget", 0,
-		"node budget of the engine's exploration-graph cache (0 = engine default, negative = disable)")
+		"node budget of the engine's exploration-graph cache (0 = engine default)")
 	fs.StringVar(&f.GraphDir, "graph-dir", "",
 		"persist expanded exploration graphs under this directory, warm-starting model checks across runs")
 	return f
+}
+
+// Validate rejects a negative -graph-cache-budget: it once disabled the
+// graph cache, and failing at startup beats silently running with the
+// default budget instead.
+func (f *EngineFlags) Validate() error {
+	if f.GraphCacheBudget < 0 {
+		return fmt.Errorf("need -graph-cache-budget >= 0, got %d", f.GraphCacheBudget)
+	}
+	return nil
 }
 
 // Context returns the run context implied by the flags: background, or a
@@ -129,6 +138,9 @@ func (f *EngineFlags) OpenCache() (*repro.PersistentCache, error) {
 // (flushing its journal), reporting failures on stderr; canceling ctx
 // remains the caller's job.
 func (f *EngineFlags) EngineOn(ctx context.Context, extra ...repro.Option) (*repro.Engine, func(), error) {
+	if err := f.Validate(); err != nil {
+		return nil, nil, err
+	}
 	opts := []repro.Option{
 		repro.WithContext(ctx),
 		repro.WithParallelism(f.Parallel),
@@ -143,15 +155,11 @@ func (f *EngineFlags) EngineOn(ctx context.Context, extra ...repro.Option) (*rep
 		return nil, nil, err
 	}
 	var gc *repro.GraphCache
-	switch {
-	case gs != nil && f.GraphCacheBudget >= 0:
+	if gs != nil {
 		gc = repro.NewGraphCache(f.GraphCacheBudget)
 		gc.SetStore(gs)
 		opts = append(opts, repro.WithGraphCache(gc))
-	case gs != nil:
-		fmt.Fprintln(os.Stderr, "-graph-dir: ignored, graph caching is disabled (-graph-cache-budget < 0)")
-		fallthrough
-	default:
+	} else {
 		opts = append(opts, repro.WithGraphCacheBudget(f.GraphCacheBudget))
 	}
 	if pc != nil {

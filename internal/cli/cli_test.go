@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
@@ -104,6 +105,20 @@ func TestEngineCacheFileOpenError(t *testing.T) {
 	f := parse(t, "-cache-file", filepath.Join(t.TempDir(), "no-such-dir", "sub", "decisions"))
 	if _, _, err := f.Engine(); err == nil {
 		t.Fatal("Engine accepted an unopenable -cache-file")
+	}
+}
+
+// TestEngineRejectsNegativeGraphCacheBudget: a negative budget, which
+// once disabled the graph cache, fails at startup before any store is
+// opened.
+func TestEngineRejectsNegativeGraphCacheBudget(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "graphs")
+	f := parse(t, "-graph-cache-budget", "-1", "-graph-dir", dir)
+	if _, _, err := f.Engine(); err == nil || !strings.Contains(err.Error(), "-graph-cache-budget") {
+		t.Fatalf("err = %v, want a -graph-cache-budget error", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("rejected flags opened the graph store (stat err %v)", err)
 	}
 }
 

@@ -39,8 +39,8 @@
 // lazy and singleflight inside the graph), the node budget is enforced
 // against live node counts on every resolution, and evicting a graph
 // never invalidates walks already running on it — they hold their own
-// reference and finish unharmed. A negative budget disables caching and
-// restores fresh-graph-per-call behavior.
+// reference and finish unharmed. Every engine has a graph cache, its
+// own or a shared one.
 //
 // # Observability
 //

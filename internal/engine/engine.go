@@ -138,11 +138,9 @@ func WithGraphCache(c *GraphCache) Option {
 
 // WithGraphCacheBudget bounds the engine's private graph cache: the total
 // number of interned exploration-graph nodes retained across cached
-// graphs before least-recently-used graphs are evicted. 0 (the default)
-// selects DefaultGraphCacheBudget; a negative budget disables graph
-// caching entirely (every Check/CheckBatch/Theorem13 builds fresh
-// graphs, the pre-cache behavior). Ignored when WithGraphCache installs
-// a shared cache, which carries its own budget.
+// graphs before least-recently-used graphs are evicted. A budget <= 0
+// (the default is 0) selects DefaultGraphCacheBudget. Ignored when
+// WithGraphCache installs a shared cache, which carries its own budget.
 func WithGraphCacheBudget(nodes int) Option {
 	return func(e *Engine) { e.graphBudget = nodes }
 }
@@ -183,7 +181,7 @@ func New(opts ...Option) *Engine {
 	if e.cache == nil {
 		e.cache = NewCache()
 	}
-	if e.graphs == nil && e.graphBudget >= 0 {
+	if e.graphs == nil {
 		e.graphs = NewGraphCache(e.graphBudget)
 	}
 	// An out-of-range maxN is reported by Analyze/AnalyzeAll, not here:
@@ -197,31 +195,17 @@ func (e *Engine) MaxN() int { return e.maxN }
 // Cache returns the engine's decision cache (for stats and sharing).
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// GraphCache returns the engine's exploration-graph cache, or nil when
-// graph caching is disabled (WithGraphCacheBudget < 0).
+// GraphCache returns the engine's exploration-graph cache.
 func (e *Engine) GraphCache() *GraphCache { return e.graphs }
 
-// GraphCacheStats snapshots the graph cache's counters (zero when graph
-// caching is disabled).
-func (e *Engine) GraphCacheStats() GraphCacheStats {
-	if e.graphs == nil {
-		return GraphCacheStats{}
-	}
-	return e.graphs.Stats()
-}
+// GraphCacheStats snapshots the graph cache's counters.
+func (e *Engine) GraphCacheStats() GraphCacheStats { return e.graphs.Stats() }
 
 // graphFor resolves the exploration graph a check of (p, inputs) walks:
-// the cached live graph, or a fresh one-shot graph when caching is
-// disabled.
+// the cached live graph.
 func (e *Engine) graphFor(p model.Protocol, inputs []int) (*model.Graph, error) {
 	start := time.Now()
-	var g *model.Graph
-	var err error
-	if e.graphs != nil {
-		g, err = e.graphs.Get(p, inputs)
-	} else {
-		g, err = model.NewGraph(p, inputs)
-	}
+	g, err := e.graphs.Get(p, inputs)
 	if err == nil {
 		e.metrics.observeResolve(time.Since(start))
 	}

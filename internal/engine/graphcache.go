@@ -288,13 +288,10 @@ func (c *GraphCache) Get(p model.Protocol, inputs []int) (*model.Graph, error) {
 
 // Sync notes that walks on g just completed and schedules an
 // asynchronous spill of the graph's growth if it is dirty. It never
-// blocks on the disk and is a no-op for a nil cache, an uncached graph,
-// a clean entry, a store-less key, or an entry whose previous spill is
-// still in flight. Engines call it after Check/CheckBatch/Theorem13.
+// blocks on the disk and is a no-op for an uncached graph, a clean
+// entry, a store-less key, or an entry whose previous spill is still in
+// flight. Engines call it after Check/CheckBatch/Theorem13.
 func (c *GraphCache) Sync(g *model.Graph) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.byGraph[g]
@@ -336,9 +333,6 @@ func (c *GraphCache) spill(e *gcEntry, async bool) error {
 // called after request and job traffic has drained. It returns the
 // first spill error; keys that already failed are skipped.
 func (c *GraphCache) Flush() error {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	if c.store == nil {
 		c.mu.Unlock()

@@ -133,31 +133,6 @@ func TestGraphCacheEviction(t *testing.T) {
 	}
 }
 
-// TestGraphCacheDisabled checks WithGraphCacheBudget(-1) restores
-// fresh-graph-per-call behavior: no cache, zero stats, correct results.
-func TestGraphCacheDisabled(t *testing.T) {
-	p := proto.NewCASWaitFree(2)
-	e := New(WithGraphCacheBudget(-1))
-	if e.GraphCache() != nil {
-		t.Fatal("negative budget should disable the graph cache")
-	}
-	req := CheckRequest{Inputs: []int{0, 1}, CrashQuota: []int{1, 1}}
-	_, gs1, err := e.CheckBatch(p, []CheckRequest{req})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, gs2, err := e.CheckBatch(p, []CheckRequest{req})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs2.Expanded != gs1.Expanded || gs2.Expanded == 0 {
-		t.Fatalf("disabled cache should re-expand per batch: first %+v then %+v", gs1, gs2)
-	}
-	if st := e.GraphCacheStats(); st != (GraphCacheStats{}) {
-		t.Fatalf("disabled cache reports stats: %+v", st)
-	}
-}
-
 // TestGraphCacheIdentity checks the cache key separates protocols and
 // input vectors: distinct (protocol, inputs) never share a graph, equal
 // ones always do.

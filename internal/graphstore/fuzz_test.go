@@ -15,10 +15,10 @@ import (
 // store key. The contract under test is the one the crash-recovery
 // design leans on: Load returns the good prefix of whatever is on disk,
 // or an error — it never panics, whatever a torn write, a bit flip, or
-// an adversarial file put there. Seeds include genuine v2 Spill outputs
+// an adversarial file put there. Seeds include genuine v3 Spill outputs
 // (one page, and an incremental file whose second page completes
 // earlier records in place), systematically damaged variants of them,
-// and a v1 file, so the fuzzer starts at the format's interesting
+// and v1 and v2 files, so the fuzzer starts at the format's interesting
 // boundaries instead of random noise.
 func FuzzGraphstoreLoad(f *testing.F) {
 	pr, err := registry.ParseProtocol("tas-reg")
@@ -59,13 +59,14 @@ func FuzzGraphstoreLoad(f *testing.F) {
 	partial := spill(model.CheckOpts{Inputs: inputs, MaxNodes: 2})
 	valid := spill(model.CheckOpts{Inputs: inputs, CrashQuota: []int{1, 1}})
 	name := fp + "-in0_1.graph"
-	v1, err := os.ReadFile(filepath.Join("testdata", "rprgraph-v1-cas-wf-2-in0_1.graph"))
-	if err != nil {
-		f.Fatal(err)
-	}
-
 	f.Add(partial)
-	f.Add(v1)
+	for _, old := range []string{"rprgraph-v1-cas-wf-2-in0_1.graph", "rprgraph-v2-cas-wf-2-in0_1.graph"} {
+		data, err := os.ReadFile(filepath.Join("testdata", old))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-3])

@@ -4,14 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 
+	"repro/internal/logfile"
 	"repro/internal/model"
 )
 
@@ -21,22 +20,22 @@ const Magic = "RPRGRAPH"
 // Version is the newest file-format version this package writes. Files
 // with a newer version are refused (not silently truncated): they hold
 // valid data from a newer build, which must not be destroyed. Files with
-// an older version (v1 carried strings and a state dictionary) are a
-// cache miss: the next spill rewrites them from offset 0.
-const Version = 2
+// an older version (v1 carried strings and a state dictionary, v2 a
+// hand-checksummed header) are a cache miss: the next spill rewrites
+// them from offset 0.
+const Version = 3
+
+// format frames every graph file: the meta frame holds the file's key,
+// and each later frame one page.
+var format = logfile.Format{Magic: Magic, Version: Version, Name: "graph-store"}
 
 const (
 	// pageMaxRecords bounds the node records of one page; a spill larger
-	// than this splits into several pages, each independently CRC'd.
+	// than this splits into several pages, each its own frame.
 	pageMaxRecords = 4096
-	// maxPayload is the sanity cap on one page's payload length; a
-	// corrupted length field beyond it reads as a torn page.
-	maxPayload = 1 << 26
 	// succNone encodes an absent successor reference (-1).
 	succNone = ^uint32(0)
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Store is an open graph-store directory. It is safe for concurrent
 // use; all file access is serialized internally. Construct with Open;
@@ -154,64 +153,28 @@ func (s *Store) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
 // callers hold s.mu. A missing file returns (nil, zero-state, nil).
 func (s *Store) load(fp string, inputs []int) (*model.GraphSnapshot, *fileState, error) {
 	path := s.path(fp, inputs)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, &fileState{unexpanded: make(map[int]struct{})}, nil
-	}
+	lg, err := format.Read(path)
 	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-
-	hdr, hdrLen, err := readHeader(f, path)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("graphstore: %w", err)
 	}
 	st := &fileState{unexpanded: make(map[int]struct{})}
-	if hdr == nil || hdr.version < Version {
-		// Torn header (nothing was ever durably stored) or an older
-		// format: a miss either way. The next spill rewrites the file
-		// from offset 0.
+	if lg == nil {
+		// Missing, torn or an older format: a miss either way. The next
+		// spill writes the file from offset 0.
 		return nil, st, nil
 	}
-	if err := hdr.matches(fp, inputs); err != nil {
-		return nil, nil, fmt.Errorf("graphstore: %s: %w", path, err)
+	// The meta frame holds the process and object counts, then the key.
+	var want [96]byte
+	m := lg.Meta
+	if key := appendMeta(want[:0], fp, inputs, 0, 0)[8:]; len(m) < 8 || string(m[8:]) != string(key) {
+		return nil, nil, fmt.Errorf("graphstore: %s holds the graph of another key", path)
 	}
-
 	snap := &model.GraphSnapshot{
-		Procs:   int(hdr.procs),
-		Objects: int(hdr.objects),
+		Procs:   int(binary.LittleEndian.Uint32(m[0:])),
+		Objects: int(binary.LittleEndian.Uint32(m[4:])),
 		Inputs:  append([]int(nil), inputs...),
 	}
-	st.goodLen = hdrLen
-	off := hdrLen
-	var page []byte
-	for {
-		var pfx [8]byte
-		if _, err := io.ReadFull(f, pfx[:]); err != nil {
-			break // clean end or torn page-length prefix
-		}
-		plen := binary.LittleEndian.Uint32(pfx[0:4])
-		want := binary.LittleEndian.Uint32(pfx[4:8])
-		if plen == 0 || plen > maxPayload {
-			break
-		}
-		if cap(page) < int(plen) {
-			page = make([]byte, plen)
-		}
-		page = page[:plen]
-		if _, err := io.ReadFull(f, page); err != nil {
-			break
-		}
-		if crc32.Checksum(page, castagnoli) != want {
-			break
-		}
-		if !applyPage(snap, st, page) {
-			break
-		}
-		off += 8 + int64(plen)
-		st.goodLen = off
-	}
+	st.goodLen = lg.Scan(func(page []byte) bool { return applyPage(snap, st, page) })
 	if len(snap.Nodes) == 0 {
 		// A bare header (or one whose first page tore) carries no nodes;
 		// load it as a miss so the caller expands cold, but keep the
@@ -221,106 +184,18 @@ func (s *Store) load(fp string, inputs []int) (*model.GraphSnapshot, *fileState,
 	return snap, st, nil
 }
 
-// header is the decoded file header.
-type fileHeader struct {
-	version uint32
-	procs   uint32
-	objects uint32
-	fp      string
-	inputs  []int32
-}
-
-func (h *fileHeader) matches(fp string, inputs []int) error {
-	if h.fp != fp {
-		return fmt.Errorf("file holds fingerprint %.12s…, key is %.12s…", h.fp, fp)
-	}
-	if len(h.inputs) != len(inputs) {
-		return fmt.Errorf("file holds %d inputs, key has %d", len(h.inputs), len(inputs))
-	}
-	for i, in := range h.inputs {
-		if int(in) != inputs[i] {
-			return fmt.Errorf("file built for inputs %v, key is %v", h.inputs, inputs)
-		}
-	}
-	return nil
-}
-
-// readHeader decodes and verifies the file header. A short (torn)
-// header returns (nil, 0, nil): nothing durable. An alien magic or a
-// newer version is an error — the file must not be truncated or
-// overwritten. A checksum-failing header with our magic reads as torn:
-// the file never held durable pages a truncation could destroy, because
-// every write path makes the header durable before the first page.
-func readHeader(f *os.File, path string) (*fileHeader, int64, error) {
-	var fixed [24]byte
-	if _, err := io.ReadFull(f, fixed[:]); err != nil {
-		return nil, 0, nil
-	}
-	if string(fixed[0:8]) != Magic {
-		return nil, 0, fmt.Errorf("graphstore: %s has no graph-store header (refusing to overwrite; move the file aside to start fresh)", path)
-	}
-	version := binary.LittleEndian.Uint32(fixed[8:12])
-	if version > Version {
-		return nil, 0, fmt.Errorf("graphstore: %s is format version %d, newer than this build's %d", path, version, Version)
-	}
-	h := &fileHeader{
-		version: version,
-		procs:   binary.LittleEndian.Uint32(fixed[12:16]),
-		objects: binary.LittleEndian.Uint32(fixed[16:20]),
-	}
-	varLen := binary.LittleEndian.Uint32(fixed[20:24])
-	if varLen > 1<<16 {
-		return nil, 0, nil
-	}
-	varPart := make([]byte, varLen+4) // variable section + CRC
-	if _, err := io.ReadFull(f, varPart); err != nil {
-		return nil, 0, nil
-	}
-	crc := binary.LittleEndian.Uint32(varPart[varLen:])
-	sum := crc32.Checksum(fixed[:], castagnoli)
-	sum = crc32.Update(sum, castagnoli, varPart[:varLen])
-	if sum != crc {
-		return nil, 0, nil
-	}
-	v := varPart[:varLen]
-	if len(v) < 2 {
-		return nil, 0, nil
-	}
-	fpLen := int(binary.LittleEndian.Uint16(v[0:2]))
-	v = v[2:]
-	if len(v) < fpLen+2 {
-		return nil, 0, nil
-	}
-	h.fp = string(v[:fpLen])
-	v = v[fpLen:]
-	nIn := int(binary.LittleEndian.Uint16(v[0:2]))
-	v = v[2:]
-	if len(v) != 4*nIn {
-		return nil, 0, nil
-	}
-	for i := 0; i < nIn; i++ {
-		h.inputs = append(h.inputs, int32(binary.LittleEndian.Uint32(v[4*i:])))
-	}
-	return h, 24 + int64(varLen) + 4, nil
-}
-
-// encodeHeader renders the header for (fp, inputs, procs, objects).
-func encodeHeader(fp string, inputs []int, procs, objects int) []byte {
-	var varPart []byte
-	varPart = binary.LittleEndian.AppendUint16(varPart, uint16(len(fp)))
-	varPart = append(varPart, fp...)
-	varPart = binary.LittleEndian.AppendUint16(varPart, uint16(len(inputs)))
+// appendMeta appends the meta frame's payload, the file's key: the
+// process and object counts, the fingerprint and the inputs.
+func appendMeta(dst []byte, fp string, inputs []int, procs, objects int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(procs))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(objects))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(fp)))
+	dst = append(dst, fp...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(inputs)))
 	for _, in := range inputs {
-		varPart = binary.LittleEndian.AppendUint32(varPart, uint32(int32(in)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(in)))
 	}
-	out := make([]byte, 0, 24+len(varPart)+4)
-	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(procs))
-	out = binary.LittleEndian.AppendUint32(out, uint32(objects))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(varPart)))
-	out = append(out, varPart...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+	return dst
 }
 
 // recordSize is the fixed width of one node record: its index, packed
@@ -533,41 +408,36 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 // effort), so the entry of a file it just created survives a power
 // loss.
 func (s *Store) write(fp string, inputs []int, snap *model.GraphSnapshot, st *fileState, stream []int) error {
-	f, err := os.OpenFile(s.path(fp, inputs), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := logfile.OpenAppend(s.path(fp, inputs), st.goodLen)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if fi, err := f.Stat(); err != nil {
-		return err
-	} else if fi.Size() != st.goodLen {
-		if err := f.Truncate(st.goodLen); err != nil {
-			return err
-		}
-	}
-	if _, err := f.Seek(st.goodLen, io.SeekStart); err != nil {
-		return err
-	}
-	var out []byte
+	// One buffer, sized up front: the header (when none is durable),
+	// then one frame per page of a record count and records.
+	rs := recordSize(snap.Procs, model.NodeWords(snap.Procs, snap.Objects))
+	pages := (len(stream) + pageMaxRecords - 1) / pageMaxRecords
+	size := pages*logfile.FrameLen(4) + len(stream)*rs
+	var mb [96]byte
+	var meta []byte
 	newHeader := st.goodLen == 0
 	if newHeader {
-		out = encodeHeader(fp, inputs, snap.Procs, snap.Objects)
+		meta = appendMeta(mb[:0], fp, inputs, snap.Procs, snap.Objects)
+		size += logfile.HeaderLen(len(meta))
 	}
-	rs := recordSize(snap.Procs, model.NodeWords(snap.Procs, snap.Objects))
-	out = slices.Grow(out, (len(stream)/pageMaxRecords+1)*12+len(stream)*rs)
+	out := make([]byte, 0, size)
+	if newHeader {
+		out = format.AppendHeader(out, meta)
+	}
 	for start := 0; start < len(stream); start += pageMaxRecords {
 		batch := stream[start:min(start+pageMaxRecords, len(stream))]
-		// Page: payload length and CRC (patched in below), then the
-		// payload — its record count and records.
-		page := len(out)
-		out = append(out, make([]byte, 8)...)
+		var page int
+		out, page = logfile.StartFrame(out)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(batch)))
 		for _, idx := range batch {
 			out = encodeRecord(out, idx, &snap.Nodes[idx])
 		}
-		payload := out[page+8:]
-		binary.LittleEndian.PutUint32(out[page:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(out[page+4:], crc32.Checksum(payload, castagnoli))
+		logfile.EndFrame(out, page)
 	}
 	if _, err := f.Write(out); err != nil {
 		return err
@@ -576,19 +446,10 @@ func (s *Store) write(fp string, inputs []int, snap *model.GraphSnapshot, st *fi
 		return err
 	}
 	if newHeader {
-		syncDir(s.dir)
+		logfile.SyncDir(s.dir)
 	}
 	// The header (when freshly written) is part of out, so one advance
 	// covers both.
 	st.goodLen += int64(len(out))
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-created file's directory entry is
-// durable. Best effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

@@ -422,19 +422,34 @@ func TestStoreRefusals(t *testing.T) {
 // TestStoreV1FileIsRewritten loads an RPRGRAPH v1 file written by the
 // v1 build (testdata: cas-wf:2 at inputs 0,1 after a crash-free and a
 // crash-quota [1,1] walk). A v1 file is a cache miss; the next spill
-// rewrites it as v2 from offset 0, and a restart then loads it warm.
+// rewrites it as the current version from offset 0, and a restart then
+// loads it warm.
 func TestStoreV1FileIsRewritten(t *testing.T) {
+	testOldFileIsRewritten(t, "rprgraph-v1-cas-wf-2-in0_1.graph", 1)
+}
+
+// TestStoreV2FileIsRewritten does the same for an RPRGRAPH v2 file (the
+// same graph, written by the v2 build: packed words behind a
+// hand-checksummed header).
+func TestStoreV2FileIsRewritten(t *testing.T) {
+	testOldFileIsRewritten(t, "rprgraph-v2-cas-wf-2-in0_1.graph", 2)
+}
+
+// testOldFileIsRewritten runs the upgrade check on one testdata file of
+// an older version.
+func testOldFileIsRewritten(t *testing.T, fixture string, version byte) {
+	t.Helper()
 	pr, fp, inputs, walks := testProtocol(t, "cas-wf:2")
-	v1, err := os.ReadFile(filepath.Join("testdata", "rprgraph-v1-cas-wf-2-in0_1.graph"))
+	old, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(v1[:8]) != graphstore.Magic || v1[8] != 1 {
-		t.Fatalf("testdata is not an RPRGRAPH v1 file: % x", v1[:12])
+	if string(old[:8]) != graphstore.Magic || old[8] != version {
+		t.Fatalf("testdata is not an RPRGRAPH v%d file: % x", version, old[:12])
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, fp+"-in0_1.graph")
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -443,10 +458,10 @@ func TestStoreV1FileIsRewritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap, err := s.Load(fp, inputs); err != nil || snap != nil {
-		t.Fatalf("v1 file: snap=%v err=%v, want a miss", snap, err)
+		t.Fatalf("v%d file: snap=%v err=%v, want a miss", version, snap, err)
 	}
 	if st := s.Stats(); st.Misses != 1 || st.Errors != 0 {
-		t.Fatalf("v1 load counters %+v, want one miss and no error", st)
+		t.Fatalf("v%d load counters %+v, want one miss and no error", version, st)
 	}
 
 	g, want := expand(t, pr, inputs, walks)

@@ -163,17 +163,22 @@ func (j *Job) Subscribe(afterSeq int64) (replay []Event, ch <-chan Event, cancel
 
 // requestCancel flips the job toward cancellation. Queued jobs finalize
 // immediately; running jobs get their context canceled and finalize when
-// Run returns. Reports whether the job was non-terminal.
+// Run returns. Reports whether the job was non-terminal. Like every
+// lifecycle transition it takes the manager's lock before the job's, the
+// order Submit uses.
 func (j *Job) requestCancel() bool {
+	j.mgr.mu.Lock()
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
+		j.mgr.mu.Unlock()
 		return false
 	}
 	j.cancelReq = true
 	if j.state == StateRunning {
 		cancel := j.cancel
 		j.mu.Unlock()
+		j.mgr.mu.Unlock()
 		if cancel != nil {
 			cancel()
 		}
@@ -181,37 +186,38 @@ func (j *Job) requestCancel() bool {
 	}
 	// Queued: finalize here; the worker skips it in start.
 	j.finalizeLocked(StateCanceled, nil, context.Canceled)
+	j.mgr.retireLocked(j.id, StateQueued, StateCanceled)
 	j.mu.Unlock()
-	j.mgr.finalizeCounters(StateQueued, StateCanceled)
-	j.mgr.remember(j.id)
+	j.mgr.mu.Unlock()
 	return true
 }
 
 // start transitions a popped job to running. It returns false when the
 // job was canceled while queued (the worker then skips it).
 func (j *Job) start(cancel context.CancelFunc) bool {
+	j.mgr.mu.Lock()
+	defer j.mgr.mu.Unlock()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
 	j.publishLocked("job.running", nil)
-	j.mu.Unlock()
-	j.mgr.mu.Lock()
 	j.mgr.queued--
 	j.mgr.running++
-	j.mgr.mu.Unlock()
 	return true
 }
 
 // finish finalizes a running job from Run's outcome.
 func (j *Job) finish(result any, err, ctxErr error) {
+	j.mgr.mu.Lock()
+	defer j.mgr.mu.Unlock()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state != StateRunning {
-		j.mu.Unlock()
 		return
 	}
 	to := StateDone
@@ -229,9 +235,7 @@ func (j *Job) finish(result any, err, ctxErr error) {
 		}
 	}
 	j.finalizeLocked(to, result, err)
-	j.mu.Unlock()
-	j.mgr.finalizeCounters(StateRunning, to)
-	j.mgr.remember(j.id)
+	j.mgr.retireLocked(j.id, StateRunning, to)
 }
 
 // finalizeLocked records the terminal state, publishes the terminal

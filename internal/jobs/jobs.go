@@ -297,11 +297,12 @@ func (m *Manager) run(j *Job) {
 	j.finish(result, err, ctx.Err())
 }
 
-// finalizeCounters moves the manager-side gauges for a job that left
-// state from (queued/running) into terminal state to.
-func (m *Manager) finalizeCounters(from, to State) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// retireLocked moves the manager's counters for a job that left state
+// from (queued or running) for terminal state to, and appends the job
+// to the history ring, evicting the oldest finished job beyond the
+// limit. The caller holds m.mu and the job's lock, so the counters move
+// in the same critical section as the job's terminal event.
+func (m *Manager) retireLocked(id string, from, to State) {
 	switch from {
 	case StateQueued:
 		m.queued--
@@ -316,13 +317,6 @@ func (m *Manager) finalizeCounters(from, to State) {
 	case StateCanceled:
 		m.canceled++
 	}
-}
-
-// remember appends a terminal job to the history ring, evicting the
-// oldest finished job beyond the limit.
-func (m *Manager) remember(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.history = append(m.history, id)
 	for len(m.history) > m.cfg.HistoryLimit {
 		delete(m.jobs, m.history[0])

@@ -346,3 +346,42 @@ func TestSubmitViewIsQueued(t *testing.T) {
 		}
 	}
 }
+
+// TestCountersMatchTerminalEvent checks that a job's terminal event and
+// the manager's counters move together: once a subscriber has drained a
+// job's stream, Stats counts the job as done. Instantly finishing jobs,
+// submitted a round per worker, make the window between the two wide
+// enough to hit when they are updated apart.
+func TestCountersMatchTerminalEvent(t *testing.T) {
+	const n, workers = 500, 4
+	m := jobs.NewManager(jobs.Config{Workers: workers})
+	defer m.Close(context.Background())
+	drained := 0
+	for drained < n {
+		var round []*jobs.Job
+		for range workers {
+			j, _, err := m.Submit(jobs.Spec{Kind: "instant", Run: func(context.Context, *jobs.Job) (any, error) {
+				return nil, nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			round = append(round, j)
+		}
+		for _, j := range round {
+			replay, ch, cancel := j.Subscribe(0)
+			events := drain(t, replay, ch)
+			cancel()
+			if last := events[len(events)-1].Kind; last != "job.done" {
+				t.Fatalf("job %s ended with %s", j.ID(), last)
+			}
+			drained++
+			if st := m.Stats(); st.Done < uint64(drained) {
+				t.Fatalf("after draining %d jobs' streams: stats %+v count fewer done", drained, st)
+			}
+		}
+		if st := m.Stats(); st.Done != uint64(drained) || st.Running != 0 || st.Queued != 0 {
+			t.Fatalf("after draining %d jobs' streams: stats %+v, want exactly those done", drained, st)
+		}
+	}
+}

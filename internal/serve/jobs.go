@@ -102,7 +102,7 @@ func progressJSON(ev engine.Event) progressEvent {
 // streaming every engine progress event into the job's subscribable
 // stream.
 func (s *Server) jobEngine(ctx context.Context, j *jobs.Job, maxN int) *engine.Engine {
-	opts := []engine.Option{
+	return engine.New(
 		engine.WithContext(ctx),
 		engine.WithCache(s.cfg.Cache),
 		engine.WithParallelism(s.cfg.Parallelism),
@@ -110,13 +110,8 @@ func (s *Server) jobEngine(ctx context.Context, j *jobs.Job, maxN int) *engine.E
 		engine.WithMaxN(maxN),
 		engine.WithMetrics(s.engMetrics),
 		engine.WithProgress(func(ev engine.Event) { j.Publish(ev.Kind, progressJSON(ev)) }),
-	}
-	if s.graphs != nil {
-		opts = append(opts, engine.WithGraphCache(s.graphs))
-	} else {
-		opts = append(opts, engine.WithGraphCacheBudget(-1))
-	}
-	return engine.New(opts...)
+		engine.WithGraphCache(s.graphs),
+	)
 }
 
 // handleJobSubmit serves POST /v1/jobs. The request is validated fully

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -130,10 +129,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		lv(`{outcome="expanded"}`, float64(s.graphExpanded.Load())),
 		lv(`{outcome="reused"}`, float64(s.graphReused.Load())))
 
-	var gc engine.GraphCacheStats
-	if s.graphs != nil {
-		gc = s.graphs.Stats()
-	}
+	gc := s.graphs.Stats()
 	counter("reprod_graph_cache_requests_total", "Exploration-graph cache resolutions by outcome.",
 		lv(`{outcome="hit"}`, float64(gc.Hits)),
 		lv(`{outcome="miss"}`, float64(gc.Misses)))

@@ -76,17 +76,15 @@ type Config struct {
 	CheckMaxNodes int
 	// GraphCacheBudget bounds the server-wide exploration-graph cache
 	// shared by every request's engine, in total interned nodes
-	// (0 = engine.DefaultGraphCacheBudget; negative disables graph
-	// caching — every request re-expands). Repeated /v1/check traffic
+	// (<= 0 = engine.DefaultGraphCacheBudget). Repeated /v1/check traffic
 	// for the same protocol and inputs walks warm cached graphs instead
 	// of re-expanding the state space per request.
 	GraphCacheBudget int
 	// GraphStore, when non-nil, backs the graph cache with an on-disk
 	// store (graphstore.Open): cache misses try a disk load before
 	// expanding, and expanded graphs spill back asynchronously, so a
-	// restarted server serves previously-explored protocols warm. It is
-	// ignored when graph caching is disabled (GraphCacheBudget < 0).
-	// The owning process calls FlushGraphs at shutdown.
+	// restarted server serves previously-explored protocols warm. The
+	// owning process calls FlushGraphs at shutdown.
 	GraphStore engine.GraphStore
 	// JobWorkers bounds the async jobs running concurrently
 	// (0 = jobs.DefaultWorkers). Jobs run outside the MaxConcurrent
@@ -183,11 +181,9 @@ func New(cfg Config) *Server {
 		cfg.CheckMaxNodes = DefaultCheckMaxNodes
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), sem: make(chan struct{}, cfg.MaxConcurrent), start: time.Now()}
-	if cfg.GraphCacheBudget >= 0 {
-		s.graphs = engine.NewGraphCache(cfg.GraphCacheBudget)
-		if cfg.GraphStore != nil {
-			s.graphs.SetStore(cfg.GraphStore)
-		}
+	s.graphs = engine.NewGraphCache(cfg.GraphCacheBudget)
+	if cfg.GraphStore != nil {
+		s.graphs.SetStore(cfg.GraphStore)
 	}
 	s.jobsMgr = jobs.NewManager(jobs.Config{
 		Workers:        cfg.JobWorkers,
@@ -254,13 +250,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // FlushGraphs synchronously spills every dirty cached exploration graph
 // to the configured graph store. Call it AFTER Shutdown and the HTTP
 // drain (so no job or request is still growing a graph mid-export) and
-// before the process exits. A no-op without a graph cache or store.
-func (s *Server) FlushGraphs() error {
-	if s.graphs == nil {
-		return nil
-	}
-	return s.graphs.Flush()
-}
+// before the process exits. A no-op without a graph store.
+func (s *Server) FlushGraphs() error { return s.graphs.Flush() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -572,11 +563,7 @@ func (s *Server) requestEngine(r *http.Request, maxN int) (*engine.Engine, conte
 		engine.WithShardThreshold(s.cfg.ShardThreshold),
 		engine.WithMaxN(maxN),
 		engine.WithMetrics(s.engMetrics),
-	}
-	if s.graphs != nil {
-		opts = append(opts, engine.WithGraphCache(s.graphs))
-	} else {
-		opts = append(opts, engine.WithGraphCacheBudget(-1))
+		engine.WithGraphCache(s.graphs),
 	}
 	// Stream the engine's stage events into the request's trace, so the
 	// slow-request log can say where the time went.
@@ -743,10 +730,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if total := resp.Graph.Expanded + resp.Graph.Reused; total > 0 {
 		resp.Graph.HitRate = float64(resp.Graph.Reused) / float64(total)
 	}
-	var gc engine.GraphCacheStats
-	if s.graphs != nil {
-		gc = s.graphs.Stats()
-	}
+	gc := s.graphs.Stats()
 	resp.GraphCache.Hits = gc.Hits
 	resp.GraphCache.Misses = gc.Misses
 	resp.GraphCache.Evicted = gc.Evicted

@@ -14,15 +14,28 @@
 //   - P.journal — the append-only journal receiving every decision
 //     computed since the last compaction.
 //
-// Both files share one line-oriented format: a header line
-// {"format":"repro-decision-store","version":1} followed by one record
-// per line, {"e":<entry>,"c":<crc32c of the entry bytes>}. The CRC makes
-// corruption detection independent of JSON syntax: a torn tail from a
-// crash, a bit flip, or a truncated copy is caught at load time, and the
-// load keeps every record up to the first bad one (for the journal, the
-// file is also physically truncated back to that point so appends resume
-// on a clean boundary). A record only counts as good if its trailing
-// newline made it to disk.
+// Both files share one format, the internal/logfile framing: the magic
+// "RPRDECIS", the little-endian version 2 and an empty meta frame, then
+// one frame per decision. A frame is a length, a CRC-32C over the length
+// and the payload, and the payload: the fingerprint (uint64), a
+// property code, the level and the verdict (one byte each), then, for a
+// positive decision, the witness JSON. The checksum makes corruption
+// detection independent of the payload: a torn tail from a crash, a bit
+// flip, or a truncated copy is caught at load time, and the load keeps
+// every decision up to the first bad frame (for the journal, the file is
+// also physically truncated back to that point so appends resume on a
+// clean boundary).
+//
+// # Crash safety and upgrades
+//
+// A foreign file at either path, or a file of a newer version, is
+// refused and left untouched. A torn header reads as empty, and so does
+// a version 1 file (a JSON header line and JSON-in-JSON records): an
+// upgraded build loads it as zero decisions, rewrites the journal at
+// Open and the snapshot at the next Compact. Appends are buffered;
+// Flush and Close fsync the journal. Compact writes the snapshot to a
+// temporary file, fsyncs it, renames it over the old one and fsyncs the
+// directory, and only then resets the journal.
 //
 // # Concurrency and ownership
 //
@@ -31,7 +44,7 @@
 // never block on disk. Close drains and syncs the journal; Flush and
 // Compact are available mid-run. One process at a time may own a store
 // path (the -cache-file contract of the cmd tools) — concurrent writers
-// would interleave journal lines. Within the owning process a *Store is
+// would interleave journal frames. Within the owning process a *Store is
 // safe for concurrent use.
 //
 // # Byte-stability guarantees

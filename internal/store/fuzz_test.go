@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/logfile"
 	"repro/internal/types"
 )
 
@@ -19,7 +19,7 @@ import (
 // decision computed after Open is journaled, survives Close, and is
 // served again by a reopen alongside everything the first Open loaded.
 // Seeds are a genuine compacted snapshot and journal, damaged variants
-// of them, and the two refused headers.
+// of them, the two refused headers, and version 1 files.
 func FuzzStoreLoad(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "decisions")
@@ -52,7 +52,15 @@ func FuzzStoreLoad(f *testing.F) {
 	}
 	flipped := append([]byte(nil), journal...)
 	flipped[len(flipped)*2/3] ^= 0x20
-	newer, _ := json.Marshal(header{Format: Format, Version: Version + 1})
+	newer := logfile.Format{Magic: Magic, Version: Version + 1}.AppendHeader(nil, nil)
+	v1snap, err := os.ReadFile(filepath.Join("testdata", "decisions-v1.repro"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1journal, err := os.ReadFile(filepath.Join("testdata", "decisions-v1.repro.journal"))
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Add(snap, journal)
 	f.Add([]byte{}, journal)
@@ -60,7 +68,9 @@ func FuzzStoreLoad(f *testing.F) {
 	f.Add(snap[:len(snap)-5], journal[:len(journal)/2])
 	f.Add(snap, flipped)
 	f.Add([]byte("not a store\n"), journal)
-	f.Add(snap, append(newer, '\n'))
+	f.Add(snap, newer)
+	f.Add(v1snap, v1journal)
+	f.Add(v1snap, journal)
 	f.Add([]byte{}, []byte{})
 
 	f.Fuzz(func(t *testing.T, snap, journal []byte) {

@@ -2,220 +2,159 @@ package store
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 
 	"repro/internal/discern"
 	"repro/internal/engine"
+	"repro/internal/logfile"
 	"repro/internal/record"
 )
 
-// Format is the header tag identifying decision-store files.
-const Format = "repro-decision-store"
+// Magic is the 8-byte tag opening every decision-store file.
+const Magic = "RPRDECIS"
 
-// Version is the newest file-format version this package writes. Files
-// with a newer version are refused (not silently truncated): they hold
-// valid data from a newer build, which must not be destroyed.
-const Version = 1
+// Version is the newest file-format version this package writes:
+// version 2 holds one binary frame per decision. Files with a newer
+// version are refused (not silently truncated): they hold valid data
+// from a newer build, which must not be destroyed. Version 1 files (JSON
+// lines) load as zero decisions: the journal is rewritten at Open, the
+// snapshot at the next Compact.
+const Version = 2
+
+// format frames both store files. Legacy is how every version 1 file
+// begins.
+var format = logfile.Format{Magic: Magic, Version: Version, Name: "decision-store",
+	Legacy: `{"format":"repro-decision-store"`}
+
+// header opens every snapshot and journal; its meta frame is empty.
+var header = format.AppendHeader(nil, nil)
 
 // journalSuffix names the journal file beside the snapshot path.
 const journalSuffix = ".journal"
 
-// castagnoli is the CRC-32C table used for record checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// Property codes of a decision frame.
+const (
+	propDiscerning = 1
+	propRecording  = 2
+)
 
-// header is the first line of snapshot and journal files.
-type header struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-}
+// entryFixed is the width of a decision frame's fixed fields: the
+// fingerprint (uint64), the property code, the level and the verdict
+// (one byte each). A positive decision's witness JSON follows them.
+const entryFixed = 11
 
-// entryJSON is the serialized decision. The fingerprint is hex-encoded:
-// JSON numbers cannot carry 64 bits exactly.
-type entryJSON struct {
-	FP   string          `json:"fp"`
-	Prop string          `json:"prop"`
-	N    int             `json:"n"`
-	OK   bool            `json:"ok"`
-	W    json.RawMessage `json:"w,omitempty"`
-}
-
-// recordJSON is one non-header line: the entry bytes plus their CRC-32C.
-type recordJSON struct {
-	E json.RawMessage `json:"e"`
-	C uint32          `json:"c"`
-}
-
-// encodeEntry renders e as one newline-terminated journal line.
-func encodeEntry(e engine.Entry) ([]byte, error) {
-	ej := entryJSON{FP: fmt.Sprintf("%016x", e.FP), Prop: string(e.Prop), N: e.N, OK: e.OK}
-	var w any
-	switch {
-	case e.DiscernWitness != nil:
-		w = e.DiscernWitness
-	case e.RecordWitness != nil:
-		w = e.RecordWitness
-	}
-	if w != nil {
-		wb, err := json.Marshal(w)
-		if err != nil {
-			return nil, err
-		}
-		ej.W = wb
-	}
-	eb, err := json.Marshal(ej)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(recordJSON{E: eb, C: crc32.Checksum(eb, castagnoli)})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-// decodeEntry parses one record line, verifying the CRC and the
-// decision's internal consistency (a positive decision must carry a
-// witness of the right kind and level).
-func decodeEntry(line []byte) (engine.Entry, error) {
-	var rec recordJSON
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return engine.Entry{}, err
-	}
-	if got := crc32.Checksum(rec.E, castagnoli); got != rec.C {
-		return engine.Entry{}, fmt.Errorf("store: record CRC mismatch (%08x != %08x)", got, rec.C)
-	}
-	var ej entryJSON
-	if err := json.Unmarshal(rec.E, &ej); err != nil {
-		return engine.Entry{}, err
-	}
-	fp, err := strconv.ParseUint(ej.FP, 16, 64)
-	if err != nil {
-		return engine.Entry{}, fmt.Errorf("store: bad fingerprint %q: %w", ej.FP, err)
-	}
-	e := engine.Entry{FP: fp, Prop: engine.Property(ej.Prop), N: ej.N, OK: ej.OK}
-	if e.N < 2 {
-		return engine.Entry{}, fmt.Errorf("store: bad level n=%d", e.N)
-	}
+// appendEntry appends e to dst as one decision frame.
+func appendEntry(dst []byte, e engine.Entry) ([]byte, error) {
+	var code byte
+	var w json.Marshaler
 	switch e.Prop {
 	case engine.Discerning:
-		if e.OK {
-			e.DiscernWitness = &discern.Witness{}
-			err = json.Unmarshal(ej.W, e.DiscernWitness)
+		code = propDiscerning
+		if e.DiscernWitness != nil {
+			w = e.DiscernWitness
 		}
 	case engine.Recording:
-		if e.OK {
-			e.RecordWitness = &record.Witness{}
-			err = json.Unmarshal(ej.W, e.RecordWitness)
+		code = propRecording
+		if e.RecordWitness != nil {
+			w = e.RecordWitness
 		}
 	default:
-		return engine.Entry{}, fmt.Errorf("store: unknown property %q", ej.Prop)
+		return dst, fmt.Errorf("store: unknown property %q", e.Prop)
+	}
+	if e.N < 2 || e.N > 255 || e.OK != (w != nil) {
+		return dst, fmt.Errorf("store: cannot encode decision %s n=%d ok=%v", e.Prop, e.N, e.OK)
+	}
+	var wb []byte
+	if w != nil {
+		var err error
+		if wb, err = w.MarshalJSON(); err != nil {
+			return dst, err
+		}
+	}
+	dst, off := logfile.StartFrame(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, e.FP)
+	verdict := byte(0)
+	if e.OK {
+		verdict = 1
+	}
+	dst = append(dst, code, byte(e.N), verdict)
+	dst = append(dst, wb...)
+	logfile.EndFrame(dst, off)
+	return dst, nil
+}
+
+// decodeEntry parses one decision frame's payload, verifying the
+// decision's internal consistency: a positive decision must carry a
+// witness of the right kind and level, a negative one nothing.
+func decodeEntry(p []byte) (engine.Entry, error) {
+	if len(p) < entryFixed {
+		return engine.Entry{}, fmt.Errorf("store: decision frame of %d bytes", len(p))
+	}
+	e := engine.Entry{FP: binary.LittleEndian.Uint64(p), N: int(p[9]), OK: p[10] == 1}
+	if e.N < 2 || p[10] > 1 {
+		return engine.Entry{}, fmt.Errorf("store: bad level n=%d or verdict %d", e.N, p[10])
+	}
+	w := p[entryFixed:]
+	if !e.OK && len(w) > 0 {
+		return engine.Entry{}, errors.New("store: negative decision carries a witness")
+	}
+	var err error
+	wn := e.N
+	switch p[8] {
+	case propDiscerning:
+		e.Prop = engine.Discerning
+		if e.OK {
+			e.DiscernWitness = &discern.Witness{}
+			err = e.DiscernWitness.UnmarshalJSON(w)
+			wn = e.DiscernWitness.N
+		}
+	case propRecording:
+		e.Prop = engine.Recording
+		if e.OK {
+			e.RecordWitness = &record.Witness{}
+			err = e.RecordWitness.UnmarshalJSON(w)
+			wn = e.RecordWitness.N
+		}
+	default:
+		return engine.Entry{}, fmt.Errorf("store: unknown property code %d", p[8])
 	}
 	if err != nil {
 		return engine.Entry{}, err
 	}
-	if e.OK {
-		wn := 0
-		if e.DiscernWitness != nil {
-			wn = e.DiscernWitness.N
-		} else if e.RecordWitness != nil {
-			wn = e.RecordWitness.N
-		}
-		if wn != e.N {
-			return engine.Entry{}, fmt.Errorf("store: witness level %d does not match entry level %d", wn, e.N)
-		}
+	if wn != e.N {
+		return engine.Entry{}, fmt.Errorf("store: witness level %d does not match entry level %d", wn, e.N)
 	}
 	return e, nil
 }
 
 // readDecisions loads the decisions of one store file, tolerating
-// corruption: it returns every record up to (excluding) the first bad
-// one, plus the byte length of that good prefix. A missing file, an
-// empty file, or a torn (newline-less) header is zero decisions. A
-// complete-but-alien header and a header from a newer Version are
-// errors — such files must not be truncated or overwritten.
+// corruption: it returns every decision up to (excluding) the first bad
+// frame, plus the byte length of that good prefix. A missing, empty or
+// version 1 file, or a torn header, is zero decisions. A foreign file
+// and a file from a newer Version are errors — such files must not be
+// truncated or overwritten.
 func readDecisions(path string) (entries []engine.Entry, goodLen int64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
+	lg, err := format.Read(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-
-	r := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	// readLine returns the next newline-terminated line. A final line
-	// without its newline is a torn write — not a good record even if
-	// it happens to parse — and reads as a clean end. Any other read
-	// error is a real I/O failure and must abort the load: truncating
-	// at that point would destroy records that are still fine on disk.
-	readLine := func() ([]byte, bool, error) {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			return nil, false, nil
-		}
+	goodLen = lg.Scan(func(p []byte) bool {
+		e, err := decodeEntry(p)
 		if err != nil {
-			return nil, false, fmt.Errorf("store: reading %s: %w", path, err)
-		}
-		off += int64(len(line))
-		return bytes.TrimSuffix(line, []byte("\n")), true, nil
-	}
-
-	hline, ok, err := readLine()
-	if err != nil {
-		return nil, 0, err
-	}
-	if !ok {
-		// Empty file, or a header torn mid-write (no newline made it to
-		// disk): nothing was ever durably stored, so zero decisions and
-		// a goodLen of 0 are the truth.
-		return nil, 0, nil
-	}
-	var h header
-	if json.Unmarshal(hline, &h) != nil || h.Format != Format {
-		// A complete first line that is not our header means this is
-		// not (or no longer) a decision-store file — a stray file at
-		// the path, or header corruption in place. Refuse rather than
-		// truncate: the tail may still hold thousands of good records
-		// (or someone else's data), and destroying them is worse than
-		// asking the operator to move the file aside.
-		return nil, 0, fmt.Errorf("store: %s has no decision-store header (refusing to overwrite; move the file aside to start fresh)", path)
-	}
-	if h.Version > Version {
-		return nil, 0, fmt.Errorf("store: %s is format version %d, newer than this build's %d", path, h.Version, Version)
-	}
-	goodLen = off
-	for {
-		line, ok, err := readLine()
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			return entries, goodLen, nil
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			// Blank line: tolerate and keep it in the good prefix.
-			goodLen = off
-			continue
-		}
-		e, err := decodeEntry(line)
-		if err != nil {
-			return entries, goodLen, nil
+			return false
 		}
 		entries = append(entries, e)
-		goodLen = off
-	}
+		return true
+	})
+	return entries, goodLen, nil
 }
 
 // request kinds served by the flusher goroutine.
@@ -296,23 +235,8 @@ func Open(path string) (*Store, error) {
 	// duplicate snapshot ones and collapse on Insert.
 	_, _, s.loaded = s.cache.Stats()
 
-	f, err := os.OpenFile(s.jpath, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := logfile.OpenAppend(s.jpath, goodLen)
 	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if fi.Size() != goodLen {
-		if err := f.Truncate(goodLen); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
 		return nil, err
 	}
 	s.journal = f
@@ -348,14 +272,10 @@ func (s *Store) enqueue(e engine.Entry) {
 	s.queue <- e
 }
 
-// writeHeader writes (buffered) the format header at the journal's
-// current position.
+// writeHeader writes the format header at the journal's current
+// position and pushes it to the OS.
 func (s *Store) writeHeader() error {
-	hb, err := json.Marshal(header{Format: Format, Version: Version})
-	if err != nil {
-		return err
-	}
-	if _, err := s.bw.Write(append(hb, '\n')); err != nil {
+	if _, err := s.bw.Write(header); err != nil {
 		return err
 	}
 	return s.bw.Flush()
@@ -444,14 +364,14 @@ func (s *Store) flusher() {
 	}
 }
 
-// append journals one decision (buffered; errors are sticky).
+// append journals one decision (buffered; errors are sticky). The frame
+// is encoded straight into the write buffer's free space.
 func (s *Store) append(e engine.Entry) {
-	line, err := encodeEntry(e)
-	if err != nil {
-		s.setErr(err)
-		return
+	frame, err := appendEntry(s.bw.AvailableBuffer(), e)
+	if err == nil {
+		_, err = s.bw.Write(frame)
 	}
-	if _, err := s.bw.Write(line); err != nil {
+	if err != nil {
 		s.setErr(err)
 		return
 	}
@@ -506,19 +426,12 @@ func (s *Store) compact() error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename
-	w := bufio.NewWriterSize(tmp, 1<<16)
-	hb, err := json.Marshal(header{Format: Format, Version: Version})
-	if err == nil {
-		_, err = w.Write(append(hb, '\n'))
-	}
+	out := append([]byte(nil), header...)
 	for i := 0; err == nil && i < len(entries); i++ {
-		var line []byte
-		if line, err = encodeEntry(entries[i]); err == nil {
-			_, err = w.Write(line)
-		}
+		out, err = appendEntry(out, entries[i])
 	}
 	if err == nil {
-		err = w.Flush()
+		_, err = tmp.Write(out)
 	}
 	if err == nil {
 		err = tmp.Sync()
@@ -532,7 +445,7 @@ func (s *Store) compact() error {
 	if err != nil {
 		return err
 	}
-	syncDir(dir)
+	logfile.SyncDir(dir)
 
 	// Reset the journal to a bare header; appends continue after it.
 	if err := s.journal.Truncate(0); err != nil {
@@ -553,15 +466,6 @@ func (s *Store) compact() error {
 		return err
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Best effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // request round-trips one control request to the flusher.

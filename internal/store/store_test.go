@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/logfile"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
@@ -101,7 +103,8 @@ func TestRoundTripWarmStart(t *testing.T) {
 
 // TestEntryCodecRoundTrip checks that every persisted decision of the
 // n=2..4 sweep re-encodes byte-identically after a decode — the
-// stability the append-only journal format depends on.
+// stability the append-only journal format depends on. The frames go
+// through a file, so the decoder sees them exactly as a load does.
 func TestEntryCodecRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decisions")
 	st, err := Open(path)
@@ -111,29 +114,62 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	defer st.Close()
 	analyzeInto(t, st, 4)
 
-	count := 0
+	var want []engine.Entry
+	enc := append([]byte(nil), header...)
 	st.Cache().Range(func(e engine.Entry) bool {
-		count++
-		b1, err := encodeEntry(e)
-		if err != nil {
+		want = append(want, e)
+		if enc, err = appendEntry(enc, e); err != nil {
 			t.Fatalf("encode %+v: %v", e, err)
-		}
-		dec, err := decodeEntry(bytes.TrimSuffix(b1, []byte("\n")))
-		if err != nil {
-			t.Fatalf("decode %s: %v", b1, err)
-		}
-		b2, err := encodeEntry(dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Errorf("entry not byte-stable:\n first  %s\n second %s", b1, b2)
 		}
 		return true
 	})
-	if count == 0 {
+	if len(want) == 0 {
 		t.Fatal("no entries to round-trip")
 	}
+	file := filepath.Join(t.TempDir(), "frames")
+	if err := os.WriteFile(file, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, goodLen, err := readDecisions(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goodLen != int64(len(enc)) || len(got) != len(want) {
+		t.Fatalf("decoded %d of %d entries, good length %d of %d", len(got), len(want), goodLen, len(enc))
+	}
+	again := append([]byte(nil), header...)
+	for i, e := range got {
+		if !reflect.DeepEqual(e, want[i]) {
+			t.Errorf("entry %d changed across the codec:\n got %+v\nwant %+v", i, e, want[i])
+		}
+		if again, err = appendEntry(again, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(again, enc) {
+		t.Error("entries not byte-stable across a decode and re-encode")
+	}
+}
+
+// frameEnds returns the end offset of each decision frame of the store
+// file at path, recomputed by re-encoding its decisions.
+func frameEnds(t *testing.T, path string) []int {
+	t.Helper()
+	entries, _, err := readDecisions(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	off := len(header)
+	for _, e := range entries {
+		frame, err := appendEntry(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += len(frame)
+		ends = append(ends, off)
+	}
+	return ends
 }
 
 // TestCorruptedJournalTruncates writes decisions, corrupts the journal
@@ -156,8 +192,12 @@ func TestCorruptedJournalTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A torn final record: a prefix of a valid line, no newline.
-	torn := append(append([]byte{}, good...), []byte(`{"e":{"fp":"00`)...)
+	// A torn final record: a prefix of a valid frame.
+	frame, err := appendEntry(nil, engine.Entry{FP: 7, Prop: engine.Discerning, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(append([]byte{}, good...), frame[:len(frame)-2]...)
 	if err := os.WriteFile(jpath, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +213,7 @@ func TestCorruptedJournalTruncates(t *testing.T) {
 		t.Fatalf("journal not truncated to good prefix: size %d, want %d (err %v)",
 			fiSize(fi), len(good), err)
 	}
-	// Appends after the truncation must land on a clean line boundary.
+	// Appends after the truncation must land on a clean frame boundary.
 	analyzeInto(t, st2, 4)
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
@@ -213,17 +253,19 @@ func TestCorruptedMidRecordDropsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	// lines: header, then records, then one empty trailer from SplitAfter.
-	records := len(lines) - 2
+	ends := frameEnds(t, jpath)
+	records := len(ends)
+	if records == 0 || ends[records-1] != len(data) {
+		t.Fatalf("journal of %d bytes does not end at its last frame (%v)", len(data), ends)
+	}
 	if records < 3 {
 		t.Fatalf("need >= 3 records, have %d", records)
 	}
+	// Records are numbered from 1, as lines after the header were; flip
+	// a byte inside the victim's CRC-protected frame.
 	victim := 1 + records/2
-	// Flip a byte inside the CRC-protected entry bytes.
-	mid := len(lines[victim]) / 2
-	lines[victim][mid] ^= 0x01
-	if err := os.WriteFile(jpath, bytes.Join(lines, nil), 0o644); err != nil {
+	data[(ends[victim-2]+ends[victim-1])/2] ^= 0x01
+	if err := os.WriteFile(jpath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,9 +312,8 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, _ := json.Marshal(header{Format: Format, Version: Version})
-	if jfi.Size() != int64(len(hb)+1) {
-		t.Errorf("journal size after compact = %d, want bare header %d", jfi.Size(), len(hb)+1)
+	if jfi.Size() != int64(len(header)) {
+		t.Errorf("journal size after compact = %d, want bare header %d", jfi.Size(), len(header))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -292,12 +333,15 @@ func TestCompact(t *testing.T) {
 // an error, not a silent truncation.
 func TestNewerVersionRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decisions")
-	hb, _ := json.Marshal(header{Format: Format, Version: Version + 1})
-	if err := os.WriteFile(path+journalSuffix, append(hb, '\n'), 0o644); err != nil {
+	newer := logfile.Format{Magic: Magic, Version: Version + 1}.AppendHeader(nil, nil)
+	if err := os.WriteFile(path+journalSuffix, newer, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path); err == nil {
 		t.Fatal("Open accepted a journal from a newer format version")
+	}
+	if got, err := os.ReadFile(path + journalSuffix); err != nil || !bytes.Equal(got, newer) {
+		t.Fatalf("refused newer journal was modified: %q (err %v)", got, err)
 	}
 }
 
@@ -318,16 +362,19 @@ func TestAlienFileRefused(t *testing.T) {
 	if err != nil || !bytes.Equal(got, stray) {
 		t.Fatalf("refused file was modified: %q (err %v)", got, err)
 	}
-	// A torn header (no newline ever made it to disk) is the one header
-	// failure that IS a clean crash artifact: Open starts fresh.
-	if err := os.WriteFile(jpath, []byte(`{"format":"repro-dec`), 0o644); err != nil {
-		t.Fatal(err)
+	// A torn header (its meta frame never made it to disk whole) is the
+	// one header failure that IS a clean crash artifact: Open starts
+	// fresh. So is a version 1 header torn mid-line.
+	for _, torn := range [][]byte{header[:len(header)-1], header[:5], []byte(`{"format":"repro-dec`)} {
+		if err := os.WriteFile(jpath, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(path)
+		if err != nil {
+			t.Fatalf("torn header %q must open fresh: %v", torn, err)
+		}
+		st.Close()
 	}
-	st, err := Open(path)
-	if err != nil {
-		t.Fatalf("torn header must open fresh: %v", err)
-	}
-	st.Close()
 }
 
 // TestFlushMakesAppendsDurable checks Flush pushes queued appends to the
@@ -350,5 +397,73 @@ func TestFlushMakesAppendsDurable(t *testing.T) {
 	}
 	if len(got) != entries {
 		t.Fatalf("journal holds %d decisions after Flush, want %d", len(got), entries)
+	}
+}
+
+// TestV1FilesLoadEmpty opens a version 1 snapshot and journal written by
+// the JSON-lines build (testdata: tas compacted into the snapshot,
+// register:2 in the journal, levels 2..3). Neither is refused: both
+// load as zero decisions, the journal is rewritten at Open and the
+// snapshot at the next Compact, and decisions appended afterwards
+// survive a reopen.
+func TestV1FilesLoadEmpty(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decisions")
+	var v1 [2][]byte
+	for i, suffix := range []string{"", journalSuffix} {
+		b, err := os.ReadFile(filepath.Join("testdata", "decisions-v1.repro"+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte(`{"format":"repro-decision-store","version":1}`+"\n")) {
+			t.Fatalf("testdata is not a version 1 file: %.60q", b)
+		}
+		if err := os.WriteFile(path+suffix, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		v1[i] = b
+	}
+
+	st, err := Open(path)
+	if err != nil {
+		t.Fatalf("version 1 files refused: %v", err)
+	}
+	if got := st.Stats().Loaded; got != 0 {
+		t.Fatalf("loaded %d decisions from version 1 files, want 0", got)
+	}
+	if j, err := os.ReadFile(path + journalSuffix); err != nil || !bytes.Equal(j, header) {
+		t.Fatalf("journal not rewritten at Open: %.60q (err %v)", j, err)
+	}
+	if snap, err := os.ReadFile(path); err != nil || !bytes.Equal(snap, v1[0]) {
+		t.Fatalf("snapshot changed before Compact (err %v)", err)
+	}
+	analyzeInto(t, st, 3)
+	_, _, entries := st.Cache().Stats()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.Stats().Loaded; got != entries {
+		t.Fatalf("reopen loaded %d appended decisions, want %d", got, entries)
+	}
+	if err := st2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(snap, []byte(Magic)) {
+		t.Fatalf("snapshot not rewritten by Compact: %.20q (err %v)", snap, err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	if got := st3.Stats().Loaded; got != entries {
+		t.Fatalf("reopen after Compact loaded %d, want %d", got, entries)
 	}
 }

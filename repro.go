@@ -209,8 +209,8 @@ func WithBudget(states int) Option { return engine.WithBudget(states) }
 func WithGraphCache(c *GraphCache) Option { return engine.WithGraphCache(c) }
 
 // WithGraphCacheBudget bounds the engine's private exploration-graph
-// cache in total interned nodes (0 = DefaultGraphCacheBudget; negative
-// disables graph caching, restoring fresh-graph-per-call behavior).
+// cache in total interned nodes (budget <= 0 selects
+// DefaultGraphCacheBudget).
 func WithGraphCacheBudget(nodes int) Option { return engine.WithGraphCacheBudget(nodes) }
 
 // NewGraphCache returns an empty exploration-graph cache for
