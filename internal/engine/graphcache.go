@@ -219,8 +219,12 @@ func appendGraphKey(dst []byte, fp string, inputs []int) []byte {
 // re-expanding them. The disk read runs under the cache lock —
 // deliberately: it doubles as load singleflight, and the read it blocks
 // concurrent Gets on is far cheaper than the re-expansion they would
-// otherwise race into. A load or import failure degrades to a cold
-// graph and marks the key store-less, never an error for the caller.
+// otherwise race into. The store locks only the key being read, so the
+// read never waits on a spill of another graph; it waits only for a
+// spill of its own key still running (a graph re-fetched while its
+// eviction spill writes), and then reads the complete file. A load or
+// import failure degrades to a cold graph and marks the key store-less,
+// never an error for the caller.
 func (c *GraphCache) Get(p model.Protocol, inputs []int) (*model.Graph, error) {
 	// Protocols whose dynamic type is not comparable (slice/map/func
 	// fields) cannot be map keys and are fingerprinted every time.
@@ -305,8 +309,9 @@ func (c *GraphCache) Sync(g *model.Graph) {
 // spill exports e's graph, persists the delta and records the result:
 // counters, the entry's durable markers, or a store-less entry on error,
 // which it returns. It runs off the cache lock; the store serializes
-// concurrent spills internally. async marks the one background spill
-// Sync or eviction started, whose end reopens the entry to the next.
+// it with loads and spills of the same key only, so spills of different
+// graphs run concurrently. async marks the one background spill Sync or
+// eviction started, whose end reopens the entry to the next.
 func (c *GraphCache) spill(e *gcEntry, async bool) error {
 	snap := e.g.Export()
 	n, err := c.store.Spill(e.fp, e.inputs, snap)
@@ -400,7 +405,9 @@ func (c *GraphCache) enforce(keep *gcEntry) {
 		if c.store != nil && !victim.noStore && !victim.spilling && victim.dirty() {
 			// Fire-and-forget: the goroutine keeps the evicted graph alive
 			// exactly as an in-flight walk would, and the store serializes
-			// it against every other spill.
+			// it against a load or spill of the same key only: a Get that
+			// re-fetches the victim while it writes waits for it, and Gets
+			// of other keys do not.
 			victim.spilling = true
 			go c.spill(victim, true)
 		}

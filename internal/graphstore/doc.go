@@ -45,9 +45,14 @@
 //
 // # Concurrency and ownership
 //
-// A Store serializes all file access behind one mutex; Load and Spill
-// may be called from any goroutine. The intended owner is
-// engine.GraphCache, which loads on cache miss and spills snapshot
-// deltas asynchronously after walks complete — walks never block on the
-// disk. The store assumes it is the directory's only writer.
+// Load and Spill may be called from any goroutine. Each key has its own
+// mutex, which serializes the load, spill and write of that one file;
+// the store-wide mutex guards only the key map and the counters, and no
+// file I/O or fsync runs under it. So a spill fsyncing one graph never
+// delays a load or spill of another, while a load of a key that is
+// being spilled waits for that spill and reads the complete file. The
+// intended owner is engine.GraphCache, which loads on cache miss and
+// spills snapshot deltas asynchronously after walks complete — walks
+// never block on the disk. The store assumes it is the directory's only
+// writer.
 package graphstore

@@ -38,19 +38,29 @@ const (
 )
 
 // Store is an open graph-store directory. It is safe for concurrent
-// use; all file access is serialized internally. Construct with Open;
-// the zero value is not usable.
+// use: the loads and spills of one key are serialized, and those of
+// different keys run concurrently. Construct with Open; the zero value
+// is not usable.
 type Store struct {
 	dir string
 
+	// mu guards files and stats only; no file I/O runs under it.
 	mu    sync.Mutex
 	files map[string]*fileState
 	stats Stats
 }
 
 // fileState tracks the durable good prefix of one key's file, the
-// bookkeeping delta spills extend from.
+// bookkeeping delta spills extend from. A key's fileState lives as long
+// as its Store: a load resets it field by field, so a goroutine waiting
+// on mu never holds a stale copy.
 type fileState struct {
+	// mu serializes the load, spill and write of this key and guards
+	// every field below.
+	mu sync.Mutex
+	// read reports whether the fields describe the file: set by the
+	// key's first Load or Spill.
+	read bool
 	// nodes counts the node records of the good prefix; goodLen is its
 	// byte length.
 	nodes   int
@@ -63,7 +73,8 @@ type fileState struct {
 	// process never loaded.
 	words []uint64
 	// bad marks a key whose file hit a write error or an incompatible
-	// in-memory graph; further spills are skipped until the next Open.
+	// in-memory graph; further spills are skipped until a Load rereads
+	// the file or the next Open.
 	bad bool
 }
 
@@ -124,23 +135,38 @@ func (s *Store) path(fp string, inputs []int) string {
 	return filepath.Join(s.dir, fileName(fp, inputs))
 }
 
+// state returns the key's fileState, adding an unread one on the key's
+// first touch. It holds s.mu only for the map lookup.
+func (s *Store) state(fp string, inputs []int) *fileState {
+	key := fileName(fp, inputs)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.files[key]
+	if !ok {
+		st = &fileState{}
+		s.files[key] = st
+	}
+	return st
+}
+
 // Load reads the good prefix of the key's file as a snapshot. A missing
 // file is a miss: (nil, nil). A file with an alien header or a newer
 // format version is an error, and the key is marked bad so spills never
 // touch the foreign file. A corrupted tail silently shortens the
 // snapshot — the caller imports whatever loaded and re-expands the
-// rest.
+// rest. Load waits only for a load or spill of the same key.
 func (s *Store) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
+	st := s.state(fp, inputs)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	snap, err := s.load(st, fp, inputs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, st, err := s.load(fp, inputs)
-	if err != nil {
+	switch {
+	case err != nil:
 		s.stats.Errors++
-		s.files[fileName(fp, inputs)] = &fileState{bad: true}
 		return nil, err
-	}
-	s.files[fileName(fp, inputs)] = st
-	if snap == nil {
+	case snap == nil:
 		s.stats.Misses++
 		return nil, nil
 	}
@@ -149,25 +175,29 @@ func (s *Store) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
 	return snap, nil
 }
 
-// load reads the file without touching counters or the state map;
-// callers hold s.mu. A missing file returns (nil, zero-state, nil).
-func (s *Store) load(fp string, inputs []int) (*model.GraphSnapshot, *fileState, error) {
+// load resets st to the key's file without touching counters; callers
+// hold st.mu. A missing file leaves st empty and returns (nil, nil); an
+// error leaves it empty and bad.
+func (s *Store) load(st *fileState, fp string, inputs []int) (*model.GraphSnapshot, error) {
+	st.read, st.nodes, st.goodLen, st.words, st.bad = true, 0, 0, nil, false
+	st.unexpanded = make(map[int]struct{})
 	path := s.path(fp, inputs)
 	lg, err := format.Read(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("graphstore: %w", err)
+		st.bad = true
+		return nil, fmt.Errorf("graphstore: %w", err)
 	}
-	st := &fileState{unexpanded: make(map[int]struct{})}
 	if lg == nil {
 		// Missing, torn or an older format: a miss either way. The next
 		// spill writes the file from offset 0.
-		return nil, st, nil
+		return nil, nil
 	}
 	// The meta frame holds the process and object counts, then the key.
 	var want [96]byte
 	m := lg.Meta
 	if key := appendMeta(want[:0], fp, inputs, 0, 0)[8:]; len(m) < 8 || string(m[8:]) != string(key) {
-		return nil, nil, fmt.Errorf("graphstore: %s holds the graph of another key", path)
+		st.bad = true
+		return nil, fmt.Errorf("graphstore: %s holds the graph of another key", path)
 	}
 	snap := &model.GraphSnapshot{
 		Procs:   int(binary.LittleEndian.Uint32(m[0:])),
@@ -179,9 +209,9 @@ func (s *Store) load(fp string, inputs []int) (*model.GraphSnapshot, *fileState,
 		// A bare header (or one whose first page tore) carries no nodes;
 		// load it as a miss so the caller expands cold, but keep the
 		// header's good prefix so the next spill appends after it.
-		return nil, st, nil
+		return nil, nil
 	}
-	return snap, st, nil
+	return snap, nil
 }
 
 // appendMeta appends the meta frame's payload, the file's key: the
@@ -324,26 +354,37 @@ func encodeRecord(dst []byte, idx int, nd *model.SnapshotNode) []byte {
 // written (0 when the file is already current, the key is marked bad,
 // or the snapshot is not an extension of the persisted prefix). A write
 // error marks the key bad — later spills skip it — and is returned.
+// Spill holds only the key's own lock through its writes and fsync, so
+// loads and spills of other keys proceed meanwhile.
 func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, error) {
+	st := s.state(fp, inputs)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n, err := s.spill(st, fp, inputs, snap)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := fileName(fp, inputs)
-	st, ok := s.files[key]
-	if !ok {
+	// A refused first read, a skipped bad key, a divergent prefix and a
+	// write error each leave the key bad, and each counts one error.
+	if st.bad {
+		s.stats.Errors++
+	} else if n > 0 {
+		s.stats.Spills++
+		s.stats.SpilledNodes += uint64(n)
+	}
+	return n, err
+}
+
+// spill is Spill without the counters; callers hold st.mu.
+func (s *Store) spill(st *fileState, fp string, inputs []int, snap *model.GraphSnapshot) (int, error) {
+	if !st.read {
 		// First touch of this key in this process: establish the durable
 		// prefix from the file (usually a miss; the file may exist if an
 		// earlier process wrote it and this one expanded cold).
-		_, fresh, err := s.load(fp, inputs)
-		if err != nil {
-			s.stats.Errors++
-			s.files[key] = &fileState{bad: true}
+		if _, err := s.load(st, fp, inputs); err != nil {
 			return 0, err
 		}
-		st = fresh
-		s.files[key] = st
 	}
 	if st.bad {
-		s.stats.Errors++
 		return 0, nil
 	}
 	// The snapshot must extend the persisted prefix node for node. A
@@ -358,7 +399,6 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 	for i := 0; i < st.nodes; i++ {
 		if !slices.Equal(snap.Nodes[i].Words, st.words[i*nw:(i+1)*nw]) {
 			st.bad = true
-			s.stats.Errors++
 			return 0, nil
 		}
 	}
@@ -382,7 +422,6 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 
 	if err := s.write(fp, inputs, snap, st, stream); err != nil {
 		st.bad = true
-		s.stats.Errors++
 		return 0, err
 	}
 	// Commit the new durable prefix.
@@ -396,8 +435,6 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 		}
 	}
 	st.nodes = len(snap.Nodes)
-	s.stats.Spills++
-	s.stats.SpilledNodes += uint64(len(stream))
 	return len(stream), nil
 }
 
@@ -406,7 +443,7 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 // of stream (snapshot positions) in pages, fsync, and advance goodLen.
 // A spill that writes the header also syncs the directory (best
 // effort), so the entry of a file it just created survives a power
-// loss.
+// loss. Callers hold st.mu and no other lock.
 func (s *Store) write(fp string, inputs []int, snap *model.GraphSnapshot, st *fileState, stream []int) error {
 	f, err := logfile.OpenAppend(s.path(fp, inputs), st.goodLen)
 	if err != nil {
