@@ -64,11 +64,14 @@ type GraphStore interface {
 //
 // With SetStore installed, the cache is the graph store's owner: a Get
 // miss tries a warm load from disk before expanding cold, Sync (called
-// by the engine after walks) spills a dirty graph's growth
-// asynchronously — walks never block on the disk — eviction spills a
-// dirty victim before forgetting it, and Flush spills everything
-// synchronously for shutdown. A key whose load or spill errored is
-// marked store-less and served purely in memory from then on.
+// by the engine after walks) queues a dirty graph for the background
+// spiller — walks never block on the disk — eviction spills a dirty
+// victim before forgetting it, and Flush spills everything
+// synchronously for shutdown. The spiller is one goroutine that writes
+// the queued graphs one at a time and exits when the queue is empty, so
+// a burst of cold checks leaves one spill competing with the requests
+// for CPU and disk, not one per graph. A key whose load or spill errored
+// is marked store-less and served purely in memory from then on.
 type GraphCache struct {
 	mu      sync.Mutex
 	budget  uint64
@@ -97,6 +100,14 @@ type GraphCache struct {
 
 	hits, misses, evicted uint64
 	st                    GraphStoreStats
+
+	// queue[qhead:] holds the entries Sync queued for the spiller, oldest
+	// first; draining reports whether the spiller goroutine runs. An
+	// entry taken over by an eviction or Flush stays in the queue with
+	// its queued flag cleared, and the spiller skips it.
+	queue    []*gcEntry
+	qhead    int
+	draining bool
 }
 
 // gcEntry is one cached graph on the intrusive LRU list.
@@ -113,8 +124,9 @@ type gcEntry struct {
 	// the entry is dirty while the live graph is ahead of them.
 	spilledNodes    uint64
 	spilledExpanded uint64
-	// spilling gates the one async spill in flight per entry.
-	spilling bool
+	// queued marks an entry waiting in the spiller's queue; spilling
+	// gates the one async spill in flight per entry.
+	queued, spilling bool
 	// noStore marks an entry the store cannot serve (load/spill error or
 	// import validation failure): it lives purely in memory.
 	noStore bool
@@ -290,28 +302,61 @@ func (c *GraphCache) Get(p model.Protocol, inputs []int) (*model.Graph, error) {
 	return g, nil
 }
 
-// Sync notes that walks on g just completed and schedules an
-// asynchronous spill of the graph's growth if it is dirty. It never
-// blocks on the disk and is a no-op for an uncached graph, a clean
-// entry, a store-less key, or an entry whose previous spill is still in
-// flight. Engines call it after Check/CheckBatch/Theorem13.
+// Sync notes that walks on g just completed and queues the graph for
+// the background spiller if it is dirty, starting the spiller if it is
+// idle. It never blocks on the disk and is a no-op for an uncached
+// graph, a clean entry, a store-less key, or an entry already queued or
+// whose previous spill is still in flight. Engines call it after
+// Check/CheckBatch/Theorem13.
 func (c *GraphCache) Sync(g *model.Graph) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.byGraph[g]
-	if !ok || c.store == nil || e.noStore || e.spilling || !e.dirty() {
+	if !ok || c.store == nil || e.noStore || e.queued || e.spilling || !e.dirty() {
 		return
 	}
-	e.spilling = true
-	go c.spill(e, true)
+	e.queued = true
+	c.queue = append(c.queue, e)
+	if !c.draining {
+		c.draining = true
+		go c.drain()
+	}
+}
+
+// drain is the spiller: it spills the queued entries one at a time,
+// oldest first, and exits when the queue is empty. An entry's spill
+// exports the graph as it is when its turn comes, so growth from walks
+// that ran while it waited rides along. Entries an eviction or Flush
+// took over, and entries clean by their turn, are skipped.
+func (c *GraphCache) drain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.qhead < len(c.queue) {
+		e := c.queue[c.qhead]
+		c.queue[c.qhead] = nil
+		c.qhead++
+		if !e.queued {
+			continue
+		}
+		e.queued = false
+		if e.noStore || !e.dirty() {
+			continue
+		}
+		e.spilling = true
+		c.mu.Unlock()
+		c.spill(e, true)
+		c.mu.Lock()
+	}
+	c.queue, c.qhead = c.queue[:0], 0
+	c.draining = false
 }
 
 // spill exports e's graph, persists the delta and records the result:
 // counters, the entry's durable markers, or a store-less entry on error,
 // which it returns. It runs off the cache lock; the store serializes
-// it with loads and spills of the same key only, so spills of different
-// graphs run concurrently. async marks the one background spill Sync or
-// eviction started, whose end reopens the entry to the next.
+// it with loads and spills of the same key only. async marks the one
+// background spill the spiller or an eviction started, whose end
+// reopens the entry to the next.
 func (c *GraphCache) spill(e *gcEntry, async bool) error {
 	snap := e.g.Export()
 	n, err := c.store.Spill(e.fp, e.inputs, snap)
@@ -346,6 +391,8 @@ func (c *GraphCache) Flush() error {
 	var dirty []*gcEntry
 	for _, e := range c.entries {
 		if !e.noStore && e.dirty() {
+			// Flush spills it now; the spiller skips it.
+			e.queued = false
 			dirty = append(dirty, e)
 		}
 	}
@@ -403,11 +450,13 @@ func (c *GraphCache) enforce(keep *gcEntry) {
 			return
 		}
 		if c.store != nil && !victim.noStore && !victim.spilling && victim.dirty() {
-			// Fire-and-forget: the goroutine keeps the evicted graph alive
-			// exactly as an in-flight walk would, and the store serializes
-			// it against a load or spill of the same key only: a Get that
-			// re-fetches the victim while it writes waits for it, and Gets
-			// of other keys do not.
+			// Fire-and-forget, without waiting for the spiller's queue:
+			// the goroutine keeps the evicted graph alive exactly as an
+			// in-flight walk would, and the store serializes it against a
+			// load or spill of the same key only: a Get that re-fetches
+			// the victim while it writes waits for it, and Gets of other
+			// keys do not.
+			victim.queued = false
 			victim.spilling = true
 			go c.spill(victim, true)
 		}

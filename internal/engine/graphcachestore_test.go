@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,5 +188,132 @@ func waitForSpilled(t *testing.T, c *GraphCache, p model.Protocol) {
 			t.Fatal("store never received the evicted graph")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// heldStore holds every Spill until release is closed, counts the
+// spills in flight and signals each spill's start and end.
+type heldStore struct {
+	inner          GraphStore
+	release        chan struct{}
+	started, ended chan struct{}
+
+	mu             sync.Mutex
+	inflight, peak int
+}
+
+func (s *heldStore) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
+	return s.inner.Load(fp, inputs)
+}
+
+func (s *heldStore) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, error) {
+	s.mu.Lock()
+	s.inflight++
+	s.peak = max(s.peak, s.inflight)
+	s.mu.Unlock()
+	s.started <- struct{}{}
+	<-s.release
+	n, err := s.inner.Spill(fp, inputs, snap)
+	s.mu.Lock()
+	s.inflight--
+	s.mu.Unlock()
+	s.ended <- struct{}{}
+	return n, err
+}
+
+// TestGraphCacheSpillerOneAtATime: Sync queues dirty graphs for one
+// background spiller. While the spill of the first graph is held inside
+// the store, the Gets (store loads included), walks and Syncs of eight
+// graphs return and no second spill starts; after the release the
+// spiller writes every graph, one at a time, and a fresh store loads
+// each back whole.
+func TestGraphCacheSpillerOneAtATime(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &heldStore{inner: raw, release: make(chan struct{}),
+		started: make(chan struct{}, 32), ended: make(chan struct{}, 32)}
+	released := false
+	defer func() {
+		if !released {
+			close(hs.release)
+		}
+	}()
+	c := NewGraphCache(0)
+	c.SetStore(hs)
+	recv := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(time.Minute):
+			t.Fatalf("no %s within a minute", what)
+		}
+	}
+
+	type key struct {
+		p      model.Protocol
+		inputs []int
+		nodes  uint64
+	}
+	var keys []key
+	for _, p := range []model.Protocol{proto.NewCASRecoverable(2), proto.NewCASWaitFree(2)} {
+		for _, inputs := range [][]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			keys = append(keys, key{p: p, inputs: inputs})
+		}
+	}
+	for i := range keys {
+		k := &keys[i]
+		g, err := c.Get(k.p, k.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Check(model.CheckOpts{Inputs: k.inputs}); err != nil {
+			t.Fatal(err)
+		}
+		k.nodes = g.Stats().Interned
+		c.Sync(g)
+		if i == 0 {
+			recv(hs.started, "spill of the first graph")
+		}
+	}
+	if n := len(hs.started); n != 0 {
+		t.Fatalf("%d more spills started while the first was held", n)
+	}
+	close(hs.release)
+	released = true
+	for range keys {
+		recv(hs.ended, "spill")
+	}
+	hs.mu.Lock()
+	peak := hs.peak
+	hs.mu.Unlock()
+	if peak != 1 {
+		t.Fatalf("%d spills ran at once, want 1", peak)
+	}
+	// The store counts each spill before its end signal; the cache's
+	// counters may land after it.
+	var want uint64
+	for _, k := range keys {
+		want += k.nodes
+	}
+	if st := raw.Stats(); st.Errors != 0 || st.Spills != uint64(len(keys)) || st.SpilledNodes != want {
+		t.Fatalf("store counters %+v, want %d spills of %d nodes and no errors", st, len(keys), want)
+	}
+
+	fresh, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		fp, err := model.Fingerprint(k.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := fresh.Load(fp, k.inputs)
+		if err != nil || snap == nil || uint64(len(snap.Nodes)) != k.nodes {
+			t.Fatalf("key %d: fresh store loads %v (err %v), want %d nodes", i, snap != nil, err, k.nodes)
+		}
 	}
 }

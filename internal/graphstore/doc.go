@@ -52,7 +52,7 @@
 // delays a load or spill of another, while a load of a key that is
 // being spilled waits for that spill and reads the complete file. The
 // intended owner is engine.GraphCache, which loads on cache miss and
-// spills snapshot deltas asynchronously after walks complete — walks
-// never block on the disk. The store assumes it is the directory's only
-// writer.
+// spills snapshot deltas asynchronously after walks complete, one graph
+// at a time from its background spiller — walks never block on the
+// disk. The store assumes it is the directory's only writer.
 package graphstore
