@@ -92,6 +92,71 @@ func TestWarmQuotaCheckAllocFloor(t *testing.T) {
 	}
 }
 
+// TestColdCheckAllocFloor is the ratchet for graph expansion: a check
+// that purges the graph cache first, so it rebuilds and expands the
+// graph cold. Nodes live in the graph's arena chunks, which grow
+// geometrically, and successors are int32 ids, so expanding a node
+// allocates nothing of its own: between a graph of 88 nodes and one of
+// 752, the cold check's allocations beyond its warm walk must grow by
+// less than one per 8 extra nodes (they grew by 3.8 per node when every
+// node was its own heap object).
+func TestColdCheckAllocFloor(t *testing.T) {
+	cases := []struct {
+		protocol   string
+		inputs     []int
+		graphNodes uint64
+		// coldLimit is the ratchet on a cold check's allocations
+		// (measured 140 and 199, race detector included; 493 and 2993
+		// when every node was its own heap object).
+		coldLimit float64
+		coldMinus float64
+	}{
+		{protocol: "cas-rec:3", inputs: []int{0, 1, 1}, graphNodes: 88, coldLimit: 170},
+		{protocol: "tnn-wf:4,2", inputs: []int{0, 1, 0, 1}, graphNodes: 752, coldLimit: 240},
+	}
+	for i := range cases {
+		c := &cases[i]
+		pr, err := registry.ParseProtocol(c.protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quota := make([]int, len(c.inputs))
+		for p := range quota {
+			quota[p] = 1
+		}
+		e := New(WithParallelism(1))
+		req := CheckRequest{Inputs: c.inputs, CrashQuota: quota}
+		if _, err := e.Check(pr, req); err != nil { // prime the fingerprint memo
+			t.Fatal(err)
+		}
+		if st := e.GraphCacheStats(); st.Nodes != c.graphNodes {
+			t.Fatalf("%s: the graph has %d nodes; the ratchet is pinned to %d", c.protocol, st.Nodes, c.graphNodes)
+		}
+		cold := testing.AllocsPerRun(20, func() {
+			e.GraphCache().Purge()
+			if _, err := e.Check(pr, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		warm := testing.AllocsPerRun(20, func() {
+			if _, err := e.Check(pr, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if cold > c.coldLimit {
+			t.Errorf("%s: a cold check of %d graph nodes allocates %.1f allocs/op, ratchet is %.0f",
+				c.protocol, c.graphNodes, cold, c.coldLimit)
+		}
+		c.coldMinus = cold - warm
+		t.Logf("%s: %d graph nodes, cold %.0f, warm %.0f allocs/op", c.protocol, c.graphNodes, cold, warm)
+	}
+	small, large := cases[0], cases[1]
+	if growth, extra := large.coldMinus-small.coldMinus, float64(large.graphNodes-small.graphNodes); growth*8 >= extra {
+		t.Errorf("cold-minus-warm allocations grow by %.0f over %.0f extra graph nodes, want under one per 8 nodes",
+			growth, extra)
+	}
+}
+
 // TestNegativeLevelAllocFloor is the level decider's allocation
 // ratchet: a full negative level — Tnn(5,2) at n=6 and n=7, where no
 // operation assignment witnesses either property, so every (assignment,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -66,8 +67,8 @@ type GraphStore interface {
 // miss tries a warm load from disk before expanding cold, Sync (called
 // by the engine after walks) queues a dirty graph for the background
 // spiller — walks never block on the disk — eviction spills a dirty
-// victim before forgetting it, and Flush spills everything
-// synchronously for shutdown. The spiller is one goroutine that writes
+// victim before forgetting it, and Flush, for shutdown, waits for the
+// spills in flight and then spills every graph still dirty. The spiller is one goroutine that writes
 // the queued graphs one at a time and exits when the queue is empty, so
 // a burst of cold checks leaves one spill competing with the requests
 // for CPU and disk, not one per graph. A key whose load or spill errored
@@ -108,6 +109,9 @@ type GraphCache struct {
 	queue    []*gcEntry
 	qhead    int
 	draining bool
+	// spillEnded is broadcast, under mu, when a background spill ends;
+	// Flush waits on it for the spills in flight.
+	spillEnded sync.Cond
 }
 
 // gcEntry is one cached graph on the intrusive LRU list.
@@ -188,12 +192,14 @@ func NewGraphCache(budget int) *GraphCache {
 	if budget <= 0 {
 		budget = DefaultGraphCacheBudget
 	}
-	return &GraphCache{
+	c := &GraphCache{
 		budget:  uint64(budget),
 		entries: make(map[string]*gcEntry),
 		byGraph: make(map[*model.Graph]*gcEntry),
 		fps:     make(map[model.Protocol]string),
 	}
+	c.spillEnded.L = &c.mu
+	return c
 }
 
 // SetStore installs the persistence backend. Install before serving
@@ -364,6 +370,7 @@ func (c *GraphCache) spill(e *gcEntry, async bool) error {
 	defer c.mu.Unlock()
 	if async {
 		e.spilling = false
+		c.spillEnded.Broadcast()
 	}
 	if err != nil {
 		c.st.Errors++
@@ -380,8 +387,11 @@ func (c *GraphCache) spill(e *gcEntry, async bool) error {
 }
 
 // Flush synchronously spills every dirty entry — the shutdown path,
-// called after request and job traffic has drained. It returns the
-// first spill error; keys that already failed are skipped.
+// called after request and job traffic has drained. An entry whose
+// background spill is in flight is waited for first, and spilled again
+// only if it is still dirty after that spill, so Flush never exports a
+// graph the spiller is writing. It returns the first spill error; keys
+// that already failed are skipped.
 func (c *GraphCache) Flush() error {
 	c.mu.Lock()
 	if c.store == nil {
@@ -390,12 +400,18 @@ func (c *GraphCache) Flush() error {
 	}
 	var dirty []*gcEntry
 	for _, e := range c.entries {
-		if !e.noStore && e.dirty() {
-			// Flush spills it now; the spiller skips it.
+		if !e.noStore && (e.spilling || e.dirty()) {
+			// Flush spills it now if it must; the spiller skips it.
 			e.queued = false
 			dirty = append(dirty, e)
 		}
 	}
+	for _, e := range dirty {
+		for e.spilling {
+			c.spillEnded.Wait()
+		}
+	}
+	dirty = slices.DeleteFunc(dirty, func(e *gcEntry) bool { return e.noStore || !e.dirty() })
 	c.mu.Unlock()
 
 	var first error

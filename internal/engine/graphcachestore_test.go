@@ -317,3 +317,66 @@ func TestGraphCacheSpillerOneAtATime(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphCacheFlushWaitsForSpill: Flush called while the spiller's
+// spill of a graph is held inside the store waits for that spill instead
+// of exporting and spilling the graph a second time. The store sees one
+// Spill of the key, and Flush returns only after it ended.
+func TestGraphCacheFlushWaitsForSpill(t *testing.T) {
+	raw, err := graphstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &heldStore{inner: raw, release: make(chan struct{}),
+		started: make(chan struct{}, 4), ended: make(chan struct{}, 4)}
+	released := false
+	defer func() {
+		if !released {
+			close(hs.release)
+		}
+	}()
+	c := NewGraphCache(0)
+	c.SetStore(hs)
+	p, inputs := proto.NewCASRecoverable(2), []int{0, 1}
+	g, err := c.Get(p, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Check(model.CheckOpts{Inputs: inputs, CrashQuota: []int{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	c.Sync(g)
+	select {
+	case <-hs.started:
+	case <-time.After(time.Minute):
+		t.Fatal("the spiller did not start within a minute")
+	}
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	// Give Flush time to reach the store if it were going to.
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned (err %v) while the spill was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(hs.release)
+	released = true
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Flush did not return within a minute of the release")
+	}
+	if n := len(hs.ended); n != 1 {
+		t.Fatalf("Flush returned after %d ended spills, want 1", n)
+	}
+	if n := len(hs.started); n != 0 {
+		t.Fatalf("%d more spills of the key started, want the spiller's one alone", n)
+	}
+	if st := c.Stats().Store; st.Spills != 1 || st.SpilledNodes != g.Stats().Interned || st.Errors != 0 {
+		t.Fatalf("store counters %+v, want one spill of %d nodes", st, g.Stats().Interned)
+	}
+}

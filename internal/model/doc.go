@@ -36,20 +36,35 @@
 // crash-usage) bookkeeping, reproducing the serial checker's
 // (configuration, crash-usage, output-history) dedup exactly.
 //
+// A graph node is an int32 id, its intern order, and holds no pointer.
+// Its record lives in the graph's arena: chunks of flat slices with a
+// fixed stride per node — the packed words, a 16-byte meta (the hash,
+// an atomic state word and the two edge-flag masks), the output and
+// decision vectors, and the step and crash successors as int32 ids, -1
+// for none — so a record is 16 + 8w + 10n bytes for w packed words and
+// n processes, 80 bytes at 4 processes and 2 objects. The open-addressed
+// intern index holds int32 ids, 5 to 11 bytes a node at its load
+// factor. The first chunk is empty for a graph that grows by
+// interning, or sized exactly to an imported snapshot; later chunks hold
+// 64, 64, 128, 256, ... records, so a 90-node graph does not pay for
+// thousands. The chunk directory is a fixed array and chunks never
+// move, so a walk resolves an id to its record with a few arithmetic
+// steps and no lock, and the garbage collector scans neither the arena
+// nor a walk's node list.
+//
 // A walk runs over dense ids. Its nodes live in one slice in BFS
 // discovery order (also the BFS queue), and parents, step-successor
 // ranges of one edge list, and the liveness, valency and
 // critical-search sweeps all address it by int32 index. The dedup index
-// is head, a []int32 addressed by the graph node's intern order
-// (gnode.ord): head[ord] heads the chain of walk nodes over that graph
-// node, one per crash-usage vector. It is sized to the graph when the
-// walk starts and grown when a cold walk meets a node interned since;
-// at 4 bytes per graph node against the graph's 152 or more (a gnode
-// alone), even a walk a client truncates with MaxNodes is bounded by
-// its graph. Each walk interns its crash-usage vectors once, as rows of
-// one []int32 with a memo from (usage id, process) to the id after one
-// more crash, so a walk node carries a usage id and a twin test is one
-// int32 compare. Safety facts are computed once per edge: an expansion
+// is head, a []int32 addressed by graph node id: head[id] heads the
+// chain of walk nodes over that graph node, one per crash-usage vector.
+// It is sized to the graph when the walk starts and grown when a cold
+// walk meets a node interned since; at 4 bytes per graph node against
+// the graph's arena record, even a walk a client truncates with
+// MaxNodes is bounded by its graph. Each walk interns its crash-usage
+// vectors once, as rows of one []int32 with a memo from (usage id,
+// process) to the id after one more crash, so a walk node carries a
+// usage id and a twin test is one int32 compare. Safety facts are computed once per edge: an expansion
 // (and ImportSnapshot) records in two 16-bit masks per node whether the
 // default safety check of each step and crash successor reports
 // anything — a re-decision against the parent's outputs, two outputs
@@ -62,23 +77,27 @@
 // one Graph per input vector, long-lived callers (the engine's graph
 // cache) keep Graphs warm across calls, and Theorem13ChainOpts walks
 // every chain stage over one Graph — all share every transition,
-// output-merge and packing computation. Export and ImportSnapshot move the node
-// table in and out as words plus successor positions (GraphSnapshot),
-// the unit internal/graphstore persists.
+// output-merge and packing computation. Export and ImportSnapshot copy
+// the arena out and in as words plus successor ids (GraphSnapshot), the
+// unit internal/graphstore persists.
 //
 // # Concurrency and ownership
 //
 // A Graph is safe for concurrent use by any number of Check walks, and
 // only ever grows: eviction by a caching layer merely drops a reference,
-// in-flight walks finish unharmed. The intern table is guarded by the
-// graph mutex; the compiled tables are immutable and read lock-free;
-// per-node expansion runs under a per-node once. A Result is owned by
-// the caller that obtained it and is not safe for concurrent mutation;
-// its lazily computed valency masks mean even read-style methods
-// (Valence, FindCritical) must not race.
-// A graph pools only packing buffers, which never escape into Results;
-// it holds no frontier or sweep pools. A walk's flat slices (nodes,
-// edges, head, crash-usage rows) live in its Result and die with it.
+// in-flight walks finish unharmed. The intern index and the arena's
+// growth are guarded by the graph mutex; the compiled tables are
+// immutable and read lock-free. Each node's expansion is claimed
+// through its atomic state word (unexpanded, expanding, awaited, done):
+// the first walk to reach it expands it and publishes the successors by
+// storing done, and a walk that meets a node another walk is expanding
+// marks it awaited and waits on the graph's condition variable, which
+// the expander broadcasts — it never spins. A Result is owned by the
+// caller that obtained it and is not safe for concurrent mutation; its
+// lazily computed valency masks mean even read-style methods (Valence,
+// FindCritical) must not race. A graph pools nothing: packing buffers
+// live on the caller's stack. A walk's flat slices (nodes, edges, head,
+// crash-usage rows) live in its Result and die with it.
 //
 // # Byte-stability guarantees
 //

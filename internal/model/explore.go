@@ -73,17 +73,20 @@ type Result struct {
 	// It is the BFS queue itself, and every other walk structure addresses
 	// it by int32 index: parents, step-successor ranges, twin chains, and
 	// the per-node state of the liveness, valency and critical-search
-	// sweeps, so those sweeps are deterministic and use flat slices.
+	// sweeps, so those sweeps are deterministic and use flat slices. A
+	// node holds no pointer, so the garbage collector never scans the
+	// list and growing it copies plain memory.
 	nodes []node
 	// edges holds every expanded node's step successors, at
 	// [node.lo, node.hi).
 	edges []int32
-	// head is the walk's dedup index, addressed by the graph's intern
-	// order: head[gn.ord] is 1 + the index of the newest walk node over
-	// graph node gn, 0 if the walk has none, and older twins chain
-	// through node.twin. It is sized to the graph when the walk starts and
-	// grown when a cold walk meets a node interned since, so it costs 4
-	// bytes per graph node against the graph's 152 or more.
+	// head is the walk's dedup index, addressed by graph node id:
+	// head[gn] is 1 + the index of the newest walk node over graph node
+	// gn, 0 if the walk has none, and older twins chain through
+	// node.twin. It is sized to the graph when the walk starts and grown
+	// when a cold walk meets a node interned since, so it costs 4 bytes
+	// per graph node against the graph's arena record of 16 + 8w + 10n
+	// bytes (w packed words, n processes).
 	head []int32
 	// usage holds the walk's interned crash-usage vectors, one row of 2n
 	// int32 per usage id: the vector's n crash counts, then its memo,
@@ -102,15 +105,15 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 && !r.Truncated }
 
 // node is one (configuration, crash-usage, output-history) walk node.
 type node struct {
-	// gn is the node's canonical twin in the shared exploration graph the
-	// walk ran on (see Graph); it carries the configuration's packed
-	// identity, the output history (gn.outs[p] is the first value process
-	// p ever output along this path, -1 if none — outputs survive crashes
-	// in the paper's model, so a process that decided, crashed and
-	// re-decided differently violates agreement even though its local
-	// decided state was erased), the precomputed decision vector, and
-	// the successor set.
-	gn *gnode
+	// gn is the id of the node's canonical twin in the shared exploration
+	// graph the walk ran on (see Graph), whose arena record carries the
+	// configuration's packed identity, the output history (outs[p] is the
+	// first value process p ever output along this path, -1 if none —
+	// outputs survive crashes in the paper's model, so a process that
+	// decided, crashed and re-decided differently violates agreement even
+	// though its local decided state was erased), the precomputed
+	// decision vector, and the successor set.
+	gn int32
 	// parent is the discovering node's index (-1 at the root), and p and
 	// crash the event it was discovered by.
 	parent, p int32
@@ -129,13 +132,13 @@ type node struct {
 
 // headOf returns graph node gn's twin-chain head, first growing head
 // over the nodes interned since the walk sized it.
-func (r *Result) headOf(gn *gnode) *int32 {
-	if int(gn.ord) >= len(r.head) {
-		grown := make([]int32, max(2*len(r.head), int(gn.ord)+1, int(r.g.interned.Load())))
+func (r *Result) headOf(gn int32) *int32 {
+	if int(gn) >= len(r.head) {
+		grown := make([]int32, max(2*len(r.head), int(gn)+1, int(r.g.interned.Load())))
 		copy(grown, r.head)
 		r.head = grown
 	}
-	return &r.head[gn.ord]
+	return &r.head[gn]
 }
 
 // add appends nd to the walk at the head of its twin chain, whose head
@@ -148,15 +151,15 @@ func (r *Result) add(s *int32, nd node) int32 {
 	return i
 }
 
-// lookup finds this walk's node over gn with crash-usage id u and
-// returns its index, or -1. A nil gn (a schedule that leaves the
-// explored graph), a node interned after the walk or a negative u finds
-// nothing.
-func (r *Result) lookup(gn *gnode, u int32) int32 {
-	if gn == nil || u < 0 || int(gn.ord) >= len(r.head) {
+// lookup finds this walk's node over graph node gn with crash-usage id
+// u and returns its index, or -1. A negative gn (a schedule that leaves
+// the explored graph), a node interned after the walk or a negative u
+// finds nothing.
+func (r *Result) lookup(gn int32, u int32) int32 {
+	if gn < 0 || u < 0 || int(gn) >= len(r.head) {
 		return -1
 	}
-	return r.twin(r.head[gn.ord], u)
+	return r.twin(r.head[gn], u)
 }
 
 // twin searches the twin chain starting at head value ref for the node
@@ -327,10 +330,11 @@ func (w *walkState) report(kind int, i int32, detail string) {
 // re-decided a different value is an agreement violation with its own
 // earlier output.
 func (w *walkState) checkSafety(i int32, parentOuts []int8) {
-	gn := w.r.nodes[i].gn
+	c, j := w.r.g.arena.at(w.r.nodes[i].gn)
+	outs, decided := c.outsOf(j), c.decidedOf(j)
 	n := len(parentOuts)
 	for p := 0; p < n; p++ {
-		if v := gn.decided[p]; v >= 0 {
+		if v := decided[p]; v >= 0 {
 			if prev := parentOuts[p]; prev >= 0 && prev != v && !w.seen[kindAgreement] {
 				w.report(kindAgreement, i, fmt.Sprintf(
 					"p%d output %d, crashed, and re-decided %d", p, prev, v))
@@ -339,7 +343,7 @@ func (w *walkState) checkSafety(i int32, parentOuts []int8) {
 	}
 	first, firstP := -1, -1
 	for p := 0; p < n; p++ {
-		v := gn.outs[p]
+		v := outs[p]
 		if v < 0 {
 			continue
 		}
@@ -412,7 +416,7 @@ func (r *Result) checkLiveness(w *walkState) {
 // map from decided value to true (empty for nil or another Result's
 // node). It is the engine behind valency computations.
 func (r *Result) ReachableDecisions(start *node) map[int]bool {
-	mc := r.g.m
+	g := r.g
 	out := make(map[int]bool)
 	i := r.indexOf(start)
 	if i < 0 {
@@ -425,8 +429,9 @@ func (r *Result) ReachableDecisions(start *node) map[int]bool {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for p := 0; p < mc.n; p++ {
-			if t := mc.state(r.nodes[i].gn.words, p); t.decided {
+		words := g.words(r.nodes[i].gn)
+		for p := 0; p < g.m.n; p++ {
+			if t := g.m.state(words, p); t.decided {
 				out[t.decision] = true
 			}
 		}
@@ -451,9 +456,11 @@ func (r *Result) ReachableDecisions(start *node) map[int]bool {
 func (r *Result) succs(i int32, buf []int32) []int32 {
 	nd := &r.nodes[i]
 	buf = append(buf, r.edges[nd.lo:nd.hi]...)
-	if nd.gn.done.Load() {
-		for p, cg := range nd.gn.crashSucc {
-			if cg == nil {
+	g := r.g
+	c, j := g.arena.at(nd.gn)
+	if c.meta[j].state.Load() == nodeDone {
+		for p, cg := range c.crashOf(j) {
+			if cg < 0 {
 				continue
 			}
 			if child := r.lookup(cg, r.crashUsage(nd.usage, p, false)); child >= 0 {
@@ -462,12 +469,10 @@ func (r *Result) succs(i int32, buf []int32) []int32 {
 		}
 		return buf
 	}
-	g := r.g
-	sp := g.getScratch()
-	defer g.scratch.Put(sp)
-	w := *sp
+	var wb [stackWords]uint64
+	w := g.packBuf(&wb)
 	for p := 0; p < g.m.n; p++ {
-		copy(w, nd.gn.words)
+		copy(w, c.wordsOf(j))
 		g.m.crash(w, p, g.inputs[p])
 		if child := r.lookup(g.find(w), r.crashUsage(nd.usage, p, false)); child >= 0 {
 			buf = append(buf, child)
@@ -490,10 +495,10 @@ func (r *Result) Node(sigma schedule.Schedule) *node {
 			}
 		}
 	}
-	sp := g.getScratch()
-	defer g.scratch.Put(sp)
-	g.replay(*sp, sigma)
-	if i := r.lookup(g.find(*sp), u); i >= 0 {
+	var wb [stackWords]uint64
+	w := g.packBuf(&wb)
+	g.replay(w, sigma)
+	if i := r.lookup(g.find(w), u); i >= 0 {
 		return &r.nodes[i]
 	}
 	return nil
@@ -503,10 +508,10 @@ func (r *Result) Node(sigma schedule.Schedule) *node {
 // found on its graph node's twin chain, or -1 for nil or a handle from
 // another Result.
 func (r *Result) indexOf(nd *node) int32 {
-	if nd == nil || int(nd.gn.ord) >= len(r.head) {
+	if nd == nil || int(nd.gn) >= len(r.head) {
 		return -1
 	}
-	for ref := r.head[nd.gn.ord]; ref != 0; ref = r.nodes[ref-1].twin {
+	for ref := r.head[nd.gn]; ref != 0; ref = r.nodes[ref-1].twin {
 		if &r.nodes[ref-1] == nd {
 			return ref - 1
 		}
@@ -519,4 +524,4 @@ func (r *Result) InitNode() *node { return &r.nodes[0] }
 
 // NodeConfig decodes an explored node's configuration (for violations,
 // tests and reports).
-func (r *Result) NodeConfig(nd *node) Config { return r.g.m.config(nd.gn.words) }
+func (r *Result) NodeConfig(nd *node) Config { return r.g.m.config(r.g.words(nd.gn)) }

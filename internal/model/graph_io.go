@@ -58,9 +58,10 @@ func (s *GraphSnapshot) NumExpanded() int {
 	return n
 }
 
-// Export snapshots the graph's interned node table. It is safe to call
-// concurrently with walks: the node list is pinned under the graph lock,
-// and a node whose expansion raced the snapshot (some successor interned
+// Export snapshots the graph's interned node table, a copy of the arena
+// in GraphSnapshot's layout. It is safe to call concurrently with walks:
+// the node count is pinned under the graph lock, and a node whose
+// expansion raced the snapshot (not done yet, or some successor interned
 // after the pin) is exported unexpanded, so the snapshot is always
 // internally consistent. Because interning only appends, a later Export
 // reproduces an earlier one as its prefix — the contract the append-only
@@ -68,44 +69,37 @@ func (s *GraphSnapshot) NumExpanded() int {
 // with the graph.
 func (g *Graph) Export() *GraphSnapshot {
 	g.mu.Lock()
-	nodes := make([]*gnode, len(g.order))
-	copy(nodes, g.order)
+	pinned := g.count
 	g.mu.Unlock()
 
 	n, nw := g.m.n, g.m.words
+	total := int(pinned)
 	snap := &GraphSnapshot{
 		Procs:   n,
 		Objects: g.m.m,
 		Inputs:  g.Inputs(),
-		Nodes:   make([]SnapshotNode, len(nodes)),
+		Nodes:   make([]SnapshotNode, total),
 	}
-	words := make([]uint64, len(nodes)*nw)
-	succ := make([]int32, len(nodes)*2*n)
-	pinned := int32(len(nodes))
-	// ref resolves a successor to its position, false when it was
-	// interned after the pin.
-	ref := func(sg *gnode) (int32, bool) {
-		if sg == nil {
-			return -1, true
-		}
-		return sg.ord, sg.ord < pinned
-	}
-	for i, nd := range nodes {
-		rec := &snap.Nodes[i]
-		rec.Words = words[i*nw : (i+1)*nw : (i+1)*nw]
-		copy(rec.Words, nd.words)
-		rec.Check = nd.hash
-		rec.StepSucc = succ[2*n*i : 2*n*i+n : 2*n*i+n]
-		rec.CrashSucc = succ[2*n*i+n : 2*n*(i+1) : 2*n*(i+1)]
-		// The done flag is an acquire on the expansion set. Successors
+	words := make([]uint64, total*nw)
+	succ := make([]int32, total*2*n)
+	for id := range snap.Nodes {
+		c, i := g.arena.at(int32(id))
+		rec := &snap.Nodes[id]
+		rec.Words = words[id*nw : (id+1)*nw : (id+1)*nw]
+		copy(rec.Words, c.wordsOf(i))
+		rec.Check = c.meta[i].hash
+		rec.StepSucc = succ[2*n*id : 2*n*id+n : 2*n*id+n]
+		rec.CrashSucc = succ[2*n*id+n : 2*n*(id+1) : 2*n*(id+1)]
+		// The state load is an acquire on the expansion set. Successors
 		// interned after the pin are not in the snapshot; exporting such a
 		// node unexpanded keeps every reference internal.
-		rec.Done = nd.done.Load()
-		for p := 0; p < n && rec.Done; p++ {
-			var ok1, ok2 bool
-			rec.StepSucc[p], ok1 = ref(nd.stepSucc[p])
-			rec.CrashSucc[p], ok2 = ref(nd.crashSucc[p])
-			rec.Done = ok1 && ok2
+		rec.Done = c.meta[i].state.Load() == nodeDone
+		if rec.Done {
+			copy(rec.StepSucc, c.stepOf(i))
+			copy(rec.CrashSucc, c.crashOf(i))
+			for p := 0; p < n && rec.Done; p++ {
+				rec.Done = rec.StepSucc[p] < pinned && rec.CrashSucc[p] < pinned
+			}
 		}
 		if !rec.Done {
 			for p := 0; p < n; p++ {
@@ -116,9 +110,10 @@ func (g *Graph) Export() *GraphSnapshot {
 	return snap
 }
 
-// ImportSnapshot populates an empty graph from a snapshot, rebuilding the
-// interned node table (and each Done node's expansion) without a single
-// table lookup. The graph must be freshly built by NewGraph for the same
+// ImportSnapshot populates an empty graph from a snapshot, copying it
+// into one arena chunk sized to the snapshot exactly and rebuilding the
+// node index (and each Done node's expansion) without a single table
+// lookup. The graph must be freshly built by NewGraph for the same
 // protocol shape and input vector; importing into a graph that already
 // interned nodes is an error.
 //
@@ -149,27 +144,25 @@ func (g *Graph) ImportSnapshot(snap *GraphSnapshot) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.order) != 0 {
-		return fmt.Errorf("model: import into a graph with %d interned nodes", len(g.order))
+	if g.count != 0 {
+		return fmt.Errorf("model: import into a graph with %d interned nodes", g.count)
+	}
+	total := len(snap.Nodes)
+	if total == 0 {
+		return nil
 	}
 
-	// The node index is built as a LOCAL open-addressed table (presized so
-	// it never grows) and swapped into the graph only after every record
-	// validates — a rejected snapshot leaves the graph empty and cold, it
-	// never half-imports. Nodes, their words and their decoded vectors
-	// are carved from one allocation each: they live exactly as long as
-	// the graph.
-	total := len(snap.Nodes)
+	// The records fill a LOCAL chunk and node index (presized so it never
+	// grows), which the graph adopts only after every record validates —
+	// a rejected snapshot leaves the graph empty and cold, it never
+	// half-imports.
 	capacity := 64
 	for capacity*3 < (total+1)*4 {
 		capacity <<= 1
 	}
-	table := make([]*gnode, capacity)
+	table := make([]int32, capacity)
 	mask := uint64(capacity - 1)
-	nodes := make([]gnode, total)
-	words := make([]uint64, total*nw)
-	vecs := make([]int8, total*2*n)
-	order := make([]*gnode, total)
+	c := newChunk(total, n, nw)
 	for i := range snap.Nodes {
 		rec := &snap.Nodes[i]
 		if len(rec.Words) != nw || len(rec.StepSucc) != n || len(rec.CrashSucc) != n {
@@ -181,64 +174,73 @@ func (g *Graph) ImportSnapshot(snap *GraphSnapshot) error {
 		if err := mc.checkWords(rec.Words); err != nil {
 			return fmt.Errorf("model: snapshot node %d: %w", i, err)
 		}
-		w := words[i*nw : (i+1)*nw : (i+1)*nw]
-		copy(w, rec.Words)
 		slot := rec.Check & mask
-		for table[slot] != nil {
-			if table[slot].hash == rec.Check && wordsEqual(table[slot].words, w) {
+		for ; table[slot] != 0; slot = (slot + 1) & mask {
+			if j := int(table[slot] - 1); c.meta[j].hash == rec.Check && wordsEqual(c.wordsOf(j), rec.Words) {
 				return fmt.Errorf("model: snapshot node %d duplicates an earlier node", i)
 			}
-			slot = (slot + 1) & mask
 		}
-		nd := &nodes[i]
-		nd.ord = int32(i)
-		g.fillNode(nd, w, rec.Check, vecs[i*2*n:(i+1)*2*n])
-		table[slot] = nd
-		order[i] = nd
+		g.fill(c, i, rec.Words, rec.Check)
+		table[slot] = int32(i) + 1
 	}
 
-	// Second pass: wire the expansions and compute their edge flags.
-	// References may point anywhere in the table (a node interned early
-	// can be expanded late), which is why wiring waits until every node
-	// exists.
-	succ := make([]*gnode, snap.NumExpanded()*2*n)
+	// Second pass: copy the expansions, check them against the successor
+	// rules and compute their edge flags. References may point anywhere
+	// in the chunk (a node interned early can be expanded late), which is
+	// why the pass waits until every record exists, and why the chunk is
+	// in the arena while it runs: the flags read the successors' records.
+	g.arena.first, g.arena.dir[0] = int32(total), c
+	expanded, err := g.importExpansions(snap, c)
+	if err != nil {
+		g.arena.first, g.arena.dir[0] = 0, nil
+		return err
+	}
+	g.table, g.count = table, int32(total)
+	g.interned.Store(uint64(total))
+	g.expanded.Store(uint64(expanded))
+	return nil
+}
+
+// importExpansions copies the Done records' successors into c, whose
+// records are the snapshot's nodes by position, and returns how many it
+// marked done. Lock held.
+func (g *Graph) importExpansions(snap *GraphSnapshot, c *chunk) (int, error) {
+	mc := g.m
+	total := len(snap.Nodes)
+	expanded := 0
 	for i := range snap.Nodes {
 		rec := &snap.Nodes[i]
 		if !rec.Done {
 			continue
 		}
-		nd := &nodes[i]
-		nd.stepSucc, nd.crashSucc, succ = succ[:n:n], succ[n:2*n:2*n], succ[2*n:]
-		for p := 0; p < n; p++ {
+		words, decided := c.wordsOf(i), c.decidedOf(i)
+		step, crash := c.stepOf(i), c.crashOf(i)
+		for p := range step {
 			si, ci := rec.StepSucc[p], rec.CrashSucc[p]
 			if int(si) >= total || int(ci) >= total {
-				return fmt.Errorf("model: snapshot node %d successor of process %d out of %d nodes", i, p, total)
+				return 0, fmt.Errorf("model: snapshot node %d successor of process %d out of %d nodes", i, p, total)
 			}
-			switch decided := nd.decided[p] >= 0; {
+			step[p], crash[p] = -1, -1
+			switch decided := decided[p] >= 0; {
 			case decided && si >= 0:
-				return fmt.Errorf("model: snapshot node %d has a step successor for decided process %d", i, p)
+				return 0, fmt.Errorf("model: snapshot node %d has a step successor for decided process %d", i, p)
 			case !decided && si < 0:
-				return fmt.Errorf("model: snapshot node %d done but missing step successor for process %d", i, p)
+				return 0, fmt.Errorf("model: snapshot node %d done but missing step successor for process %d", i, p)
 			case si >= 0:
-				nd.stepSucc[p] = &nodes[si]
+				step[p] = si
 			}
-			switch inInit := mc.stateID(nd.words, p) == int(mc.procs[p].init[g.inputs[p]]); {
+			switch inInit := mc.stateID(words, p) == int(mc.procs[p].init[g.inputs[p]]); {
 			case inInit && ci >= 0:
-				return fmt.Errorf("model: snapshot node %d has a crash successor for initial-state process %d", i, p)
+				return 0, fmt.Errorf("model: snapshot node %d has a crash successor for initial-state process %d", i, p)
 			case !inInit && ci < 0:
-				return fmt.Errorf("model: snapshot node %d done but missing crash successor for process %d", i, p)
+				return 0, fmt.Errorf("model: snapshot node %d done but missing crash successor for process %d", i, p)
 			case ci >= 0:
-				nd.crashSucc[p] = &nodes[ci]
+				crash[p] = ci
 			}
 		}
-		g.flagEdges(nd)
-		nd.done.Store(true)
+		g.flagEdges(c, i)
+		c.meta[i].state.Store(nodeDone)
+		expanded++
 	}
-
-	g.order = order
-	g.table = table
-	g.live = total
-	g.interned.Store(uint64(total))
-	g.expanded.Store(uint64(snap.NumExpanded()))
-	return nil
+	return expanded, nil
 }

@@ -153,6 +153,69 @@ func TestGraphCheckConcurrent(t *testing.T) {
 	}
 }
 
+// TestGraphExpandOnceUnderContention starts eight walks at once over
+// one cold graph, so they meet nodes another walk is expanding and wait
+// for them. Every node must be expanded exactly once — the expansion
+// counter equals the Done nodes of an export — and every result must
+// equal its serial twin. Run it under -race with a -count of 10.
+func TestGraphExpandOnceUnderContention(t *testing.T) {
+	for _, tc := range graphCheckCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make([]checkObservables, len(tc.quotas))
+			for i, quota := range tc.quotas {
+				r, err := model.Check(tc.pr, model.CheckOpts{Inputs: tc.inputs, CrashQuota: quota})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = observablesOf(r)
+			}
+			g, err := model.NewGraph(tc.pr, tc.inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const workers = 8
+			start := make(chan struct{})
+			errs := make(chan error, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					<-start
+					// Half the walks start from the largest quota, half
+					// from the smallest, so both directions race.
+					for k := range tc.quotas {
+						i := k
+						if w%2 == 1 {
+							i = len(tc.quotas) - 1 - k
+						}
+						got, err := g.Check(model.CheckOpts{Inputs: tc.inputs, CrashQuota: tc.quotas[i]})
+						if err != nil {
+							errs <- err
+							return
+						}
+						if !reflect.DeepEqual(observablesOf(got), want[i]) {
+							errs <- fmt.Errorf("worker %d quota %v diverged from its serial twin", w, tc.quotas[i])
+							return
+						}
+					}
+				}(w)
+			}
+			close(start)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			st, snap := g.Stats(), g.Export()
+			if uint64(snap.NumExpanded()) != st.Expanded || uint64(len(snap.Nodes)) != st.Interned {
+				t.Fatalf("stats %+v, export has %d nodes and %d done: a node was expanded twice or lost",
+					st, len(snap.Nodes), snap.NumExpanded())
+			}
+		})
+	}
+}
+
 // TestGraphSharedPrefixExpandedOnce checks the tentpole's core claim: N
 // identical requests expand the state space exactly once.
 func TestGraphSharedPrefixExpandedOnce(t *testing.T) {

@@ -51,7 +51,8 @@ func (r *Result) valency() []uint8 {
 		bit := uint8(1) << v
 		queue = queue[:0]
 		for i := range r.nodes {
-			for _, d := range r.nodes[i].gn.decided {
+			c, j := r.g.arena.at(r.nodes[i].gn)
+			for _, d := range c.decidedOf(j) {
 				if d == v {
 					val[i] |= bit
 					queue = append(queue, int32(i))
@@ -158,6 +159,8 @@ func (r *Result) classify(i int32) (*CriticalInfo, error) {
 	n := mc.n
 	val := r.valency()
 	nd := &r.nodes[i]
+	c, j := r.g.arena.at(nd.gn)
+	words := c.wordsOf(j)
 
 	info := &CriticalInfo{
 		Trace:  r.trace(i),
@@ -173,7 +176,7 @@ func (r *Result) classify(i int32) (*CriticalInfo, error) {
 	obj := -1
 	ops := make([][]tnext, n)
 	for p := 0; p < n; p++ {
-		t := mc.state(nd.gn.words, p)
+		t := mc.state(words, p)
 		if t.decided {
 			return nil, fmt.Errorf("model: process p%d already decided in critical configuration", p)
 		}
@@ -191,7 +194,7 @@ func (r *Result) classify(i int32) (*CriticalInfo, error) {
 	// successor is univalent. No process has decided (checked above), so
 	// the node's expansion carries exactly one step successor per
 	// process — read canonically instead of recomputing the transition.
-	for p, cg := range nd.gn.stepSucc {
+	for p, cg := range c.stepOf(j) {
 		cn := r.lookup(cg, nd.usage)
 		if cn < 0 {
 			return nil, fmt.Errorf("model: internal error — step successor of critical node not explored")
@@ -210,7 +213,7 @@ func (r *Result) classify(i int32) (*CriticalInfo, error) {
 	// U_x sets: all object values produced by nonempty schedules in S(P)
 	// whose first process is on team x, each process applying its poised
 	// operation to the common object.
-	cur := spec.Value(mc.val(nd.gn.words, obj))
+	cur := spec.Value(mc.val(words, obj))
 	inSched := make([]bool, n)
 	var dfs func(v spec.Value, team int)
 	dfs = func(v spec.Value, team int) {
