@@ -497,8 +497,8 @@ func (g *Graph) ensure(c *chunk, i int) {
 // await blocks until another walk's expansion of the node whose state
 // word is st is done. The waiter marks the state awaited under the
 // graph lock, which it holds until Wait releases it, so the expander's
-// Broadcast — taken under the same lock after it stores nodeDone — cannot
-// fall between the mark and the wait.
+// Broadcast — taken under the same lock after it stores nodeDone —
+// cannot fall between the mark and the wait.
 func (g *Graph) await(st *atomic.Uint32) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
