@@ -101,9 +101,6 @@ func TestStoreProcessKill(t *testing.T) {
 		}
 		return
 	}
-	if _, err := os.Executable(); err != nil {
-		t.Skipf("cannot re-execute the test binary: %v", err)
-	}
 	keys := killKeys(t)
 	cold := make([][]walkObs, len(keys))
 	for i, k := range keys {
