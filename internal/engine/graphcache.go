@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -67,12 +68,13 @@ type GraphStore interface {
 // miss tries a warm load from disk before expanding cold, Sync (called
 // by the engine after walks) queues a dirty graph for the background
 // spiller — walks never block on the disk — eviction spills a dirty
-// victim before forgetting it, and Flush, for shutdown, waits for the
-// spills in flight and then spills every graph still dirty. The spiller is one goroutine that writes
-// the queued graphs one at a time and exits when the queue is empty, so
-// a burst of cold checks leaves one spill competing with the requests
-// for CPU and disk, not one per graph. A key whose load or spill errored
-// is marked store-less and served purely in memory from then on.
+// victim before forgetting it, and Flush, for shutdown, spills every
+// graph still dirty, up to flushSpillers at once, and waits for the
+// spills in flight. The spiller is one goroutine that writes the
+// queued graphs one at a time and exits when the queue is empty, so a
+// burst of cold checks leaves one spill competing with the requests for
+// CPU and disk, not one per graph. A key whose load or spill errored is
+// marked store-less and served purely in memory from then on.
 type GraphCache struct {
 	mu      sync.Mutex
 	budget  uint64
@@ -386,37 +388,69 @@ func (c *GraphCache) spill(e *gcEntry, async bool) error {
 	return nil
 }
 
+// flushSpillers bounds the spills Flush runs at once. Each holds only
+// its own key's lock in the store, and fsyncs that run together can
+// share the file system's journal commits, so a shutdown that finds
+// many graphs dirty does not wait for one fsync per graph in a row.
+const flushSpillers = 8
+
 // Flush synchronously spills every dirty entry — the shutdown path,
-// called after request and job traffic has drained. An entry whose
-// background spill is in flight is waited for first, and spilled again
-// only if it is still dirty after that spill, so Flush never exports a
-// graph the spiller is writing. It returns the first spill error; keys
-// that already failed are skipped.
+// called after request and job traffic has drained. Up to flushSpillers
+// goroutines spill the dirty entries no background spill is writing.
+// Meanwhile Flush waits for the background spills in flight and spills
+// such an entry again only if it is still dirty after its spill, so it
+// never exports a graph the spiller is writing. It returns the first
+// spill error; keys that already failed are skipped.
 func (c *GraphCache) Flush() error {
 	c.mu.Lock()
 	if c.store == nil {
 		c.mu.Unlock()
 		return nil
 	}
-	var dirty []*gcEntry
+	var dirty, inFlight []*gcEntry
 	for _, e := range c.entries {
-		if !e.noStore && (e.spilling || e.dirty()) {
-			// Flush spills it now if it must; the spiller skips it.
+		switch {
+		case e.noStore:
+		case e.spilling:
+			inFlight = append(inFlight, e)
+		case e.dirty():
+			// Flush spills it now; the spiller skips it.
 			e.queued = false
 			dirty = append(dirty, e)
 		}
 	}
-	for _, e := range dirty {
+	c.mu.Unlock()
+
+	errs := make([]error, len(dirty))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(dirty), flushSpillers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(dirty)); i = next.Add(1) - 1 {
+				errs[i] = c.spill(dirty[i], false)
+			}
+		}()
+	}
+
+	c.mu.Lock()
+	for _, e := range inFlight {
 		for e.spilling {
 			c.spillEnded.Wait()
 		}
 	}
-	dirty = slices.DeleteFunc(dirty, func(e *gcEntry) bool { return e.noStore || !e.dirty() })
+	inFlight = slices.DeleteFunc(inFlight, func(e *gcEntry) bool { return e.noStore || !e.dirty() })
 	c.mu.Unlock()
-
 	var first error
-	for _, e := range dirty {
+	for _, e := range inFlight {
 		if err := c.spill(e, false); err != nil && first == nil {
+			first = err
+		}
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil && first == nil {
 			first = err
 		}
 	}

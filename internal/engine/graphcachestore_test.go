@@ -380,3 +380,116 @@ func TestGraphCacheFlushWaitsForSpill(t *testing.T) {
 		t.Fatalf("store counters %+v, want one spill of %d nodes", st, g.Stats().Interned)
 	}
 }
+
+// TestGraphCacheFlushSpillsConcurrently: Flush spills the graphs it
+// finds dirty flushSpillers at a time, without first waiting for the
+// spiller's spill in flight. With every Spill held inside the store and
+// the spiller holding the first of twelve graphs, flushSpillers more
+// spills start and no others; after the release Flush returns with each
+// graph written once, and a fresh store loads each back whole.
+func TestGraphCacheFlushSpillsConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &heldStore{inner: raw, release: make(chan struct{}),
+		started: make(chan struct{}, 32), ended: make(chan struct{}, 32)}
+	released := false
+	defer func() {
+		if !released {
+			close(hs.release)
+		}
+	}()
+	c := NewGraphCache(0)
+	c.SetStore(hs)
+	recv := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(time.Minute):
+			t.Fatalf("no %s within a minute", what)
+		}
+	}
+
+	type key struct {
+		p      model.Protocol
+		inputs []int
+		nodes  uint64
+	}
+	var keys []key
+	for _, p := range []model.Protocol{proto.NewCASRecoverable(2), proto.NewCASWaitFree(2), proto.NewTASConsensus()} {
+		for _, inputs := range [][]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			keys = append(keys, key{p: p, inputs: inputs})
+		}
+	}
+	for i := range keys {
+		k := &keys[i]
+		g, err := c.Get(k.p, k.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Check(model.CheckOpts{Inputs: k.inputs}); err != nil {
+			t.Fatal(err)
+		}
+		k.nodes = g.Stats().Interned
+		if i == 0 {
+			// The spiller takes the first graph; the rest stay dirty for
+			// Flush.
+			c.Sync(g)
+			recv(hs.started, "spill of the first graph")
+		}
+	}
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	for range flushSpillers {
+		recv(hs.started, "Flush spill beside the spiller's")
+	}
+	// Give Flush time to start a spill past the bound if it were going to.
+	time.Sleep(50 * time.Millisecond)
+	if n := len(hs.started); n != 0 {
+		t.Fatalf("%d spills past the bound of %d started", n, flushSpillers)
+	}
+	close(hs.release)
+	released = true
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Flush did not return within a minute of the release")
+	}
+	if n, want := len(hs.started), len(keys)-1-flushSpillers; n != want {
+		t.Fatalf("%d spills started after the release, want %d (one per graph)", n, want)
+	}
+	hs.mu.Lock()
+	peak := hs.peak
+	hs.mu.Unlock()
+	if peak != 1+flushSpillers {
+		t.Fatalf("%d spills ran at once, want %d", peak, 1+flushSpillers)
+	}
+	var want uint64
+	for _, k := range keys {
+		want += k.nodes
+	}
+	if st := raw.Stats(); st.Errors != 0 || st.Spills != uint64(len(keys)) || st.SpilledNodes != want {
+		t.Fatalf("store counters %+v, want %d spills of %d nodes and no errors", st, len(keys), want)
+	}
+
+	fresh, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		fp, err := model.Fingerprint(k.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := fresh.Load(fp, k.inputs)
+		if err != nil || snap == nil || uint64(len(snap.Nodes)) != k.nodes {
+			t.Fatalf("key %d: fresh store loads %v (err %v), want %d nodes", i, snap != nil, err, k.nodes)
+		}
+	}
+}
