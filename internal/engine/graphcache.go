@@ -70,11 +70,12 @@ type GraphStore interface {
 // spiller — walks never block on the disk — eviction spills a dirty
 // victim before forgetting it, and Flush, for shutdown, spills every
 // graph still dirty, up to flushSpillers at once, and waits for the
-// spills in flight. The spiller is one goroutine that writes the
-// queued graphs one at a time and exits when the queue is empty, so a
-// burst of cold checks leaves one spill competing with the requests for
-// CPU and disk, not one per graph. A key whose load or spill errored is
-// marked store-less and served purely in memory from then on.
+// spills in flight, evictions' included. The spiller is one goroutine
+// that writes the queued graphs one at a time and exits when the queue
+// is empty, so a burst of cold checks leaves one spill competing with
+// the requests for CPU and disk, not one per graph. A key whose load or
+// spill errored is marked store-less and served purely in memory from
+// then on.
 type GraphCache struct {
 	mu      sync.Mutex
 	budget  uint64
@@ -111,8 +112,10 @@ type GraphCache struct {
 	queue    []*gcEntry
 	qhead    int
 	draining bool
-	// spillEnded is broadcast, under mu, when a background spill ends;
-	// Flush waits on it for the spills in flight.
+	// spills counts the background spills in flight, the spiller's and
+	// evictions'; spillEnded is broadcast, under mu, when one ends. Flush
+	// waits on it until none is left, evicted graphs' included.
+	spills     int
 	spillEnded sync.Cond
 }
 
@@ -351,6 +354,7 @@ func (c *GraphCache) drain() {
 			continue
 		}
 		e.spilling = true
+		c.spills++
 		c.mu.Unlock()
 		c.spill(e, true)
 		c.mu.Lock()
@@ -372,6 +376,7 @@ func (c *GraphCache) spill(e *gcEntry, async bool) error {
 	defer c.mu.Unlock()
 	if async {
 		e.spilling = false
+		c.spills--
 		c.spillEnded.Broadcast()
 	}
 	if err != nil {
@@ -397,10 +402,11 @@ const flushSpillers = 8
 // Flush synchronously spills every dirty entry — the shutdown path,
 // called after request and job traffic has drained. Up to flushSpillers
 // goroutines spill the dirty entries no background spill is writing.
-// Meanwhile Flush waits for the background spills in flight and spills
-// such an entry again only if it is still dirty after its spill, so it
-// never exports a graph the spiller is writing. It returns the first
-// spill error; keys that already failed are skipped.
+// Meanwhile Flush waits until no background spill is in flight, an
+// evicted graph's included, and spills an entry whose spill was in
+// flight again only if it is still dirty after that spill, so it never
+// exports a graph the spiller is writing. It returns the first spill
+// error; keys that already failed are skipped.
 func (c *GraphCache) Flush() error {
 	c.mu.Lock()
 	if c.store == nil {
@@ -435,10 +441,8 @@ func (c *GraphCache) Flush() error {
 	}
 
 	c.mu.Lock()
-	for _, e := range inFlight {
-		for e.spilling {
-			c.spillEnded.Wait()
-		}
+	for c.spills > 0 {
+		c.spillEnded.Wait()
 	}
 	inFlight = slices.DeleteFunc(inFlight, func(e *gcEntry) bool { return e.noStore || !e.dirty() })
 	c.mu.Unlock()
@@ -508,6 +512,7 @@ func (c *GraphCache) enforce(keep *gcEntry) {
 			// keys do not.
 			victim.queued = false
 			victim.spilling = true
+			c.spills++
 			go c.spill(victim, true)
 		}
 		c.unlink(victim)

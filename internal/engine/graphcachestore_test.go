@@ -121,7 +121,8 @@ func TestGraphCacheSyncSpillsAsync(t *testing.T) {
 }
 
 // TestGraphCacheEvictionSpills: evicting a dirty graph persists it, so
-// the next Get of that key warm-loads instead of re-expanding.
+// the next Get of that key warm-loads instead of re-expanding. Flush
+// waits for the eviction's spill, so the warm load follows it at once.
 func TestGraphCacheEvictionSpills(t *testing.T) {
 	dir := t.TempDir()
 	s, err := graphstore.Open(dir)
@@ -140,54 +141,18 @@ func TestGraphCacheEvictionSpills(t *testing.T) {
 	if _, err := e.Check(pB, CheckRequest{Inputs: []int{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	var gotA bool
-	for !gotA {
-		st := c.Stats()
-		gotA = st.Store != nil && st.Store.SpilledNodes > 0
-		if time.Now().After(deadline) {
-			t.Fatalf("evicted graph never spilled: %+v", st.Store)
-		}
-		if !gotA {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// Drain in-flight spills (A's eviction spill and B's sync spill can
-	// interleave); then a fresh Get of A must warm-load.
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitForSpilled(t, c, pA)
+	if st := c.Stats(); st.Evicted == 0 || st.Store == nil || st.Store.SpilledNodes == 0 {
+		t.Fatalf("evicted graph never spilled: %+v", st)
+	}
 	g, err := c.Get(pA, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Stats().Expanded == 0 {
 		t.Fatalf("re-Get of the evicted graph expanded cold: %+v", g.Stats())
-	}
-}
-
-// waitForSpilled waits until the store can serve p's graph, bounding
-// the async eviction spill the test depends on.
-func waitForSpilled(t *testing.T, c *GraphCache, p model.Protocol) {
-	t.Helper()
-	fp, err := model.Fingerprint(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		store := c.store
-		c.mu.Unlock()
-		snap, err := store.Load(fp, []int{0, 1})
-		if err == nil && snap != nil && snap.NumExpanded() > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("store never received the evicted graph")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -378,6 +343,74 @@ func TestGraphCacheFlushWaitsForSpill(t *testing.T) {
 	}
 	if st := c.Stats().Store; st.Spills != 1 || st.SpilledNodes != g.Stats().Interned || st.Errors != 0 {
 		t.Fatalf("store counters %+v, want one spill of %d nodes", st, g.Stats().Interned)
+	}
+}
+
+// TestGraphCacheFlushWaitsForEvictionSpill: Flush waits for the spill
+// an eviction started, though the evicted graph has left the cache. With
+// the store holding the first Spill and a one-node budget, a walked
+// graph is evicted by the Get of another; Flush returns only after the
+// held spill ended, and the store then serves the evicted graph whole.
+func TestGraphCacheFlushWaitsForEvictionSpill(t *testing.T) {
+	raw, err := graphstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &heldStore{inner: raw, release: make(chan struct{}),
+		started: make(chan struct{}, 4), ended: make(chan struct{}, 4)}
+	released := false
+	defer func() {
+		if !released {
+			close(hs.release)
+		}
+	}()
+	c := NewGraphCache(1)
+	c.SetStore(hs)
+	pA, pB, inputs := proto.NewCASWaitFree(2), proto.NewTASConsensus(), []int{0, 1}
+	gA, err := c.Get(pA, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gA.Check(model.CheckOpts{Inputs: inputs}); err != nil {
+		t.Fatal(err)
+	}
+	// No Sync: the eviction alone spills A.
+	if _, err := c.Get(pB, inputs); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hs.started:
+	case <-time.After(time.Minute):
+		t.Fatal("the eviction did not spill the evicted graph within a minute")
+	}
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	// Give Flush time to return if it were going to.
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned (err %v) while the eviction's spill was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(hs.release)
+	released = true
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Flush did not return within a minute of the release")
+	}
+	if n := len(hs.ended); n != 1 {
+		t.Fatalf("Flush returned after %d ended spills, want the eviction's", n)
+	}
+	fp, err := model.Fingerprint(pA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := raw.Load(fp, inputs); err != nil || snap == nil || uint64(len(snap.Nodes)) != gA.Stats().Interned {
+		t.Fatalf("right after Flush the store loads %v (err %v), want the evicted graph's %d nodes", snap != nil, err, gA.Stats().Interned)
 	}
 }
 

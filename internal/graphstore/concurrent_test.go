@@ -1,10 +1,14 @@
 package graphstore_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,5 +224,213 @@ func TestStoreConcurrentKeys(t *testing.T) {
 		if !reflect.DeepEqual(got, last[i]) {
 			t.Fatalf("key %d (inputs %v) does not load back to its last export", i, k.inputs)
 		}
+	}
+}
+
+// commitKeys returns eight keys: cas-wf:2 and cas-rec:2 at each of
+// their input vectors, each with its complete crash-quota-1 expansion.
+func commitKeys(t *testing.T) []commitKey {
+	t.Helper()
+	var keys []commitKey
+	for _, desc := range []string{"cas-wf:2", "cas-rec:2"} {
+		pr, fp, _, _ := testProtocol(t, desc)
+		for _, inputs := range [][]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			g, _ := expand(t, pr, inputs, []model.CheckOpts{{Inputs: inputs, CrashQuota: []int{1, 1}}})
+			keys = append(keys, commitKey{pr: pr, fp: fp, inputs: inputs, g: g})
+		}
+	}
+	return keys
+}
+
+// commitKey is one graph of the group-commit tests.
+type commitKey struct {
+	pr     model.Protocol
+	fp     string
+	inputs []int
+	g      *model.Graph
+}
+
+// TestStoreGroupCommit holds one spill's fsync once the log exists and
+// spills seven other keys meanwhile: each writes its page but returns
+// only after that fsync, and after the release one more fsync covers
+// all seven. Each spill returns its record count, and a fresh Open
+// loads all eight keys back whole.
+func TestStoreGroupCommit(t *testing.T) {
+	keys := commitKeys(t)
+	dir := t.TempDir()
+	s, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first key's capped walk creates the log; its completion is the
+	// spill whose fsync is held.
+	first := keys[0]
+	capped, err := model.NewGraph(first.pr, first.inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capped.Check(model.CheckOpts{Inputs: first.inputs, MaxNodes: 4}); err != nil {
+		t.Fatal(err)
+	}
+	partial := capped.Export()
+	if _, err := s.Spill(first.fp, first.inputs, partial); err != nil {
+		t.Fatal(err)
+	}
+	full := first.g.Export()
+	wantFirst := len(full.Nodes) - len(partial.Nodes)
+	for i, nd := range partial.Nodes {
+		if !nd.Done && full.Nodes[i].Done {
+			wantFirst++
+		}
+	}
+
+	// The seven spills' pages, measured in a store of their own: a key's
+	// page is the same bytes whichever log it lands in.
+	scratch, err := graphstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[1:] {
+		if _, err := scratch.Spill(k.fp, k.inputs, k.g.Export()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(filepath.Join(scratch.Dir(), graphstore.LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sevenPages := fi.Size() - logHeaderLen
+
+	var fsyncs atomic.Int32
+	held, release := make(chan struct{}), make(chan struct{})
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	s.HookSync(func(fsync func() error) error {
+		if fsyncs.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return fsync()
+	})
+	type result struct {
+		i, n int
+		err  error
+	}
+	done := make(chan result, len(keys))
+	go func() {
+		n, err := s.Spill(first.fp, first.inputs, full)
+		done <- result{0, n, err}
+	}()
+	select {
+	case <-held:
+	case <-time.After(time.Minute):
+		t.Fatal("the first key's spill did not reach its fsync within a minute")
+	}
+	path := filepath.Join(dir, graphstore.LogName)
+	fi, err = os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fi.Size() + sevenPages
+	for i := 1; i < len(keys); i++ {
+		go func() {
+			n, err := s.Spill(keys[i].fp, keys[i].inputs, keys[i].g.Export())
+			done <- result{i, n, err}
+		}()
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == want {
+			break
+		}
+		if fi.Size() > want || time.Now().After(deadline) {
+			t.Fatalf("the log holds %d bytes, want %d once the seven spills wrote", fi.Size(), want)
+		}
+	}
+	// Give a spill time to return before the held fsync if it would.
+	select {
+	case r := <-done:
+		t.Fatalf("the spill of key %d returned (n %d, err %v) while the fsync was held", r.i, r.n, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	released = true
+	for range keys {
+		select {
+		case r := <-done:
+			wantN := len(keys[r.i].g.Export().Nodes)
+			if r.i == 0 {
+				wantN = wantFirst
+			}
+			if r.err != nil || r.n != wantN {
+				t.Fatalf("the spill of key %d wrote %d records (err %v), want %d", r.i, r.n, r.err, wantN)
+			}
+		case <-time.After(time.Minute):
+			t.Fatal("a spill did not return within a minute of the release")
+		}
+	}
+	if n := fsyncs.Load(); n != 2 {
+		t.Fatalf("%d fsyncs, want the held one and one covering the seven spills", n)
+	}
+
+	fresh, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if got, err := fresh.Load(k.fp, k.inputs); err != nil || !reflect.DeepEqual(got, k.g.Export()) {
+			t.Fatalf("key %d does not load back whole (err %v)", i, err)
+		}
+	}
+}
+
+// TestStoreSyncErrorFailsLaterSpills fails one fsync of the log: the
+// spill it was to cover fails with it, and every later spill of the
+// store fails too, without writing, though fsync works again.
+func TestStoreSyncErrorFailsLaterSpills(t *testing.T) {
+	keys := commitKeys(t)
+	dir := t.TempDir()
+	s, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Spill(keys[0].fp, keys[0].inputs, keys[0].g.Export()); err != nil {
+		t.Fatal(err)
+	}
+	errDisk := errors.New("injected fsync failure")
+	s.HookSync(func(func() error) error { return errDisk })
+	if n, err := s.Spill(keys[1].fp, keys[1].inputs, keys[1].g.Export()); !errors.Is(err, errDisk) || n != 0 {
+		t.Fatalf("spill whose fsync failed: %d records, err %v; want 0 and the fsync's error", n, err)
+	}
+	path := filepath.Join(dir, graphstore.LogName)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.HookSync(func(fsync func() error) error { return fsync() })
+	for _, k := range keys[2:4] {
+		if n, err := s.Spill(k.fp, k.inputs, k.g.Export()); !errors.Is(err, errDisk) || n != 0 {
+			t.Fatalf("spill after the failed fsync: %d records, err %v; want 0 and the fsync's error", n, err)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("a spill after the failed fsync wrote to the log")
+	}
+	if st := s.Stats(); st.Spills != 1 || st.Errors != 3 {
+		t.Fatalf("counters %+v, want one spill and three errors", st)
+	}
+	fresh, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fresh.Load(keys[0].fp, keys[0].inputs); err != nil || !reflect.DeepEqual(got, keys[0].g.Export()) {
+		t.Fatalf("the key spilled before the failure does not load back whole (err %v)", err)
 	}
 }

@@ -1,33 +1,38 @@
 package graphstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/logfile"
 	"repro/internal/model"
 )
 
-// Magic is the 8-byte tag opening every graph-store file.
+// Magic is the 8-byte tag opening a graph store's log.
 const Magic = "RPRGRAPH"
 
-// Version is the newest file-format version this package writes. Files
-// with a newer version are refused (not silently truncated): they hold
-// valid data from a newer build, which must not be destroyed. Files with
-// an older version (v1 carried strings and a state dictionary, v2 a
-// hand-checksummed header) are a cache miss: the next spill rewrites
-// them from offset 0.
-const Version = 3
+// Version is the newest format version this package writes: version 4
+// keeps every graph of a directory in one log. A log of a newer version
+// makes Open fail (it holds a newer build's data, which must not be
+// destroyed); one of an older version holds nothing, and the next spill
+// rewrites it from offset 0. Versions 1 to 3 kept one file per key under
+// other names, which this version never reads, changes or deletes.
+const Version = 4
 
-// format frames every graph file: the meta frame holds the file's key,
-// and each later frame one page.
+// logName names the log in the store's directory.
+const logName = "graphs.rprgraph"
+
+// format frames the log: an empty meta frame, then one frame per page.
 var format = logfile.Format{Magic: Magic, Version: Version, Name: "graph-store"}
+
+// header opens the log.
+var header = format.AppendHeader(nil, nil)
 
 const (
 	// pageMaxRecords bounds the node records of one page; a spill larger
@@ -35,36 +40,62 @@ const (
 	pageMaxRecords = 4096
 	// succNone encodes an absent successor reference (-1).
 	succNone = ^uint32(0)
+	// keyBufLen holds the key of a 64-character fingerprint and 16
+	// inputs, and countsLen the process and object counts before it.
+	keyBufLen = 2 + 64 + 2 + 4*16
+	countsLen = 8
 )
 
 // Store is an open graph-store directory. It is safe for concurrent
 // use: the loads and spills of one key are serialized, and those of
-// different keys run concurrently. Construct with Open; the zero value
-// is not usable.
+// different keys run concurrently, their appends to the log one at a
+// time and their fsyncs shared. Construct with Open; the zero value is
+// not usable. A Store holds no file open between calls.
 type Store struct {
-	dir string
+	dir, path string
 
-	// mu guards files and stats only; no file I/O runs under it.
+	// mu guards keys and stats only; no file I/O runs under it.
 	mu    sync.Mutex
-	files map[string]*fileState
+	keys  map[string]*keyState
 	stats Stats
+
+	// appendMu serializes appends to the log and guards size, the log's
+	// good length, where every append starts: a failed write leaves size
+	// where it was, and the next append truncates what the write left.
+	appendMu sync.Mutex
+	size     int64
+
+	// syncMu guards the group commit below, and synced is broadcast on it
+	// when an fsync ends. written is the end of the last append written,
+	// durable the end of the log that completed fsyncs cover; syncing
+	// reports an fsync in flight, and syncErr is the first fsync error,
+	// which fails every later spill.
+	syncMu           sync.Mutex
+	synced           sync.Cond
+	written, durable int64
+	syncing          bool
+	syncErr          error
+	// fsync syncs the log through one of its open files: (*os.File).Sync,
+	// which tests wrap to hold or fail it.
+	fsync func(*os.File) error
 }
 
-// fileState tracks the durable good prefix of one key's file, the
-// bookkeeping delta spills extend from. A key's fileState lives as long
-// as its Store: a load resets it field by field, so a goroutine waiting
-// on mu never holds a stale copy.
-type fileState struct {
-	// mu serializes the load, spill and write of this key and guards
-	// every field below.
+// keyState tracks one key: where its pages lie in the log, and the
+// durable prefix they hold, the bookkeeping delta spills extend from. A
+// key's keyState lives as long as its Store: a load resets it field by
+// field, so a goroutine waiting on mu never holds a stale copy.
+type keyState struct {
+	// mu serializes the loads and spills of this key and guards every
+	// field below.
 	mu sync.Mutex
-	// read reports whether the fields describe the file: set by the
-	// key's first Load or Spill.
+	// frames locates the key's pages in the log, in log order: Open
+	// finds them, and each spill adds its own once they are durable.
+	frames []frame
+	// read reports whether the fields below describe the key's pages:
+	// set by the key's first Load or Spill.
 	read bool
-	// nodes counts the node records of the good prefix; goodLen is its
-	// byte length.
-	nodes   int
-	goodLen int64
+	// nodes counts the node records of the durable prefix.
+	nodes int
 	// unexpanded holds the persisted indices whose records are not Done
 	// yet; a spill completes them with in-place update records.
 	unexpanded map[int]struct{}
@@ -72,16 +103,23 @@ type fileState struct {
 	// the exact prefix-compatibility check for spills of graphs this
 	// process never loaded.
 	words []uint64
-	// bad marks a key whose file hit a write error or an incompatible
-	// in-memory graph; further spills are skipped until a Load rereads
-	// the file or the next Open.
+	// bad marks a key whose spill failed, whose in-memory graph is not an
+	// extension of its pages, or one of whose pages failed its checks;
+	// further spills are skipped until a Load rereads the pages or the
+	// next Open.
 	bad bool
+}
+
+// frame locates one page in the log: the frame's offset and length.
+type frame struct {
+	off int64
+	n   int
 }
 
 // Stats counts a store's traffic since Open.
 type Stats struct {
 	// Loads counts successful warm loads; LoadedNodes their total node
-	// records. Misses counts loads that found no file.
+	// records. Misses counts loads that found no page of the key.
 	Loads       uint64 `json:"loads"`
 	LoadedNodes uint64 `json:"loadedNodes"`
 	Misses      uint64 `json:"misses"`
@@ -93,7 +131,11 @@ type Stats struct {
 	Errors uint64 `json:"errors"`
 }
 
-// Open opens (creating if absent) the graph store rooted at dir.
+// Open opens the graph store rooted at dir, creating the directory if
+// absent. It walks the log once, checking every frame's checksum, and
+// finds each key's pages; a torn or corrupted tail is left for the
+// next spill to truncate. A log with a foreign magic or a newer version
+// makes Open fail, and the file is left as it is.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("graphstore: empty directory")
@@ -101,7 +143,24 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, files: make(map[string]*fileState)}, nil
+	s := &Store{dir: dir, path: filepath.Join(dir, logName), keys: make(map[string]*keyState), fsync: (*os.File).Sync}
+	s.synced.L = &s.syncMu
+	size, err := format.Walk(s.path, func(off int64, payload []byte) bool {
+		key, _, ok := splitPage(payload)
+		if !ok {
+			// No key's page, though it checks out: skip it rather than
+			// let the next append cut off the frames after it.
+			return true
+		}
+		st := s.stateLocked(key)
+		st.frames = append(st.frames, frame{off, logfile.FrameLen(len(payload))})
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("graphstore: %w", err)
+	}
+	s.size, s.written, s.durable = size, size, size
+	return s, nil
 }
 
 // Dir returns the directory the store was opened with.
@@ -114,46 +173,60 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// fileName maps a (fingerprint, inputs) key to its file. The
-// fingerprint is already a 64-char hex string; inputs join with '_'
-// after a "-in" separator, so distinct keys cannot collide.
-func fileName(fp string, inputs []int) string {
-	var b strings.Builder
-	b.WriteString(fp)
-	b.WriteString("-in")
-	for i, in := range inputs {
-		if i > 0 {
-			b.WriteByte('_')
-		}
-		fmt.Fprintf(&b, "%d", in)
+// appendKey appends a key's encoding: the fingerprint and the inputs,
+// each behind its length.
+func appendKey(dst []byte, fp string, inputs []int) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(fp)))
+	dst = append(dst, fp...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(inputs)))
+	for _, in := range inputs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(in)))
 	}
-	b.WriteString(".graph")
-	return b.String()
+	return dst
 }
 
-func (s *Store) path(fp string, inputs []int) string {
-	return filepath.Join(s.dir, fileName(fp, inputs))
+// splitPage splits a page's payload, which opens with the process and
+// object counts and the key, into the key and the body after it: the
+// record count and the records.
+func splitPage(payload []byte) (key, body []byte, ok bool) {
+	if len(payload) < countsLen+2 {
+		return nil, nil, false
+	}
+	end := countsLen + 2 + int(binary.LittleEndian.Uint16(payload[countsLen:]))
+	if len(payload) < end+2 {
+		return nil, nil, false
+	}
+	end += 2 + 4*int(binary.LittleEndian.Uint16(payload[end:]))
+	if len(payload) < end {
+		return nil, nil, false
+	}
+	return payload[countsLen:end], payload[end:], true
 }
 
-// state returns the key's fileState, adding an unread one on the key's
+// state returns the key's keyState, adding an unread one on the key's
 // first touch. It holds s.mu only for the map lookup.
-func (s *Store) state(fp string, inputs []int) *fileState {
-	key := fileName(fp, inputs)
+func (s *Store) state(fp string, inputs []int) *keyState {
+	var kb [keyBufLen]byte
+	key := appendKey(kb[:0], fp, inputs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.files[key]
+	return s.stateLocked(key)
+}
+
+// stateLocked is state for an encoded key; callers hold s.mu, or own s
+// alone as Open does.
+func (s *Store) stateLocked(key []byte) *keyState {
+	st, ok := s.keys[string(key)]
 	if !ok {
-		st = &fileState{}
-		s.files[key] = st
+		st = &keyState{}
+		s.keys[string(key)] = st
 	}
 	return st
 }
 
-// Load reads the good prefix of the key's file as a snapshot. A missing
-// file is a miss: (nil, nil). A file with an alien header or a newer
-// format version is an error, and the key is marked bad so spills never
-// touch the foreign file. A corrupted tail silently shortens the
-// snapshot — the caller imports whatever loaded and re-expands the
+// Load reads the key's pages as a snapshot. A key with no page is a
+// miss: (nil, nil). A page that fails its checks ends the snapshot
+// before it — the caller imports whatever loaded and re-expands the
 // rest. Load waits only for a load or spill of the same key.
 func (s *Store) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
 	st := s.state(fp, inputs)
@@ -175,57 +248,68 @@ func (s *Store) Load(fp string, inputs []int) (*model.GraphSnapshot, error) {
 	return snap, nil
 }
 
-// load resets st to the key's file without touching counters; callers
-// hold st.mu. A missing file leaves st empty and returns (nil, nil); an
-// error leaves it empty and bad.
-func (s *Store) load(st *fileState, fp string, inputs []int) (*model.GraphSnapshot, error) {
-	st.read, st.nodes, st.goodLen, st.words, st.bad = true, 0, 0, nil, false
+// load resets st to the key's pages without touching counters; callers
+// hold st.mu. A key without pages leaves st empty and returns (nil,
+// nil); a log that cannot be opened leaves it empty and bad. Each page
+// is read back and checked again: a page that fails its checksum, names
+// another key, changes the process or object count or fails applyPage
+// ends the snapshot before it and marks the key bad, since the shared
+// log cannot drop that page, and no later page of the key applies
+// without it.
+func (s *Store) load(st *keyState, fp string, inputs []int) (*model.GraphSnapshot, error) {
+	st.read, st.nodes, st.words, st.bad = true, 0, nil, false
 	st.unexpanded = make(map[int]struct{})
-	path := s.path(fp, inputs)
-	lg, err := format.Read(path)
+	if len(st.frames) == 0 {
+		return nil, nil
+	}
+	f, err := os.Open(s.path)
 	if err != nil {
 		st.bad = true
 		return nil, fmt.Errorf("graphstore: %w", err)
 	}
-	if lg == nil {
-		// Missing, torn or an older format: a miss either way. The next
-		// spill writes the file from offset 0.
-		return nil, nil
+	defer f.Close()
+	var kb [keyBufLen]byte
+	key := appendKey(kb[:0], fp, inputs)
+	var snap *model.GraphSnapshot
+	var buf []byte
+	for _, fr := range st.frames {
+		buf = slices.Grow(buf[:0], fr.n)[:fr.n]
+		ok := false
+		if _, err := f.ReadAt(buf, fr.off); err == nil {
+			snap, ok = applyFrame(snap, st, buf, key, inputs)
+		}
+		if !ok {
+			st.bad = true
+			break
+		}
 	}
-	// The meta frame holds the process and object counts, then the key.
-	var want [96]byte
-	m := lg.Meta
-	if key := appendMeta(want[:0], fp, inputs, 0, 0)[8:]; len(m) < 8 || string(m[8:]) != string(key) {
-		st.bad = true
-		return nil, fmt.Errorf("graphstore: %s holds the graph of another key", path)
-	}
-	snap := &model.GraphSnapshot{
-		Procs:   int(binary.LittleEndian.Uint32(m[0:])),
-		Objects: int(binary.LittleEndian.Uint32(m[4:])),
-		Inputs:  append([]int(nil), inputs...),
-	}
-	st.goodLen = lg.Scan(func(page []byte) bool { return applyPage(snap, st, page) })
-	if len(snap.Nodes) == 0 {
-		// A bare header (or one whose first page tore) carries no nodes;
-		// load it as a miss so the caller expands cold, but keep the
-		// header's good prefix so the next spill appends after it.
+	if snap == nil || len(snap.Nodes) == 0 {
 		return nil, nil
 	}
 	return snap, nil
 }
 
-// appendMeta appends the meta frame's payload, the file's key: the
-// process and object counts, the fingerprint and the inputs.
-func appendMeta(dst []byte, fp string, inputs []int, procs, objects int) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(procs))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(objects))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(fp)))
-	dst = append(dst, fp...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(inputs)))
-	for _, in := range inputs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(in)))
+// applyFrame checks one frame of the key and applies its page to snap,
+// which the key's first page starts with its process and object counts.
+// It reports false when the frame fails its checksum, names another key,
+// changes the counts or fails applyPage.
+func applyFrame(snap *model.GraphSnapshot, st *keyState, frame, key []byte, inputs []int) (*model.GraphSnapshot, bool) {
+	payload, ok := logfile.Payload(frame)
+	if !ok {
+		return snap, false
 	}
-	return dst
+	k, body, ok := splitPage(payload)
+	if !ok || !bytes.Equal(k, key) {
+		return snap, false
+	}
+	procs := int(binary.LittleEndian.Uint32(payload[0:]))
+	objects := int(binary.LittleEndian.Uint32(payload[4:]))
+	if snap == nil {
+		snap = &model.GraphSnapshot{Procs: procs, Objects: objects, Inputs: append([]int(nil), inputs...)}
+	} else if procs != snap.Procs || objects != snap.Objects {
+		return snap, false
+	}
+	return snap, applyPage(snap, st, body)
 }
 
 // recordSize is the fixed width of one node record: its index, packed
@@ -234,12 +318,12 @@ func recordSize(procs, words int) int {
 	return 4 + 8*words + 8 + 1 + 4*procs + 4*procs
 }
 
-// applyPage parses one checksummed payload and applies it to the
+// applyPage parses one checksummed page body and applies it to the
 // snapshot under construction. It is all-or-nothing: on any structural
-// inconsistency it applies nothing and returns false, ending the scan
-// at the previous page — so a loaded snapshot never holds a dangling
-// successor reference from a half-applied batch.
-func applyPage(snap *model.GraphSnapshot, st *fileState, page []byte) bool {
+// inconsistency it applies nothing and returns false, ending the key's
+// load at the previous page — so a loaded snapshot never holds a
+// dangling successor reference from a half-applied batch.
+func applyPage(snap *model.GraphSnapshot, st *keyState, page []byte) bool {
 	procs, nw := snap.Procs, model.NodeWords(snap.Procs, snap.Objects)
 	if len(page) < 4 {
 		return false
@@ -350,12 +434,15 @@ func encodeRecord(dst []byte, idx int, nd *model.SnapshotNode) []byte {
 
 // Spill persists the snapshot's growth beyond the key's durable prefix:
 // update records completing previously unexpanded nodes and append
-// records for new nodes, batched into CRC'd pages and fsynced. It returns the number of node records
-// written (0 when the file is already current, the key is marked bad,
-// or the snapshot is not an extension of the persisted prefix). A write
-// error marks the key bad — later spills skip it — and is returned.
-// Spill holds only the key's own lock through its writes and fsync, so
-// loads and spills of other keys proceed meanwhile.
+// records for new nodes, batched into checksummed pages appended to the
+// log. It returns the number of node records written (0 when the pages
+// are already current, the key is marked bad, or the snapshot is not an
+// extension of the persisted prefix) once they are durable. A write or
+// fsync error marks the key bad — later spills skip it — and is
+// returned; an fsync error also fails every later spill of the store.
+// Spill holds the key's own lock throughout, and the store's append
+// lock only while it writes, so loads and spills of other keys proceed
+// meanwhile.
 func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, error) {
 	st := s.state(fp, inputs)
 	st.mu.Lock()
@@ -364,7 +451,8 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A refused first read, a skipped bad key, a divergent prefix and a
-	// write error each leave the key bad, and each counts one error.
+	// write or fsync error each leave the key bad, and each counts one
+	// error.
 	if st.bad {
 		s.stats.Errors++
 	} else if n > 0 {
@@ -375,11 +463,12 @@ func (s *Store) Spill(fp string, inputs []int, snap *model.GraphSnapshot) (int, 
 }
 
 // spill is Spill without the counters; callers hold st.mu.
-func (s *Store) spill(st *fileState, fp string, inputs []int, snap *model.GraphSnapshot) (int, error) {
+func (s *Store) spill(st *keyState, fp string, inputs []int, snap *model.GraphSnapshot) (int, error) {
 	if !st.read {
 		// First touch of this key in this process: establish the durable
-		// prefix from the file (usually a miss; the file may exist if an
-		// earlier process wrote it and this one expanded cold).
+		// prefix from the pages Open found (usually none; an earlier
+		// process may have spilled the key while this one expanded it
+		// cold).
 		if _, err := s.load(st, fp, inputs); err != nil {
 			return 0, err
 		}
@@ -390,7 +479,7 @@ func (s *Store) spill(st *fileState, fp string, inputs []int, snap *model.GraphS
 	// The snapshot must extend the persisted prefix node for node. A
 	// shorter snapshot (a concurrent export raced a longer spill) or a
 	// node whose words differ (the in-memory graph grew in a different
-	// order, e.g. it never warm-loaded this file) is a safe no-op /
+	// order, e.g. it never warm-loaded these pages) is a safe no-op /
 	// permanent skip respectively.
 	if len(snap.Nodes) < st.nodes {
 		return 0, nil
@@ -420,11 +509,18 @@ func (s *Store) spill(st *fileState, fp string, inputs []int, snap *model.GraphS
 		return 0, nil
 	}
 
-	if err := s.write(fp, inputs, snap, st, stream); err != nil {
+	pages := len(st.frames)
+	buf, frames := encode(st.frames, fp, inputs, snap, stream)
+	base, err := s.write(buf)
+	if err != nil {
 		st.bad = true
 		return 0, err
 	}
 	// Commit the new durable prefix.
+	for i := pages; i < len(frames); i++ {
+		frames[i].off += base
+	}
+	st.frames = frames
 	for _, idx := range stream[:updates] {
 		delete(st.unexpanded, idx)
 	}
@@ -438,55 +534,118 @@ func (s *Store) spill(st *fileState, fp string, inputs []int, snap *model.GraphS
 	return len(stream), nil
 }
 
-// write performs the file I/O of one spill: truncate to the good
-// prefix, (re)write the header if none is durable, append the records
-// of stream (snapshot positions) in pages, fsync, and advance goodLen.
-// A spill that writes the header also syncs the directory (best
-// effort), so the entry of a file it just created survives a power
-// loss. Callers hold st.mu and no other lock.
-func (s *Store) write(fp string, inputs []int, snap *model.GraphSnapshot, st *fileState, stream []int) error {
-	f, err := logfile.OpenAppend(s.path(fp, inputs), st.goodLen)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	// One buffer, sized up front: the header (when none is durable),
-	// then one frame per page of a record count and records.
+// encode builds one spill's pages in one buffer, behind room for the
+// log header: a frame per page, whose payload is the process and object
+// counts and the key, then the record count and the records of stream
+// (snapshot positions). It runs under the key's lock alone, and appends
+// each page's frame to frames at its offset in the buffer.
+func encode(frames []frame, fp string, inputs []int, snap *model.GraphSnapshot, stream []int) ([]byte, []frame) {
+	var hb [countsLen + keyBufLen]byte
+	head := binary.LittleEndian.AppendUint32(hb[:0], uint32(snap.Procs))
+	head = binary.LittleEndian.AppendUint32(head, uint32(snap.Objects))
+	head = appendKey(head, fp, inputs)
 	rs := recordSize(snap.Procs, model.NodeWords(snap.Procs, snap.Objects))
 	pages := (len(stream) + pageMaxRecords - 1) / pageMaxRecords
-	size := pages*logfile.FrameLen(4) + len(stream)*rs
-	var mb [96]byte
-	var meta []byte
-	newHeader := st.goodLen == 0
-	if newHeader {
-		meta = appendMeta(mb[:0], fp, inputs, snap.Procs, snap.Objects)
-		size += logfile.HeaderLen(len(meta))
-	}
-	out := make([]byte, 0, size)
-	if newHeader {
-		out = format.AppendHeader(out, meta)
-	}
+	buf := make([]byte, len(header), len(header)+pages*logfile.FrameLen(len(head)+4)+len(stream)*rs)
 	for start := 0; start < len(stream); start += pageMaxRecords {
 		batch := stream[start:min(start+pageMaxRecords, len(stream))]
 		var page int
-		out, page = logfile.StartFrame(out)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(batch)))
+		buf, page = logfile.StartFrame(buf)
+		buf = append(buf, head...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(batch)))
 		for _, idx := range batch {
-			out = encodeRecord(out, idx, &snap.Nodes[idx])
+			buf = encodeRecord(buf, idx, &snap.Nodes[idx])
 		}
-		logfile.EndFrame(out, page)
+		logfile.EndFrame(buf, page)
+		frames = append(frames, frame{int64(page), len(buf) - page})
 	}
-	if _, err := f.Write(out); err != nil {
-		return err
+	return buf, frames
+}
+
+// write appends buf's pages at the log's end, truncating first whatever
+// a failed write left there, and returns the log offset that buf[0]
+// stands for once an fsync that began after the write has completed.
+// buf opens with room for the log header, which only the log's first
+// append writes; that append also fsyncs the file and then its
+// directory before it lets any other append in. Every later append
+// releases the append lock once written and shares its fsync (commit).
+// A write error leaves the log's good length where it was.
+func (s *Store) write(buf []byte) (int64, error) {
+	s.syncMu.Lock()
+	err := s.syncErr
+	s.syncMu.Unlock()
+	if err != nil {
+		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		return err
+	s.appendMu.Lock()
+	first := s.size == 0
+	base, out := s.size-int64(len(header)), buf[len(header):]
+	if first {
+		base, out = 0, buf
+		copy(buf, header)
 	}
-	if newHeader {
-		logfile.SyncDir(s.dir)
+	f, err := logfile.OpenAppend(s.path, s.size)
+	if err == nil {
+		if _, err = f.Write(out); err != nil {
+			f.Close()
+		}
 	}
-	// The header (when freshly written) is part of out, so one advance
-	// covers both.
-	st.goodLen += int64(len(out))
+	if err != nil {
+		s.appendMu.Unlock()
+		return 0, err
+	}
+	s.size += int64(len(out))
+	end := s.size
+	s.syncMu.Lock()
+	s.written = end
+	s.syncMu.Unlock()
+	if !first {
+		// The next append may write while this one waits for its fsync.
+		s.appendMu.Unlock()
+	}
+	err = s.commit(f, end)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if first {
+		if err == nil {
+			logfile.SyncDir(s.dir)
+		}
+		s.appendMu.Unlock()
+	}
+	return base, err
+}
+
+// commit returns once an fsync that began after the append ending at end
+// was written has completed. An fsync in flight may have begun before
+// that write, so commit waits for it and then, when no other append
+// started the next one, runs one itself through f. One fsync covers
+// every append written before it began, so the spills that write while
+// an fsync runs share the next. An fsync error fails every append it
+// was to cover, and every later one.
+func (s *Store) commit(f *os.File, end int64) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	for s.durable < end {
+		switch {
+		case s.syncErr != nil:
+			return s.syncErr
+		case s.syncing:
+			s.synced.Wait()
+		default:
+			s.syncing = true
+			target := s.written
+			s.syncMu.Unlock()
+			err := s.fsync(f)
+			s.syncMu.Lock()
+			s.syncing = false
+			if err != nil {
+				s.syncErr = fmt.Errorf("graphstore: syncing %s: %w", s.path, err)
+			} else {
+				s.durable = target
+			}
+			s.synced.Broadcast()
+		}
+	}
 	return nil
 }

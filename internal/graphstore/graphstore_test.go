@@ -1,6 +1,8 @@
 package graphstore_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/graphstore"
+	"repro/internal/logfile"
 	"repro/internal/model"
 	"repro/internal/registry"
 	"repro/internal/schedule"
@@ -295,10 +298,11 @@ func TestStoreTornFinalPage(t *testing.T) {
 	}
 }
 
-// TestStoreBitFlip flips single bits across the file and requires every
-// corruption to be contained: the load either refuses, shortens to a
-// good prefix, or the import rejects the record — and every walk still
-// answers exactly like a fresh expansion.
+// TestStoreBitFlip flips single bits across the log and requires every
+// corruption to be contained: Open refuses a flip that makes the magic
+// foreign or the version newer, and leaves the log as it is; otherwise
+// the load shortens to a good prefix or the import rejects the record —
+// and every walk still answers exactly like a fresh expansion.
 func TestStoreBitFlip(t *testing.T) {
 	pr, fp, inputs, walks := testProtocol(t, "cas-wf:2")
 	dir := t.TempDir()
@@ -333,7 +337,13 @@ func TestStoreBitFlip(t *testing.T) {
 				}
 				s2, err := graphstore.Open(dir)
 				if err != nil {
-					t.Fatal(err)
+					if pos >= len(graphstore.Magic)+4 {
+						t.Fatalf("a flip past the version: %v", err)
+					}
+					if got, _ := os.ReadFile(path); !bytes.Equal(got, mut) {
+						t.Fatal("Open changed the log it refused")
+					}
+					return
 				}
 				verifyWarm(t, s2, pr, fp, inputs, walks, want)
 			})
@@ -345,57 +355,43 @@ func TestStoreBitFlip(t *testing.T) {
 	}
 }
 
-// TestStoreRefusals: a missing file is a miss, an alien file and a
-// newer-version file are errors and are never truncated or overwritten
-// by subsequent spills.
+// TestStoreRefusals: a missing log is a miss and a load does not
+// create it; a foreign file and a newer-version log at the log's path
+// each make Open fail, and stay byte-identical.
 func TestStoreRefusals(t *testing.T) {
-	pr, fp, inputs, _ := testProtocol(t, "cas-wf:2")
+	pr, fp, inputs, walks := testProtocol(t, "cas-wf:2")
 	dir := t.TempDir()
 	s, err := graphstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap, err := s.Load(fp, inputs); err != nil || snap != nil {
-		t.Fatalf("missing file: snap=%v err=%v, want nil/nil", snap, err)
+		t.Fatalf("missing log: snap=%v err=%v, want nil/nil", snap, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, graphstore.LogName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a load of a missing log left %v", err)
 	}
 
-	g, err := model.NewGraph(pr, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Check(model.CheckOpts{Inputs: inputs}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Alien file at the key's path.
-	s2, err := graphstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, fp+"-in0_1.graph")
+	// A foreign file at the log's path.
+	alienDir := t.TempDir()
+	alienPath := filepath.Join(alienDir, graphstore.LogName)
 	alien := []byte("this is not a graph-store file, hands off\n")
-	if err := os.WriteFile(path, alien, 0o644); err != nil {
+	if err := os.WriteFile(alienPath, alien, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Load(fp, inputs); err == nil {
-		t.Fatal("alien file loaded without error")
+	if _, err := graphstore.Open(alienDir); err == nil {
+		t.Fatal("Open accepted a foreign file at the log's path")
 	}
-	if n, _ := s2.Spill(fp, inputs, g.Export()); n != 0 {
-		t.Fatalf("spill over an alien file wrote %d records", n)
-	}
-	if got, _ := os.ReadFile(path); !reflect.DeepEqual(got, alien) {
-		t.Fatal("alien file was modified")
+	if got, _ := os.ReadFile(alienPath); !bytes.Equal(got, alien) {
+		t.Fatal("the foreign file was modified")
 	}
 
-	// Newer-version file: valid header bytes with a bumped version.
-	s3, err := graphstore.Open(t.TempDir())
-	if err != nil {
+	// A newer-version log: valid header bytes with a bumped version.
+	g, _ := expand(t, pr, inputs, walks)
+	if _, err := s.Spill(fp, inputs, g.Export()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s3.Spill(fp, inputs, g.Export()); err != nil {
-		t.Fatal(err)
-	}
-	newerPath := storeFile(t, s3.Dir())
+	newerPath := storeFile(t, dir)
 	data, err := os.ReadFile(newerPath)
 	if err != nil {
 		t.Fatal(err)
@@ -404,100 +400,229 @@ func TestStoreRefusals(t *testing.T) {
 	if err := os.WriteFile(newerPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s4, err := graphstore.Open(s3.Dir())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := graphstore.Open(dir); err == nil {
+		t.Fatal("Open accepted a newer-version log")
 	}
-	if _, err := s4.Load(fp, inputs); err == nil {
-		t.Fatal("newer-version file loaded without error")
-	}
-	if n, _ := s4.Spill(fp, inputs, g.Export()); n != 0 {
-		t.Fatal("spill over a newer-version file wrote records")
-	}
-	if got, _ := os.ReadFile(newerPath); !reflect.DeepEqual(got, data) {
-		t.Fatal("newer-version file was modified")
+	if got, _ := os.ReadFile(newerPath); !bytes.Equal(got, data) {
+		t.Fatal("the newer-version log was modified")
 	}
 }
 
-// TestStoreV1FileIsRewritten loads an RPRGRAPH v1 file written by the
-// v1 build (testdata: cas-wf:2 at inputs 0,1 after a crash-free and a
-// crash-quota [1,1] walk). A v1 file is a cache miss; the next spill
-// rewrites it as the current version from offset 0, and a restart then
-// loads it warm.
-func TestStoreV1FileIsRewritten(t *testing.T) {
-	testOldFileIsRewritten(t, "rprgraph-v1-cas-wf-2-in0_1.graph", 1)
+// TestStoreOldFilesIgnored puts a per-key file of each older version
+// where the build that wrote it kept it — RPRGRAPH v1 and v2 files of
+// cas-wf:2 at inputs 0,1 (written after a crash-free and a crash-quota
+// [1,1] walk) and the v3 file of cas-rec:3 at inputs 0,1,0 — and
+// requires the store to ignore it: the key is a miss with no error, a
+// spill writes the key to the log and leaves the old file
+// byte-identical, and a restart loads the key warm from the log.
+func TestStoreOldFilesIgnored(t *testing.T) {
+	for _, tc := range []struct {
+		fixture, desc string
+		version       byte
+	}{
+		{"rprgraph-v1-cas-wf-2-in0_1.graph", "cas-wf:2", 1},
+		{"rprgraph-v2-cas-wf-2-in0_1.graph", "cas-wf:2", 2},
+		{v3Fixture, "cas-rec:3", 3},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			pr, fp, inputs, walks := testProtocol(t, tc.desc)
+			old, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(old[:8]) != graphstore.Magic || old[8] != tc.version {
+				t.Fatalf("testdata is not an RPRGRAPH v%d file: % x", tc.version, old[:12])
+			}
+			dir := t.TempDir()
+			name := fp + "-in"
+			for i, in := range inputs {
+				if i > 0 {
+					name += "_"
+				}
+				name += fmt.Sprint(in)
+			}
+			path := filepath.Join(dir, name+".graph")
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := graphstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap, err := s.Load(fp, inputs); err != nil || snap != nil {
+				t.Fatalf("v%d file: snap=%v err=%v, want a miss", tc.version, snap, err)
+			}
+			if st := s.Stats(); st.Misses != 1 || st.Errors != 0 {
+				t.Fatalf("v%d load counters %+v, want one miss and no error", tc.version, st)
+			}
+			g, want := expand(t, pr, inputs, walks)
+			snap := g.Export()
+			if written, err := s.Spill(fp, inputs, snap); err != nil || written != len(snap.Nodes) {
+				t.Fatalf("spill wrote %d of %d nodes (err %v)", written, len(snap.Nodes), err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+				t.Fatalf("the spill changed the v%d file", tc.version)
+			}
+
+			restarted, err := graphstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := restarted.Load(fp, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, snap) {
+				t.Fatal("the log does not load back to the export")
+			}
+			if loaded := verifyWarm(t, restarted, pr, fp, inputs, walks, want); loaded != len(snap.Nodes) {
+				t.Fatalf("restart warm-loaded %d nodes, want %d", loaded, len(snap.Nodes))
+			}
+			if st := restarted.Stats(); st.Loads != 2 || st.Errors != 0 {
+				t.Fatalf("restart counters %+v, want two loads and no error", st)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+				t.Fatalf("the restart changed the v%d file", tc.version)
+			}
+		})
+	}
 }
 
-// TestStoreV2FileIsRewritten does the same for an RPRGRAPH v2 file (the
-// same graph, written by the v2 build: packed words behind a
-// hand-checksummed header).
-func TestStoreV2FileIsRewritten(t *testing.T) {
-	testOldFileIsRewritten(t, "rprgraph-v2-cas-wf-2-in0_1.graph", 2)
-}
+// TestStoreInterleavedKeys spills three keys into one log, interleaved:
+// A capped at a few nodes, then B, then A's completion (update records
+// beside appended ones), then C. It cuts the log at every frame boundary
+// and at every 97th byte: after each cut a fresh Open must load each
+// key's pages before the cut and none after it, every loaded graph must
+// walk like a cold one, and a repair spill of each key must reload equal
+// to its full export, also after a restart.
+func TestStoreInterleavedKeys(t *testing.T) {
+	type key struct {
+		pr     model.Protocol
+		fp     string
+		inputs []int
+		walks  []model.CheckOpts
+		want   []walkObs
+		// exports holds what each of the key's spills wrote, ends the
+		// log's length after it.
+		exports []*model.GraphSnapshot
+		ends    []int
+	}
+	var keys []*key
+	for _, desc := range []string{"cas-rec:2", "cas-wf:2", "tas-reg"} {
+		k := &key{}
+		k.pr, k.fp, k.inputs, k.walks = testProtocol(t, desc)
+		_, k.want = expand(t, k.pr, k.inputs, k.walks)
+		keys = append(keys, k)
+	}
+	a, b, c := keys[0], keys[1], keys[2]
 
-// testOldFileIsRewritten runs the upgrade check on one testdata file of
-// an older version.
-func testOldFileIsRewritten(t *testing.T, fixture string, version byte) {
-	t.Helper()
-	pr, fp, inputs, walks := testProtocol(t, "cas-wf:2")
-	old, err := os.ReadFile(filepath.Join("testdata", fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(old[:8]) != graphstore.Magic || old[8] != version {
-		t.Fatalf("testdata is not an RPRGRAPH v%d file: % x", version, old[:12])
-	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, fp+"-in0_1.graph")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	s, err := graphstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := s.Load(fp, inputs); err != nil || snap != nil {
-		t.Fatalf("v%d file: snap=%v err=%v, want a miss", version, snap, err)
+	path := filepath.Join(dir, graphstore.LogName)
+	spill := func(k *key, snap *model.GraphSnapshot) {
+		t.Helper()
+		if n, err := s.Spill(k.fp, k.inputs, snap); err != nil || n == 0 {
+			t.Fatalf("spill wrote %d records (err %v)", n, err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.exports = append(k.exports, snap)
+		k.ends = append(k.ends, int(fi.Size()))
 	}
-	if st := s.Stats(); st.Misses != 1 || st.Errors != 0 {
-		t.Fatalf("v%d load counters %+v, want one miss and no error", version, st)
+	gA, err := model.NewGraph(a.pr, a.inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := gA.Check(model.CheckOpts{Inputs: a.inputs, MaxNodes: 10}); err != nil {
+		t.Fatal(err)
+	}
+	partial := gA.Export()
+	if partial.NumExpanded() == len(partial.Nodes) {
+		t.Fatal("the capped walk left no unexpanded node; A's completion would hold no update record")
+	}
+	spill(a, partial)
+	gB, _ := expand(t, b.pr, b.inputs, b.walks)
+	spill(b, gB.Export())
+	for _, opts := range a.walks {
+		if _, err := gA.Check(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spill(a, gA.Export())
+	gC, _ := expand(t, c.pr, c.inputs, c.walks)
+	spill(c, gC.Export())
 
-	g, want := expand(t, pr, inputs, walks)
-	snap := g.Export()
-	written, err := s.Spill(fp, inputs, snap)
+	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if written != len(snap.Nodes) {
-		t.Fatalf("rewrite spilled %d of %d nodes", written, len(snap.Nodes))
+	cuts := []int{0, logHeaderLen}
+	for _, k := range keys {
+		cuts = append(cuts, k.ends...)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for cut := 0; cut < len(pristine); cut += 97 {
+		cuts = append(cuts, cut)
 	}
-	if string(data[:8]) != graphstore.Magic || data[8] != graphstore.Version {
-		t.Fatalf("rewritten file header % x, want version %d", data[:12], graphstore.Version)
+	for _, cut := range cuts {
+		if err := os.WriteFile(path, pristine[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := graphstore.Open(dir)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		for i, k := range keys {
+			var want *model.GraphSnapshot
+			for j, end := range k.ends {
+				if end <= cut {
+					want = k.exports[j]
+				}
+			}
+			got, err := s2.Load(k.fp, k.inputs)
+			if err != nil {
+				t.Fatalf("cut %d, key %d: %v", cut, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cut %d, key %d: loaded %s, want the pages before the cut", cut, i, describe(got))
+			}
+			verifyWarm(t, s2, k.pr, k.fp, k.inputs, k.walks, k.want)
+		}
+		for i, k := range keys {
+			full := k.exports[len(k.exports)-1]
+			if _, err := s2.Spill(k.fp, k.inputs, full); err != nil {
+				t.Fatalf("cut %d, key %d: repair spill: %v", cut, i, err)
+			}
+			if got, err := s2.Load(k.fp, k.inputs); err != nil || !reflect.DeepEqual(got, full) {
+				t.Fatalf("cut %d, key %d: repaired key loads %s (err %v), want its full export", cut, i, describe(got), err)
+			}
+		}
+		restarted, err := graphstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if got, err := restarted.Load(k.fp, k.inputs); err != nil || !reflect.DeepEqual(got, k.exports[len(k.exports)-1]) {
+				t.Fatalf("cut %d, key %d: after the repair a restart loads %s (err %v)", cut, i, describe(got), err)
+			}
+		}
+		if st := s2.Stats(); st.Errors != 0 {
+			t.Fatalf("cut %d: counters %+v, want no error", cut, st)
+		}
 	}
+}
 
-	restarted, err := graphstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+// describe names a loaded snapshot by its node count.
+func describe(snap *model.GraphSnapshot) string {
+	if snap == nil {
+		return "nothing"
 	}
-	got, err := restarted.Load(fp, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatal("rewritten file does not load back to the export")
-	}
-	if loaded := verifyWarm(t, restarted, pr, fp, inputs, walks, want); loaded != len(snap.Nodes) {
-		t.Fatalf("restart warm-loaded %d nodes, want %d", loaded, len(snap.Nodes))
-	}
-	if st := restarted.Stats(); st.Loads != 2 || st.Errors != 0 {
-		t.Fatalf("restart counters %+v, want two loads and no error", st)
-	}
+	return fmt.Sprintf("%d nodes", len(snap.Nodes))
 }
 
 // TestStoreSpillRefusesDivergentPrefix spills a graph that grew in a
@@ -543,5 +668,59 @@ func TestStoreSpillRefusesDivergentPrefix(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(path); !reflect.DeepEqual(after, before) {
 		t.Fatal("divergent spill modified the file")
+	}
+}
+
+// TestStoreSkipsKeylessFrame puts a frame that checks out but is too
+// short to name a key before a key's page: Open skips it instead of
+// ending the log there, the key loads whole, and a spill appends after
+// the page rather than cutting it off.
+func TestStoreSkipsKeylessFrame(t *testing.T) {
+	prA, fpA, inA, walksA := testProtocol(t, "cas-wf:2")
+	prB, fpB, inB, walksB := testProtocol(t, "tas-reg")
+	dir := t.TempDir()
+	s, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gA, _ := expand(t, prA, inA, walksA)
+	if _, err := s.Spill(fpA, inA, gA.Export()); err != nil {
+		t.Fatal(err)
+	}
+	path := storeFile(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyless, off := logfile.StartFrame(append([]byte(nil), data[:logHeaderLen]...))
+	keyless = append(keyless, "no key"...)
+	logfile.EndFrame(keyless, off)
+	if err := os.WriteFile(path, append(keyless, data[logHeaderLen:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Load(fpA, inA); err != nil || !reflect.DeepEqual(got, gA.Export()) {
+		t.Fatalf("the page after the keyless frame loads %s (err %v)", describe(got), err)
+	}
+	gB, _ := expand(t, prB, inB, walksB)
+	if _, err := s2.Spill(fpB, inB, gB.Export()); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := graphstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []struct {
+		fp     string
+		inputs []int
+		g      *model.Graph
+	}{{fpA, inA, gA}, {fpB, inB, gB}} {
+		if got, err := s3.Load(k.fp, k.inputs); err != nil || !reflect.DeepEqual(got, k.g.Export()) {
+			t.Fatalf("after a spill the log loads %s of %s (err %v)", describe(got), k.fp[:8], err)
+		}
 	}
 }

@@ -1,12 +1,14 @@
 package logfile
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 const (
@@ -44,9 +46,6 @@ func (f Format) AppendHeader(dst, meta []byte) []byte {
 	return dst
 }
 
-// HeaderLen is the length of a header whose meta frame holds n bytes.
-func HeaderLen(n int) int { return headerLen + frameHeaderLen + n }
-
 // FrameLen is the length of a frame holding n payload bytes.
 func FrameLen(n int) int { return frameHeaderLen + n }
 
@@ -70,91 +69,123 @@ func checksum(length, payload []byte) uint32 {
 	return crc32.Update(crc32.Checksum(length, castagnoli), castagnoli, payload)
 }
 
-// frameAt decodes the frame at off: its payload and end offset, or
-// ok == false when the frame is torn or fails its checksum.
-func frameAt(data []byte, off int) (payload []byte, end int, ok bool) {
-	if len(data)-off < frameHeaderLen {
-		return nil, 0, false
+// Payload returns the payload of frame, which holds one whole frame as
+// Walk reported it, or ok == false when it is not exactly one frame or
+// fails its checksum.
+func Payload(frame []byte) (payload []byte, ok bool) {
+	if len(frame) < frameHeaderLen || uint64(binary.LittleEndian.Uint32(frame)) != uint64(len(frame)-frameHeaderLen) {
+		return nil, false
 	}
-	n := binary.LittleEndian.Uint32(data[off:])
-	if uint64(n) > uint64(len(data)-off-frameHeaderLen) {
-		return nil, 0, false
-	}
-	end = off + frameHeaderLen + int(n)
-	payload = data[off+frameHeaderLen : end]
-	if checksum(data[off:off+4], payload) != binary.LittleEndian.Uint32(data[off+4:]) {
-		return nil, 0, false
-	}
-	return payload, end, true
+	payload = frame[frameHeaderLen:]
+	return payload, checksum(frame[:4], payload) == binary.LittleEndian.Uint32(frame[4:])
 }
 
-// Log is the durable content of one file: its meta frame and the frames
-// after it.
-type Log struct {
-	// Meta is the meta frame's payload.
-	Meta []byte
-	data []byte // the whole file
-	off  int    // end of the meta frame
-}
+// walkBufLen is the size of the buffer Walk reads a file through; a
+// frame too long for it is read into one more buffer, reused for every
+// such frame.
+const walkBufLen = 32 << 10
 
-// Read reads the file at path in one piece. A missing or empty file, a
-// torn header and a file of an older version hold nothing durable: Read
-// returns a nil Log, whose good length is 0. A file that opens with
-// anything but the magic, or with a newer version, is an error: it holds
-// another program's data or a newer build's, and the caller must neither
-// truncate nor overwrite it.
-func (f Format) Read(path string) (*Log, error) {
-	data, err := os.ReadFile(path)
+// Walk reads the file at path front to back and calls fn with the
+// offset and payload of each frame after the meta frame, in file order,
+// until fn returns false or a frame is torn or fails its checksum. It
+// returns the good length: the bytes of the header, the meta frame and
+// every frame fn accepted. The payload is valid only during the call.
+//
+// A missing or empty file, a torn header, a damaged meta frame and a
+// file of an older version hold nothing durable: Walk calls fn for no
+// frame and returns 0. A file that opens with anything but the magic,
+// or with a newer version, is an error: it holds another program's data
+// or a newer build's, and the caller must neither truncate nor
+// overwrite it. So is a read that fails for another reason than the
+// file's end, which says nothing about the bytes it did not read.
+func (f Format) Walk(path string, fn func(off int64, payload []byte) bool) (int64, error) {
+	file, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return 0, err
+	}
+	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil {
+		return 0, err
+	}
+	size := fi.Size()
+	r := bufio.NewReaderSize(file, walkBufLen)
+	head, err := r.Peek(max(headerLen, len(f.Legacy)))
+	if err != nil && err != io.EOF {
+		return 0, err
 	}
 	if f.Legacy != "" {
-		n := min(len(data), len(f.Legacy))
-		if n > 0 && string(data[:n]) == f.Legacy[:n] {
-			return nil, nil // pre-framing, or its header torn
+		n := min(len(head), len(f.Legacy))
+		if n > 0 && string(head[:n]) == f.Legacy[:n] {
+			return 0, nil // pre-framing, or its header torn
 		}
 	}
-	if n := min(len(data), len(f.Magic)); string(data[:n]) != f.Magic[:n] {
-		return nil, fmt.Errorf("%s has no %s header (refusing to overwrite; move the file aside to start fresh)", path, f.Name)
+	if n := min(len(head), len(f.Magic)); string(head[:n]) != f.Magic[:n] {
+		return 0, fmt.Errorf("%s has no %s header (refusing to overwrite; move the file aside to start fresh)", path, f.Name)
 	}
-	if len(data) < headerLen {
-		return nil, nil
+	if len(head) < headerLen {
+		return 0, nil
 	}
-	switch v := binary.LittleEndian.Uint32(data[len(f.Magic):]); {
+	switch v := binary.LittleEndian.Uint32(head[len(f.Magic):]); {
 	case v > f.Version:
-		return nil, fmt.Errorf("%s is format version %d, newer than this build's %d", path, v, f.Version)
+		return 0, fmt.Errorf("%s is format version %d, newer than this build's %d", path, v, f.Version)
 	case v < f.Version:
-		return nil, nil
+		return 0, nil
 	}
-	// A meta frame that is torn or fails its checksum reads as a torn
-	// header: every writer makes the header durable with the first
-	// frames after it, so no durable frame can follow a bad one.
-	meta, end, ok := frameAt(data, headerLen)
-	if !ok {
-		return nil, nil
-	}
-	return &Log{Meta: meta, data: data, off: end}, nil
-}
+	r.Discard(headerLen)
 
-// Scan calls fn with the payload of each frame after the meta frame, in
-// file order, until fn returns false or a frame is torn or fails its
-// checksum. It returns the good length: the bytes of the header, the
-// meta frame and every frame fn accepted. Payloads alias the file's
-// bytes. A nil Log has no frames and a good length of 0.
-func (l *Log) Scan(fn func(payload []byte) bool) int64 {
-	if l == nil {
-		return 0
-	}
-	off := l.off
-	for {
-		payload, end, ok := frameAt(l.data, off)
-		if !ok || !fn(payload) {
-			return int64(off)
+	// good stays 0 until the meta frame checks out: a damaged one reads
+	// as a torn header, since every writer makes the header durable with
+	// the first frames after it, so no durable frame can follow it.
+	var good int64
+	var long []byte // frames longer than r's buffer
+	for off := int64(headerLen); ; {
+		h, err := r.Peek(frameHeaderLen)
+		if err != nil && err != io.EOF {
+			return 0, err
 		}
-		off = end
+		if len(h) < frameHeaderLen {
+			return good, nil
+		}
+		n := frameHeaderLen + int64(binary.LittleEndian.Uint32(h))
+		if n > size-off {
+			// Torn, or a length that a flipped bit made huge: nothing
+			// that long was ever written, so read none of it.
+			return good, nil
+		}
+		// The whole frame, so its length bytes and payload are checked
+		// in place, from r's buffer when it fits.
+		var frame []byte
+		if n <= int64(r.Size()) {
+			frame, err = r.Peek(int(n))
+		} else {
+			long = slices.Grow(long[:0], int(n))[:n]
+			_, err = io.ReadFull(r, long)
+			frame = long
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return good, nil // the file shrank since Stat
+		}
+		if err != nil {
+			return 0, err
+		}
+		payload, ok := Payload(frame)
+		if !ok {
+			return good, nil
+		}
+		// The meta frame ends the header; every format written today
+		// leaves it empty.
+		if off > headerLen && !fn(off, payload) {
+			return good, nil
+		}
+		if n <= int64(r.Size()) {
+			r.Discard(int(n))
+		}
+		off += n
+		good = off
 	}
 }
 
@@ -162,7 +193,7 @@ func (l *Log) Scan(fn func(payload []byte) bool) int64 {
 // creating it if needed: whatever follows goodLen (a torn or corrupted
 // tail) is truncated away, and the file is positioned at goodLen. At a
 // goodLen of 0 the caller starts the file with a header. Call it only
-// for a file Read did not refuse.
+// for a file Walk did not refuse.
 func OpenAppend(path string, goodLen int64) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {

@@ -2,8 +2,11 @@ package logfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,58 +29,113 @@ func sample() (data []byte, ends []int) {
 	return data, ends
 }
 
-// scan reads data as a file at path and returns its meta, its accepted
-// payloads and its good length.
-func scan(t *testing.T, path string, data []byte) (meta []byte, payloads []string, goodLen int64, err error) {
+// walk writes data as a file at path and walks it: the offsets and
+// payloads of the frames it reports, and its good length.
+func walk(t *testing.T, path string, data []byte) (offs []int64, payloads []string, goodLen int64, err error) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lg, err := testFormat.Read(path)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if lg != nil {
-		meta = lg.Meta
-	}
-	goodLen = lg.Scan(func(p []byte) bool {
+	goodLen, err = testFormat.Walk(path, func(off int64, p []byte) bool {
+		offs = append(offs, off)
 		payloads = append(payloads, string(p))
 		return true
 	})
-	return meta, payloads, goodLen, nil
+	return offs, payloads, goodLen, err
 }
 
-// TestLogRoundTrip writes a header and frames and reads them back whole.
+// TestLogRoundTrip writes a header and frames and walks them back whole,
+// each frame at the offset it was written at.
 func TestLogRoundTrip(t *testing.T) {
 	data, ends := sample()
-	if got := HeaderLen(3); got != ends[0] {
-		t.Fatalf("HeaderLen(3) = %d, header is %d bytes", got, ends[0])
-	}
 	if got := FrameLen(5); got != ends[3]-ends[2] {
 		t.Fatalf("FrameLen(5) = %d, frame is %d bytes", got, ends[3]-ends[2])
 	}
-	meta, payloads, goodLen, err := scan(t, filepath.Join(t.TempDir(), "log"), data)
+	offs, payloads, goodLen, err := walk(t, filepath.Join(t.TempDir(), "log"), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(meta) != "key" || strings.Join(payloads, "|") != "first payload||third" || goodLen != int64(len(data)) {
-		t.Fatalf("read meta %q, payloads %q, good length %d of %d", meta, payloads, goodLen, len(data))
+	if strings.Join(payloads, "|") != "first payload||third" || goodLen != int64(len(data)) {
+		t.Fatalf("walked payloads %q, good length %d of %d", payloads, goodLen, len(data))
 	}
-	if lg, err := testFormat.Read(filepath.Join(t.TempDir(), "missing")); lg != nil || err != nil {
-		t.Fatalf("missing file: %v, %v; want nil, nil", lg, err)
+	if want := []int64{int64(ends[0]), int64(ends[1]), int64(ends[2])}; !slices.Equal(offs, want) {
+		t.Fatalf("frame offsets %v, want %v", offs, want)
+	}
+	// Each reported frame, read back on its own, checks out.
+	for i, off := range offs {
+		if p, ok := Payload(data[off:ends[i+1]]); !ok || string(p) != payloads[i] {
+			t.Fatalf("frame at %d: payload %q (ok %v), want %q", off, p, ok, payloads[i])
+		}
+		if _, ok := Payload(data[off : ends[i+1]-1]); ok {
+			t.Fatalf("frame at %d cut by a byte still checks out", off)
+		}
+	}
+	if n, err := testFormat.Walk(filepath.Join(t.TempDir(), "missing"), nil); n != 0 || err != nil {
+		t.Fatalf("missing file: good length %d, err %v; want 0, nil", n, err)
 	}
 	// A frame the caller rejects ends the good prefix before it.
 	path := filepath.Join(t.TempDir(), "log")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lg, err := testFormat.Read(path)
-	if err != nil {
+	got, err := testFormat.Walk(path, func(_ int64, p []byte) bool { return len(p) > 0 })
+	if err != nil || got != int64(ends[1]) {
+		t.Fatalf("walk stopping at the empty frame: good length %d (err %v), want %d", got, err, ends[1])
+	}
+}
+
+// TestLogLongFrames walks frames longer than the read buffer, beside
+// short ones, and a frame whose length runs past the end of the file,
+// which is torn without a buffer of that length.
+func TestLogLongFrames(t *testing.T) {
+	data := testFormat.AppendHeader(nil, nil)
+	var want []string
+	for i, n := range []int{walkBufLen + 1, 3, 3 * walkBufLen, 0, walkBufLen} {
+		p := strings.Repeat(string(rune('a'+i)), n)
+		want = append(want, p)
+		var off int
+		data, off = StartFrame(data)
+		data = append(data, p...)
+		EndFrame(data, off)
+	}
+	path := filepath.Join(t.TempDir(), "log")
+	_, payloads, goodLen, err := walk(t, path, data)
+	if err != nil || goodLen != int64(len(data)) || !slices.Equal(payloads, want) {
+		t.Fatalf("good length %d of %d (err %v), %d of %d payloads equal", goodLen, len(data), err, countEqual(payloads, want), len(want))
+	}
+
+	// A frame claiming 64 MiB more than the file holds: Walk stops at it
+	// without a buffer of that length.
+	past, off := StartFrame(append([]byte(nil), data...))
+	past = append(past, "tail"...)
+	EndFrame(past, off)
+	binary.LittleEndian.PutUint32(past[off:], 4+64<<20)
+	if err := os.WriteFile(path, past, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := lg.Scan(func(p []byte) bool { return len(p) > 0 }); got != int64(ends[1]) {
-		t.Fatalf("scan stopping at the empty frame: good length %d, want %d", got, ends[1])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := testFormat.Walk(path, func(int64, []byte) bool { return true })
+	runtime.ReadMemStats(&after)
+	if err != nil || n != int64(len(data)) {
+		t.Fatalf("frame past the end: good length %d (err %v), want %d", n, err, len(data))
 	}
+	// The read buffer and the buffer for long frames, which grows to the
+	// longest, 96 KiB: a buffer for the frame past the end is 64 MiB.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("walking the log allocated %d bytes", got)
+	}
+}
+
+// countEqual counts the positions at which got and want agree.
+func countEqual(got, want []string) int {
+	n := 0
+	for i := range min(len(got), len(want)) {
+		if got[i] == want[i] {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLogCutAtEveryOffset truncates the file at every length: the good
@@ -93,14 +151,14 @@ func TestLogCutAtEveryOffset(t *testing.T) {
 				want = end
 			}
 		}
-		_, _, goodLen, err := scan(t, path, data[:cut])
+		_, _, goodLen, err := walk(t, path, data[:cut])
 		if err != nil || goodLen != int64(want) {
 			t.Fatalf("cut %d: good length %d (err %v), want %d", cut, goodLen, err, want)
 		}
 	}
 }
 
-// TestLogBitFlipInEveryByte flips one bit in each byte: the scan stops at
+// TestLogBitFlipInEveryByte flips one bit in each byte: the walk stops at
 // or before the frame holding it, and only flips in the magic or the
 // version give an error.
 func TestLogBitFlipInEveryByte(t *testing.T) {
@@ -110,7 +168,7 @@ func TestLogBitFlipInEveryByte(t *testing.T) {
 		for _, bit := range []uint{0, 5, 7} {
 			mut := append([]byte(nil), data...)
 			mut[pos] ^= 1 << bit
-			_, _, goodLen, err := scan(t, path, mut)
+			_, _, goodLen, err := walk(t, path, mut)
 			if err != nil {
 				if pos >= headerLen {
 					t.Fatalf("flip at %d bit %d (past the version): %v", pos, bit, err)
@@ -139,7 +197,7 @@ func TestLogBitFlipInEveryByte(t *testing.T) {
 // are errors; an older version, a legacy file and a torn header read as
 // empty.
 func TestLogRefusalsAndOlderVersions(t *testing.T) {
-	data, _ := sample()
+	data, ends := sample()
 	path := filepath.Join(t.TempDir(), "log")
 	for _, tc := range []struct {
 		name    string
@@ -149,7 +207,7 @@ func TestLogRefusalsAndOlderVersions(t *testing.T) {
 		{"foreign", []byte("somebody else's file\n"), "has no test-log header"},
 		{"short foreign", []byte("xy"), "has no test-log header"},
 		{"newer", Format{Magic: testFormat.Magic, Version: testFormat.Version + 1}.AppendHeader(nil, []byte("key")), "newer than this build's 3"},
-		{"older", append(Format{Magic: testFormat.Magic, Version: testFormat.Version - 1}.AppendHeader(nil, []byte("key")), data[HeaderLen(3):]...), ""},
+		{"older", append(Format{Magic: testFormat.Magic, Version: testFormat.Version - 1}.AppendHeader(nil, []byte("key")), data[ends[0]:]...), ""},
 		{"legacy", []byte(`{"legacy":true}` + "\n" + `{"record":1}` + "\n"), ""},
 		{"torn legacy", []byte(`{"leg`), ""},
 		{"empty", nil, ""},
@@ -157,15 +215,15 @@ func TestLogRefusalsAndOlderVersions(t *testing.T) {
 		{"torn version", data[:10], ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			meta, payloads, goodLen, err := scan(t, path, tc.data)
+			_, payloads, goodLen, err := walk(t, path, tc.data)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err %v, want one naming %q", err, tc.wantErr)
 				}
 				return
 			}
-			if err != nil || meta != nil || payloads != nil || goodLen != 0 {
-				t.Fatalf("read meta %q, payloads %q, good length %d (err %v); want an empty log", meta, payloads, goodLen, err)
+			if err != nil || payloads != nil || goodLen != 0 {
+				t.Fatalf("walked payloads %q, good length %d (err %v); want an empty log", payloads, goodLen, err)
 			}
 		})
 	}
@@ -179,7 +237,7 @@ func TestLogZeroTailIsTorn(t *testing.T) {
 	data, _ := sample()
 	path := filepath.Join(t.TempDir(), "log")
 	for _, zeros := range []int{1, 8, 64} {
-		_, payloads, goodLen, err := scan(t, path, append(append([]byte(nil), data...), make([]byte, zeros)...))
+		_, payloads, goodLen, err := walk(t, path, append(append([]byte(nil), data...), make([]byte, zeros)...))
 		if err != nil || goodLen != int64(len(data)) || len(payloads) != 3 {
 			t.Fatalf("%d zeros: %d payloads, good length %d of %d (err %v)", zeros, len(payloads), goodLen, len(data), err)
 		}
@@ -192,7 +250,7 @@ func TestLogOpenAppendTruncatesToGoodPrefix(t *testing.T) {
 	data, ends := sample()
 	path := filepath.Join(t.TempDir(), "log")
 	torn := append(append([]byte(nil), data...), data[ends[0]:ends[1]-1]...)
-	_, _, goodLen, err := scan(t, path, torn)
+	_, _, goodLen, err := walk(t, path, torn)
 	if err != nil || goodLen != int64(len(data)) {
 		t.Fatalf("good length %d (err %v), want %d", goodLen, err, len(data))
 	}

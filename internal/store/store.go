@@ -142,11 +142,7 @@ func decodeEntry(p []byte) (engine.Entry, error) {
 // and a file from a newer Version are errors — such files must not be
 // truncated or overwritten.
 func readDecisions(path string) (entries []engine.Entry, goodLen int64, err error) {
-	lg, err := format.Read(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	goodLen = lg.Scan(func(p []byte) bool {
+	goodLen, err = format.Walk(path, func(_ int64, p []byte) bool {
 		e, err := decodeEntry(p)
 		if err != nil {
 			return false
@@ -154,6 +150,9 @@ func readDecisions(path string) (entries []engine.Entry, goodLen int64, err erro
 		entries = append(entries, e)
 		return true
 	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: %w", err)
+	}
 	return entries, goodLen, nil
 }
 

@@ -234,9 +234,11 @@ type GraphStore = graphstore.Store
 //	eng := repro.New(repro.WithGraphCache(gc))
 //	defer gc.Flush()
 //
-// One file per protocol-fingerprint + inputs key; corrupted file tails
-// (torn writes, bit flips) are detected by per-page checksums and the
-// intact prefix is served. One process at a time may own a directory.
+// Every graph lives in one append-only log in dir, each page tagged
+// with its protocol-fingerprint + inputs key; a corrupted tail (torn
+// writes, bit flips) is detected by per-page checksums and the intact
+// prefix is served. A foreign or newer log makes it fail. One process
+// at a time may own a directory.
 func OpenGraphStore(dir string) (*GraphStore, error) { return graphstore.Open(dir) }
 
 // DefaultGraphCacheBudget is the node budget WithGraphCacheBudget(0)
