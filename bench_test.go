@@ -502,11 +502,12 @@ func BenchmarkGraphCacheCheckBatch(b *testing.B) {
 // hot path — a single crash-free request walking an already-expanded
 // cached graph, through the engine's cache resolution (the
 // crash-budgeted walk of /v1/check traffic is BenchmarkGraphWalkWarmQuota's).
-// The instrumented
-// variant runs the identical workload with engine metrics histograms
-// attached; CI's alloc gate compares both against the baseline, so a
-// change that makes observability allocate on the warm path fails the
-// build rather than landing silently.
+// The instrumented variant runs the identical workload with a no-op
+// progress consumer installed, so the engine builds its events, which
+// may cost the protocol's name and nothing else; CI's alloc gate
+// compares both against the baseline, so a change that makes events
+// allocate on the warm path fails the build rather than landing
+// silently.
 func BenchmarkEngineCheckWarm(b *testing.B) {
 	pr := proto.NewCASWaitFree(2)
 	req := engine.CheckRequest{Inputs: []int{0, 1}}
@@ -526,7 +527,7 @@ func BenchmarkEngineCheckWarm(b *testing.B) {
 		run(b, engine.New(engine.WithParallelism(1)))
 	})
 	b.Run("instrumented", func(b *testing.B) {
-		run(b, engine.New(engine.WithParallelism(1), engine.WithMetrics(engine.NewMetrics())))
+		run(b, engine.New(engine.WithParallelism(1), engine.WithProgress(func(engine.Event) {})))
 	})
 }
 

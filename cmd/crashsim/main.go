@@ -62,13 +62,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// crashsim simulates algorithms; it runs no level decisions, so the
-	// decider-oriented engine flags have nothing to act on here.
+	// crashsim simulates algorithms; it runs no level decisions, so
+	// -cache-file has nothing to persist here.
 	if ef.CacheFile != "" {
 		fmt.Fprintln(os.Stderr, "crashsim: note: -cache-file ignored (no level decisions to persist)")
-	}
-	if ef.ShardThreshold != 0 {
-		fmt.Fprintln(os.Stderr, "crashsim: note: -shard-threshold ignored (no level checks to shard)")
 	}
 
 	var a *algo.Algorithm

@@ -70,11 +70,11 @@
 // public mux (see the README's Observability section).
 //
 // The shared engine flags apply: -parallel sizes each request's worker
-// pool, -shard-threshold tunes single-level sharding, -cache-file
-// persists the decision cache (journal + snapshot), -timeout bounds the
-// whole serving run (useful for smoke tests), and -progress logs cache
-// and store statistics on shutdown. SIGINT/SIGTERM shut down
-// gracefully: in-flight requests finish, then the journal is flushed.
+// pool, -cache-file persists the decision cache (journal + snapshot),
+// -timeout bounds the whole serving run (useful for smoke tests), and
+// -progress logs cache and store statistics on shutdown. SIGINT/SIGTERM
+// shut down gracefully: in-flight requests finish, then the journal is
+// flushed.
 package main
 
 import (
@@ -173,7 +173,6 @@ func run(args []string) error {
 		Store:            pc,
 		MaxN:             *maxN,
 		Parallelism:      ef.Parallel,
-		ShardThreshold:   ef.ShardThreshold,
 		RequestTimeout:   *reqTimeout,
 		MaxConcurrent:    *maxConc,
 		BatchLimit:       *batchLimit,

@@ -85,8 +85,8 @@ func run(args []string) error {
 	}
 	// Signature checks run through one shared engine: its cache
 	// deduplicates repeated candidates, its auto-sharding hands workers
-	// left over after one per size to each candidate's big level checks
-	// (the -shard-threshold contract), and -cache-file persists every
+	// left over after one per size to each candidate's big level checks,
+	// and -cache-file persists every
 	// decision so an interrupted or repeated sweep resumes across runs
 	// instead of re-searching decided seeds. EngineOn keeps the engine
 	// quiet — the sweep's own attempt progress is the tool's voice.

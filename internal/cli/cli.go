@@ -20,10 +20,6 @@ type EngineFlags struct {
 	Timeout time.Duration
 	// Progress enables per-level progress lines on stderr (-progress).
 	Progress bool
-	// ShardThreshold is the assignment count above which one level check
-	// is split across idle workers (-shard-threshold; 0 = engine default,
-	// negative = never shard).
-	ShardThreshold int
 	// CacheFile persists the decision cache at this path (-cache-file;
 	// empty = in-memory only), so sweeps resume across runs.
 	CacheFile string
@@ -57,8 +53,6 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		"abort the run after this duration (e.g. 30s; 0 = no limit)")
 	fs.BoolVar(&f.Progress, "progress", false,
 		"print progress to stderr while the run advances")
-	fs.IntVar(&f.ShardThreshold, "shard-threshold", 0,
-		"assignment count above which one level check is sharded across idle workers (0 = engine default, negative = never shard)")
 	fs.StringVar(&f.CacheFile, "cache-file", "",
 		"persist the decision cache at this path (journal + snapshot), resuming prior runs' decisions")
 	fs.IntVar(&f.GraphCacheBudget, "graph-cache-budget", 0,
@@ -144,7 +138,6 @@ func (f *EngineFlags) EngineOn(ctx context.Context, extra ...repro.Option) (*rep
 	opts := []repro.Option{
 		repro.WithContext(ctx),
 		repro.WithParallelism(f.Parallel),
-		repro.WithShardThreshold(f.ShardThreshold),
 	}
 	pc, err := f.OpenCache()
 	if err != nil {

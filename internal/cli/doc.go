@@ -1,7 +1,7 @@
 // Package cli carries the flag plumbing shared by the cmd tools and
 // examples: every tool that drives the analysis engine registers the
-// same -parallel, -timeout, -progress, -shard-threshold, -cache-file
-// and -graph-cache-budget flags and builds its engine (and a
+// same -parallel, -timeout, -progress, -cache-file, -graph-cache-budget
+// and -graph-dir flags and builds its engine (and a
 // cancellable context) through EngineFlags.
 //
 // # Ownership contract

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/registry"
 	"repro/internal/types"
@@ -190,3 +192,71 @@ func TestNegativeLevelAllocFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmEventAllocFloor is the ratchet on what progress events cost a
+// warm check. With no consumer installed the engine builds no event
+// payload, not even the protocol's name, so a warm headless one-request
+// CheckBatch stays under its bound (measured 13, 15 and 17 allocs/op; 19,
+// 21 and 23 when it named the protocol three times and formatted two
+// details per batch whether or not anything read them). With a no-op
+// consumer, Check and CheckBatch may allocate one more than headless:
+// the protocol's name, computed once per call (Check allocated 3
+// headless and 6 with a consumer when events carried formatted text).
+// That comparison runs on fixedName, whose name costs exactly one
+// allocation: the registry protocols format theirs with fmt, whose
+// printer pool the race detector drains at random.
+func TestWarmEventAllocFloor(t *testing.T) {
+	cases := []struct {
+		protocol string
+		inputs   []int
+		limit    float64
+	}{
+		{"cas-wf:2", []int{0, 1}, 16},
+		{"cas-rec:3", []int{0, 1, 1}, 18},
+		{"tnn-wf:4,2", []int{0, 1, 0, 1}, 20},
+	}
+	for _, c := range cases {
+		t.Run(c.protocol, func(t *testing.T) {
+			pr, err := registry.ParseProtocol(c.protocol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := CheckRequest{Inputs: c.inputs}
+			allocs := func(e *Engine, pr model.Protocol) (check, batch float64) {
+				if _, err := e.Check(pr, req); err != nil { // prime the graph cache
+					t.Fatal(err)
+				}
+				check = testing.AllocsPerRun(100, func() {
+					if _, err := e.Check(pr, req); err != nil {
+						t.Fatal(err)
+					}
+				})
+				batch = testing.AllocsPerRun(100, func() {
+					if _, _, err := e.CheckBatch(pr, []CheckRequest{req}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return check, batch
+			}
+			if _, batch := allocs(New(WithParallelism(1)), pr); batch > c.limit {
+				t.Errorf("warm headless CheckBatch allocates %.1f allocs/op, ratchet is %.0f", batch, c.limit)
+			}
+			named := model.Protocol(fixedName{pr, pr.Name()})
+			check, batch := allocs(New(WithParallelism(1)), named)
+			sinkCheck, sinkBatch := allocs(New(WithParallelism(1), WithProgress(func(Event) {})), named)
+			if sinkCheck > check+1 || sinkBatch > batch+1 {
+				t.Errorf("a no-op consumer costs Check %.1f → %.1f and CheckBatch %.1f → %.1f allocs/op, want at most one more (the protocol's name)",
+					check, sinkCheck, batch, sinkBatch)
+			}
+			t.Logf("%s: Check %.0f (%.0f with a consumer), CheckBatch %.0f (%.0f)", c.protocol, check, sinkCheck, batch, sinkBatch)
+		})
+	}
+}
+
+// fixedName is a protocol whose Name costs exactly one allocation.
+type fixedName struct {
+	model.Protocol
+	name string
+}
+
+func (p fixedName) Name() string { return strings.Clone(p.name) }

@@ -73,7 +73,8 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 		return nil, agg, err
 	}
 	start := time.Now()
-	e.emit(Event{Kind: "checkbatch.start", Type: p.Name(), N: len(reqs)})
+	name := e.protoName(p)
+	e.emit(Event{Kind: "checkbatch.start", Type: name, N: len(reqs)})
 	items := make([]CheckItem, len(reqs))
 
 	// Group requests by input vector; each group shares one graph (served
@@ -87,7 +88,7 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 		g, ok := graphs[k]
 		if !ok {
 			var err error
-			g, err = e.graphFor(p, req.Inputs)
+			g, err = e.graphs.Get(p, req.Inputs)
 			if err != nil {
 				items[i].Err = err
 				continue
@@ -122,11 +123,11 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 			return nil // per-item failure must not starve the batch
 		}
 		// Cold/warm attribution can blur when concurrent items share one
-		// graph (see Metrics); durations stay exact.
-		e.metrics.observeWalk(g.Stats().Sub(itemBefore).Expanded > 0, time.Since(itemStart))
+		// graph (see GraphCache, Phase histograms); durations stay exact.
+		e.graphs.observeWalk(g, itemBefore, itemStart)
 		items[i].Result = res
-		e.emit(Event{Kind: "check.done", Type: p.Name(), N: i, OK: res.OK(),
-			Elapsed: time.Since(itemStart), Detail: fmt.Sprintf("%d nodes", res.Nodes)})
+		e.emit(Event{Kind: "check.done", Type: name, N: i, OK: res.OK(),
+			Elapsed: time.Since(itemStart), Nodes: res.Nodes})
 		return nil
 	})
 	// Items the feed never reached (engine context fired) carry the
@@ -152,10 +153,8 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 		agg.Add(g.Stats().Sub(prev))
 		e.graphs.Sync(g)
 	}
-	e.emit(Event{Kind: "checkbatch.done", Type: p.Name(), N: len(reqs), OK: ok,
-		Elapsed: time.Since(start),
-		Detail: fmt.Sprintf("%d requests over %d graphs: %d expanded, %d reused (%.0f%% shared)",
-			len(reqs), len(graphs), agg.Expanded, agg.Reused, 100*agg.HitRate())})
+	e.emit(Event{Kind: "checkbatch.done", Type: name, N: len(reqs), OK: ok,
+		Elapsed: time.Since(start), Graphs: len(graphs), Graph: agg})
 	return items, agg, nil
 }
 

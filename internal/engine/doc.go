@@ -47,12 +47,16 @@
 // Check, CheckBatch and Theorem13 bracket their work with
 // ".start"/".done" progress events, so a consumer sees spans, not just
 // outcomes — the reprod service forwards them onto job SSE streams and
-// into per-request slow-request traces. WithMetrics installs a shared
-// Metrics collector of lock-free latency histograms (internal/obs)
-// split by phase: graph resolution, cold walks that expanded state
-// space, and warm walks that reused it. Observation costs two atomic
-// adds per walk and allocates nothing, so instrumented and bare engines
-// have the same hot path.
+// into per-request slow-request traces. An Event carries numbers, not
+// text; Event.Detail renders them once for every sink. Without a
+// consumer the engine builds no event at all, and with one an event
+// costs at most the protocol's name, computed once per call. The
+// GraphCache keeps lock-free latency histograms (internal/obs) of where
+// graph time goes, split by phase: graph resolution, timed by Get, and
+// the walks engines report on its graphs, split into cold walks that
+// expanded state space and warm walks that reused it. A shared cache
+// thus aggregates every engine it serves; observation costs two atomic
+// adds and allocates nothing.
 //
 // # Byte-stability guarantees
 //

@@ -31,7 +31,10 @@ const (
 // Event is one structured progress report. Events are emitted from worker
 // goroutines; the consumer installed with WithProgress must be safe for
 // concurrent use (the engine serializes emissions with a mutex, so a
-// consumer that only writes to a terminal needs no extra locking).
+// consumer that only writes to a terminal needs no extra locking). An
+// event carries numbers, not text: Detail renders them for the sinks that
+// show them. Without a consumer the engine formats nothing, not even the
+// protocol's name.
 type Event struct {
 	// Kind is "analyze.start", "level.done", "shard.done",
 	// "analyze.done", "check.start", "check.done", "checkbatch.start",
@@ -43,9 +46,10 @@ type Event struct {
 	// Type is the analyzed type's name (analyze/level events) or the
 	// protocol's name (check/chain/checkbatch events).
 	Type string
-	// Property and N identify the level check for "level.done". For
-	// "check.done" emitted inside a batch, N is the request's index; for
-	// "checkbatch.done" it is the batch size.
+	// Property and N identify the level check for "level.done" and
+	// "shard.done". For "check.done" emitted inside a batch, N is the
+	// request's index; for "checkbatch.start"/"checkbatch.done" it is the
+	// batch size; for "chain.stage" the stage's index.
 	Property Property
 	N        int
 	// OK is the level check's outcome (or overall success for
@@ -55,41 +59,74 @@ type Event struct {
 	Cached bool
 	// Elapsed is the wall-clock cost of the unit of work.
 	Elapsed time.Duration
-	// Detail carries kind-specific extras (critical class for
-	// "chain.stage", node counts for "check.done", shard index and
-	// scanned-assignment counts for "shard.done", shared-graph
-	// expanded/reused counters for "checkbatch.done").
-	Detail string
+	// Nodes is a "check.done" walk's node count; Stages is the stage
+	// count (at least one) of the chain Theorem13's "check.done" reports.
+	Nodes, Stages int
+	// Class is a "chain.stage" critical configuration's Observation 11
+	// class.
+	Class string
+	// Shard (counted from 0), Shards and Scanned describe a "shard.done":
+	// the finished worker, the level's worker count and the assignments
+	// the worker checked.
+	Shard, Shards int
+	Scanned       int64
+	// Graphs and Graph describe a "checkbatch.done": the distinct graphs
+	// the batch walked and their reuse counters over the call.
+	Graphs int
+	Graph  model.GraphStats
+}
+
+// Detail renders the event's kind-specific fields as the text every sink
+// shows (job SSE payloads, -progress lines, the slow-request log): the
+// shard and its scanned assignments, a walk's nodes or a chain's stages,
+// the stage's class, the batch's graph reuse. Kinds without such fields
+// render "".
+func (ev Event) Detail() string {
+	switch ev.Kind {
+	case "shard.done":
+		return fmt.Sprintf("shard %d/%d, %d assignments", ev.Shard+1, ev.Shards, ev.Scanned)
+	case "check.done":
+		if ev.Stages > 0 {
+			return fmt.Sprintf("%d stages", ev.Stages)
+		}
+		return fmt.Sprintf("%d nodes", ev.Nodes)
+	case "chain.stage":
+		return ev.Class
+	case "checkbatch.done":
+		return fmt.Sprintf("%d requests over %d graphs: %d expanded, %d reused (%.0f%% shared)",
+			ev.N, ev.Graphs, ev.Graph.Expanded, ev.Graph.Reused, 100*ev.Graph.HitRate())
+	}
+	return ""
 }
 
 // Engine is the analysis engine. Construct with New; the zero value is
 // not usable.
 type Engine struct {
-	ctx            context.Context
-	parallelism    int
-	progress       func(Event)
-	progressMu     sync.Mutex
-	cache          *Cache
-	graphs         *GraphCache
-	graphBudget    int
-	maxN           int
-	budget         int
+	ctx         context.Context
+	parallelism int
+	progress    func(Event)
+	progressMu  sync.Mutex
+	cache       *Cache
+	graphs      *GraphCache
+	graphBudget int
+	maxN        int
+	budget      int
+	// shardThreshold is defaultShardThreshold; in-package tests lower it
+	// to force sharding.
 	shardThreshold int
-	metrics        *Metrics
 	// active counts the level checks currently executing, the basis of
 	// the idle-worker estimate that sizes auto-sharding.
 	active atomic.Int32
 }
 
-// DefaultShardThreshold is the assignment count above which a level
-// check is sharded across idle workers when WithShardThreshold is left
-// at 0 (see that option). Below it the per-shard setup cost is not
-// worth splitting: small levels finish in microseconds. The constant is
-// calibrated to the symmetry-reduced space C(numOps+n-1, n), which
-// stays small even when per-assignment cost explodes with n — the
+// defaultShardThreshold is the assignment count above which a level
+// check is sharded across idle workers. Below it the per-shard setup cost
+// is not worth splitting: small levels finish in microseconds. The
+// constant is calibrated to the symmetry-reduced space C(numOps+n-1, n),
+// which stays small even when per-assignment cost explodes with n — the
 // realistic huge levels (3-op types at n=5..7) have 21–36 assignments
 // and multi-millisecond sweeps, so the cutoff sits just below them.
-const DefaultShardThreshold = 16
+const defaultShardThreshold = 16
 
 // Option configures an Engine.
 type Option func(*Engine)
@@ -153,24 +190,13 @@ func WithBudget(states int) Option {
 	return func(e *Engine) { e.budget = states }
 }
 
-// WithShardThreshold controls auto-sharding of single level checks: a
-// level whose symmetry-reduced operation-assignment count exceeds the
-// threshold is split across the engine's idle workers (one shard per
-// idle worker plus the level's own), so a single huge-n check uses the
-// whole pool instead of pinning one core. Sharded and serial checks
-// return identical results. 0 (the default) selects
-// DefaultShardThreshold; a negative threshold disables sharding
-// entirely.
-func WithShardThreshold(assignments int) Option {
-	return func(e *Engine) { e.shardThreshold = assignments }
-}
-
 // New constructs an Engine from the given options.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		ctx:         context.Background(),
-		parallelism: runtime.NumCPU(),
-		maxN:        5,
+		ctx:            context.Background(),
+		parallelism:    runtime.NumCPU(),
+		maxN:           5,
+		shardThreshold: defaultShardThreshold,
 	}
 	for _, o := range opts {
 		o(e)
@@ -201,15 +227,13 @@ func (e *Engine) GraphCache() *GraphCache { return e.graphs }
 // GraphCacheStats snapshots the graph cache's counters.
 func (e *Engine) GraphCacheStats() GraphCacheStats { return e.graphs.Stats() }
 
-// graphFor resolves the exploration graph a check of (p, inputs) walks:
-// the cached live graph.
-func (e *Engine) graphFor(p model.Protocol, inputs []int) (*model.Graph, error) {
-	start := time.Now()
-	g, err := e.graphs.Get(p, inputs)
-	if err == nil {
-		e.metrics.observeResolve(time.Since(start))
+// protoName is p's name for the events of one call: computed once, and
+// only when a consumer is installed (a protocol's Name may allocate).
+func (e *Engine) protoName(p model.Protocol) string {
+	if e.progress == nil {
+		return ""
 	}
-	return g, err
+	return p.Name()
 }
 
 // emit serializes progress emissions.
@@ -234,20 +258,13 @@ type levelJob struct {
 }
 
 // shardsFor sizes the auto-sharding of one level check: 1 (serial) when
-// sharding is disabled, the level's assignment space is below the
+// the pool is one worker wide, the level's assignment space is within the
 // threshold, or no workers are idle; otherwise one shard per idle worker
 // plus the level's own. The estimate is taken once at job start — two
 // concurrent jobs may both count the same worker as idle and briefly
 // oversubscribe the pool with goroutines, which Go's scheduler absorbs.
 func (e *Engine) shardsFor(t *spec.FiniteType, n int) int {
-	thr := e.shardThreshold
-	if thr < 0 || e.parallelism <= 1 {
-		return 1
-	}
-	if thr == 0 {
-		thr = DefaultShardThreshold
-	}
-	if discern.NewTupleSpace(t.NumOps(), n, false).Count() <= int64(thr) {
+	if e.parallelism <= 1 || discern.NewTupleSpace(t.NumOps(), n, false).Count() <= int64(e.shardThreshold) {
 		return 1
 	}
 	idle := e.parallelism - int(e.active.Load())
@@ -265,8 +282,7 @@ func (e *Engine) shardProgress(j levelJob) func(discern.ShardReport) {
 	}
 	return func(rep discern.ShardReport) {
 		e.emit(Event{Kind: "shard.done", Type: j.t.Name(), Property: j.prop, N: j.n,
-			OK: rep.Found, Elapsed: rep.Elapsed,
-			Detail: fmt.Sprintf("shard %d/%d, %d assignments", rep.Shard+1, rep.Shards, rep.Scanned)})
+			OK: rep.Found, Elapsed: rep.Elapsed, Shard: rep.Shard, Shards: rep.Shards, Scanned: rep.Scanned})
 	}
 }
 
@@ -276,7 +292,7 @@ func (j levelJob) key() propKey { return propKey{fp: j.fp, prop: j.prop, n: j.n}
 // run decides the job with the bitset decider, consulting and feeding
 // the cache. Level checks whose assignment space is large enough — and
 // for which workers are idle — are sharded across the pool (see
-// WithShardThreshold).
+// shardsFor).
 func (e *Engine) run(j levelJob) error {
 	start := time.Now()
 	e.active.Add(1)
@@ -541,15 +557,11 @@ func (e *Engine) maxNodes(req CheckRequest) int {
 // expansion across them within a single call as well.
 func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error) {
 	start := time.Now()
-	// Event payloads (Name, Sprintf details) are built only when a
-	// progress sink exists — a warm headless Check emits nothing and
-	// must allocate nothing for it.
-	if e.progress != nil {
-		e.emit(Event{Kind: "check.start", Type: p.Name()})
-	}
+	name := e.protoName(p)
+	e.emit(Event{Kind: "check.start", Type: name})
 	ctx, stop := e.requestCtx(req.Ctx)
 	defer stop()
-	g, err := e.graphFor(p, req.Inputs)
+	g, err := e.graphs.Get(p, req.Inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -565,12 +577,9 @@ func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error
 	if err != nil {
 		return nil, err
 	}
-	e.metrics.observeWalk(g.Stats().Sub(before).Expanded > 0, time.Since(walkStart))
+	e.graphs.observeWalk(g, before, walkStart)
 	e.graphs.Sync(g)
-	if e.progress != nil {
-		e.emit(Event{Kind: "check.done", Type: p.Name(), OK: res.OK(),
-			Elapsed: time.Since(start), Detail: fmt.Sprintf("%d nodes", res.Nodes)})
-	}
+	e.emit(Event{Kind: "check.done", Type: name, OK: res.OK(), Elapsed: time.Since(start), Nodes: res.Nodes})
 	return res, nil
 }
 
@@ -582,12 +591,11 @@ func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error
 // and inputs) reuses them again.
 func (e *Engine) Theorem13(p model.Protocol, req CheckRequest) (*model.Chain, error) {
 	start := time.Now()
-	if e.progress != nil {
-		e.emit(Event{Kind: "chain.start", Type: p.Name()})
-	}
+	name := e.protoName(p)
+	e.emit(Event{Kind: "chain.start", Type: name})
 	ctx, stop := e.requestCtx(req.Ctx)
 	defer stop()
-	g, err := e.graphFor(p, req.Inputs)
+	g, err := e.graphs.Get(p, req.Inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -598,19 +606,16 @@ func (e *Engine) Theorem13(p model.Protocol, req CheckRequest) (*model.Chain, er
 		MaxNodes: e.maxNodes(req),
 		Graph:    g,
 		OnStage: func(stage int, info *model.CriticalInfo) {
-			e.emit(Event{Kind: "chain.stage", Type: p.Name(), N: stage,
-				Detail: info.Class})
+			e.emit(Event{Kind: "chain.stage", Type: name, N: stage, Class: info.Class})
 		},
 	})
 	if err != nil {
 		return chain, err
 	}
-	e.metrics.observeWalk(g.Stats().Sub(before).Expanded > 0, time.Since(walkStart))
+	e.graphs.observeWalk(g, before, walkStart)
 	e.graphs.Sync(g)
-	if e.progress != nil {
-		e.emit(Event{Kind: "check.done", Type: p.Name(), OK: chain.Recording,
-			Elapsed: time.Since(start), Detail: fmt.Sprintf("%d stages", len(chain.Stages))})
-	}
+	e.emit(Event{Kind: "check.done", Type: name, OK: chain.Recording, Elapsed: time.Since(start),
+		Stages: len(chain.Stages)})
 	return chain, nil
 }
 

@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // DefaultGraphCacheBudget is the node budget a GraphCache is built with
@@ -76,6 +78,17 @@ type GraphStore interface {
 // the requests for CPU and disk, not one per graph. A key whose load or
 // spill errored is marked store-less and served purely in memory from
 // then on.
+//
+// # Phase histograms
+//
+// The cache times where graph time goes, for every engine it serves:
+// each Get that returns a graph, and each walk an engine reports on one
+// of its graphs, split into walks that expanded the graph and walks that
+// reused it whole (PhaseSnapshots). Walks are told apart by the graph's
+// Expanded counter over the walk, so concurrent walks sharing one graph
+// can blur the split (one walk's expansion lands in a neighbor's delta),
+// never the durations. Observing costs two atomic adds and allocates
+// nothing.
 type GraphCache struct {
 	mu      sync.Mutex
 	budget  uint64
@@ -117,6 +130,9 @@ type GraphCache struct {
 	// waits on it until none is left, evicted graphs' included.
 	spills     int
 	spillEnded sync.Cond
+
+	// resolve, expand and walk are the phase histograms (lock-free).
+	resolve, expand, walk obs.Histogram
 }
 
 // gcEntry is one cached graph on the intrusive LRU list.
@@ -247,8 +263,19 @@ func appendGraphKey(dst []byte, fp string, inputs []int) []byte {
 // spill of its own key still running (a graph re-fetched while its
 // eviction spill writes), and then reads the complete file. A load or
 // import failure degrades to a cold graph and marks the key store-less,
-// never an error for the caller.
+// never an error for the caller. A Get that returns a graph is timed
+// into the resolve histogram.
 func (c *GraphCache) Get(p model.Protocol, inputs []int) (*model.Graph, error) {
+	start := time.Now()
+	g, err := c.get(p, inputs)
+	if err == nil {
+		c.resolve.Observe(time.Since(start))
+	}
+	return g, err
+}
+
+// get is Get untimed.
+func (c *GraphCache) get(p model.Protocol, inputs []int) (*model.Graph, error) {
 	// Protocols whose dynamic type is not comparable (slice/map/func
 	// fields) cannot be map keys and are fingerprinted every time.
 	t := reflect.TypeOf(p)
@@ -311,6 +338,27 @@ func (c *GraphCache) Get(p model.Protocol, inputs []int) (*model.Graph, error) {
 	c.pushFront(e)
 	c.enforce(e)
 	return g, nil
+}
+
+// observeWalk times a walk on g, a graph of the cache, that started at
+// start with g's counters at before: into the expand histogram when the
+// walk expanded nodes, into the walk histogram when it reused the graph
+// whole.
+func (c *GraphCache) observeWalk(g *model.Graph, before model.GraphStats, start time.Time) {
+	h := &c.walk
+	if g.Stats().Sub(before).Expanded > 0 {
+		h = &c.expand
+	}
+	h.Observe(time.Since(start))
+}
+
+// PhaseSnapshots snapshots the phase histograms: how long Gets took to
+// resolve a graph (a cache hit, a warm load from the store, or building
+// the graph's shell), and how long the walks engines reported took,
+// split into walks that expanded the graph and walks that reused it
+// whole.
+func (c *GraphCache) PhaseSnapshots() (resolve, expand, walk obs.Snapshot) {
+	return c.resolve.Snapshot(), c.expand.Snapshot(), c.walk.Snapshot()
 }
 
 // Sync notes that walks on g just completed and queues the graph for

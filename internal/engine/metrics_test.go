@@ -9,21 +9,17 @@ import (
 
 // TestMetricsAndSpanEvents pins the observability contract of the check
 // paths: every Check brackets itself with check.start/check.done, the
-// Metrics collector attributes the cold first walk to GraphExpand and
-// the warm repeat to GraphWalk, and graph resolution is observed per
-// call.
+// graph cache walked on attributes the cold first walk to its expand
+// histogram and the warm repeat to its walk histogram, and graph
+// resolution is observed per call.
 func TestMetricsAndSpanEvents(t *testing.T) {
-	m := NewMetrics()
 	var mu sync.Mutex
 	var kinds []string
-	eng := New(WithMetrics(m), WithProgress(func(ev Event) {
+	eng := New(WithProgress(func(ev Event) {
 		mu.Lock()
 		kinds = append(kinds, ev.Kind)
 		mu.Unlock()
 	}))
-	if eng.Metrics() != m {
-		t.Fatal("Metrics accessor lost the collector")
-	}
 	p := proto.NewCASRecoverable(2)
 	req := CheckRequest{Inputs: []int{0, 1}, CrashQuota: []int{1, 1}}
 	for i := 0; i < 2; i++ {
@@ -40,14 +36,15 @@ func TestMetricsAndSpanEvents(t *testing.T) {
 			t.Fatalf("kinds = %v, want %v", kinds, want)
 		}
 	}
-	if got := m.GraphResolve.Snapshot().Count; got != 2 {
-		t.Errorf("GraphResolve count = %d, want 2", got)
+	resolve, expand, walk := eng.GraphCache().PhaseSnapshots()
+	if resolve.Count != 2 {
+		t.Errorf("resolve count = %d, want 2", resolve.Count)
 	}
-	if got := m.GraphExpand.Snapshot().Count; got != 1 {
-		t.Errorf("GraphExpand count = %d, want 1 (cold first walk)", got)
+	if expand.Count != 1 {
+		t.Errorf("expand count = %d, want 1 (cold first walk)", expand.Count)
 	}
-	if got := m.GraphWalk.Snapshot().Count; got != 1 {
-		t.Errorf("GraphWalk count = %d, want 1 (warm repeat)", got)
+	if walk.Count != 1 {
+		t.Errorf("walk count = %d, want 1 (warm repeat)", walk.Count)
 	}
 
 	kinds = nil
@@ -65,15 +62,4 @@ func TestMetricsAndSpanEvents(t *testing.T) {
 	if len(kinds) < 2 || kinds[0] != "checkbatch.start" || kinds[len(kinds)-1] != "checkbatch.done" {
 		t.Errorf("CheckBatch kinds = %v, want checkbatch.start ... checkbatch.done", kinds)
 	}
-}
-
-// TestNilMetricsSafe proves an uninstrumented engine (the default)
-// takes the same code path without panicking on the nil collector.
-func TestNilMetricsSafe(t *testing.T) {
-	var m *Metrics
-	m.observeResolve(0)
-	m.observeWalk(true, 0)
-	partial := &Metrics{}
-	partial.observeResolve(0)
-	partial.observeWalk(false, 0)
 }

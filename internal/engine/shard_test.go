@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,12 +14,19 @@ import (
 	"repro/internal/types"
 )
 
+// sharding lowers e's shard threshold to 1, so every level of more than
+// one assignment shards whenever workers are idle.
+func sharding(e *Engine) *Engine {
+	e.shardThreshold = 1
+	return e
+}
+
 // TestShardedEngineMatchesSerial: an engine forced to shard every level
 // (threshold 1) produces the same Analysis as the serial core facade on
 // the full zoo.
 func TestShardedEngineMatchesSerial(t *testing.T) {
 	const maxN = 4
-	eng := New(WithParallelism(4), WithMaxN(maxN), WithShardThreshold(1))
+	eng := sharding(New(WithParallelism(4), WithMaxN(maxN)))
 	for _, ft := range zoo() {
 		want, err := core.Analyze(ft, maxN)
 		if err != nil {
@@ -39,7 +45,7 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 // cache Analyze consults.
 func TestLevelAPI(t *testing.T) {
 	cache := NewCache()
-	eng := New(WithParallelism(4), WithShardThreshold(1), WithCache(cache))
+	eng := sharding(New(WithParallelism(4), WithCache(cache)))
 	ft := types.Tnn(4, 2)
 
 	ok, w, err := eng.Discerning(ft, 4)
@@ -88,11 +94,11 @@ func TestLevelAPI(t *testing.T) {
 func TestShardEvents(t *testing.T) {
 	var mu sync.Mutex
 	var events []Event
-	eng := New(WithParallelism(4), WithShardThreshold(1), WithProgress(func(ev Event) {
+	eng := sharding(New(WithParallelism(4), WithProgress(func(ev Event) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
-	}))
+	})))
 	ft := types.Tnn(4, 2)
 	if _, _, err := eng.Discerning(ft, 3); err != nil {
 		t.Fatal(err)
@@ -102,7 +108,7 @@ func TestShardEvents(t *testing.T) {
 		switch ev.Kind {
 		case "shard.done":
 			shardEvents++
-			if ev.Property != Discerning || ev.N != 3 || !strings.Contains(ev.Detail, "/") {
+			if ev.Property != Discerning || ev.N != 3 || ev.Shard < 0 || ev.Shard >= ev.Shards {
 				t.Errorf("malformed shard event %+v", ev)
 			}
 		case "level.done":
@@ -117,8 +123,9 @@ func TestShardEvents(t *testing.T) {
 	}
 }
 
-// TestShardsFor pins the auto-sharding policy: disabled thresholds and
-// busy pools stay serial; an otherwise-idle pool claims every worker.
+// TestShardsFor pins the auto-sharding policy: one-worker and busy pools
+// and small levels stay serial; an otherwise-idle pool claims every
+// worker.
 func TestShardsFor(t *testing.T) {
 	big := types.Tnn(5, 2) // plenty of ops: a large assignment space at n=5
 	small := types.Register(2)
@@ -133,12 +140,11 @@ func TestShardsFor(t *testing.T) {
 		// (Tnn(5,2) at n=6 is the benchmark workload: 28 assignments,
 		// ~80ms serial) while keeping genuinely small levels serial.
 		{"default-huge-level", New(WithParallelism(8)), &typeArg{big, 6}, 1, 8},
-		{"disabled", New(WithParallelism(8), WithShardThreshold(-1)), &typeArg{big, 5}, 1, 1},
 		{"serial-pool", New(WithParallelism(1)), &typeArg{big, 5}, 1, 1},
-		{"small-level", New(WithParallelism(8), WithShardThreshold(0)), &typeArg{small, 2}, 1, 1},
-		{"idle-pool", New(WithParallelism(8), WithShardThreshold(1)), &typeArg{big, 5}, 1, 8},
-		{"busy-pool", New(WithParallelism(8), WithShardThreshold(1)), &typeArg{big, 5}, 8, 1},
-		{"half-busy", New(WithParallelism(8), WithShardThreshold(1)), &typeArg{big, 5}, 4, 5},
+		{"small-level", New(WithParallelism(8)), &typeArg{small, 2}, 1, 1},
+		{"idle-pool", sharding(New(WithParallelism(8))), &typeArg{big, 5}, 1, 8},
+		{"busy-pool", sharding(New(WithParallelism(8))), &typeArg{big, 5}, 8, 1},
+		{"half-busy", sharding(New(WithParallelism(8))), &typeArg{big, 5}, 4, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.eng.active.Store(int32(tc.active))
@@ -160,7 +166,7 @@ type typeArg struct {
 func TestShardedCancellationThroughEngine(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	eng := New(WithContext(ctx), WithParallelism(4), WithShardThreshold(1))
+	eng := sharding(New(WithContext(ctx), WithParallelism(4)))
 	start := time.Now()
 	_, _, err := eng.Discerning(types.XFive(), 15)
 	if !errors.Is(err, context.DeadlineExceeded) {

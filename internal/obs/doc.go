@@ -1,10 +1,10 @@
 // Package obs is the dependency-free observability core every layer of
 // the reproduction instruments itself with: request identity, structured
-// logging, latency histograms, and per-request span traces. It imports
-// only the standard library, so any package — engine, serve, client,
-// cmd — can depend on it without cycles or third-party baggage.
+// logging and latency histograms. It imports only the standard library,
+// so any package — engine, serve, client, cmd — can depend on it without
+// cycles or third-party baggage.
 //
-// The four pieces:
+// The three pieces:
 //
 //   - Request identity: NewRequestID generates a compact random ID,
 //     WithRequestID/RequestIDFrom carry it on a context, and
@@ -21,20 +21,14 @@
 //     the engine's per-walk hot path; Snapshot renders the cumulative
 //     bucket view a Prometheus histogram series needs, plus estimated
 //     quantiles for human-readable summaries.
-//   - Trace: a bounded, mutex-guarded span recorder carried on the
-//     request context. The engine's progress events land here as spans;
-//     the HTTP middleware dumps them into the slow-request log so "why
-//     was this check slow" is answered by the log line itself.
 //
 // # Concurrency and ownership
 //
 // Histogram is safe for fully concurrent Observe/Snapshot with no locks
 // (counters are independent atomics; a snapshot is internally consistent
 // for the bucket/count invariant Prometheus requires, while Sum may lag
-// by in-flight observations). Trace serializes Add/Spans with a mutex
-// and hard-caps retained spans, so a runaway emitter degrades to a
-// dropped-span counter, never unbounded memory. Loggers returned by
-// NewLogger are slog loggers and inherit slog's concurrency contract.
+// by in-flight observations). Loggers returned by NewLogger are slog
+// loggers and inherit slog's concurrency contract.
 //
 // # Byte-stability guarantees
 //

@@ -19,10 +19,7 @@ const maxRequestIDLen = 128
 // ctxKey is the private context-key namespace.
 type ctxKey int
 
-const (
-	requestIDKey ctxKey = iota
-	traceKey
-)
+const requestIDKey ctxKey = 0
 
 // NewRequestID returns a fresh 16-hex-character random request ID.
 // Randomness comes from crypto/rand; on the (effectively impossible)

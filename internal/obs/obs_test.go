@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRequestID(t *testing.T) {
@@ -77,41 +76,4 @@ func TestNopLogger(t *testing.T) {
 		t.Fatal("nop logger claims to be enabled")
 	}
 	lg.Error("must not panic")
-}
-
-func TestTrace(t *testing.T) {
-	tr := NewTrace()
-	tr.Add("check.start", "tnn-wf", 0)
-	tr.Add("check.done", "17 nodes", 3*time.Millisecond)
-	spans, dropped := tr.Spans()
-	if len(spans) != 2 || dropped != 0 {
-		t.Fatalf("spans = %d dropped = %d", len(spans), dropped)
-	}
-	if spans[1].Name != "check.done" || spans[1].Elapsed != 3*time.Millisecond {
-		t.Fatalf("span wrong: %+v", spans[1])
-	}
-	s := tr.String()
-	for _, want := range []string{"check.start(tnn-wf)", "check.done(17 nodes)=3ms"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("trace %q missing %q", s, want)
-		}
-	}
-	// The cap degrades to counting, never unbounded growth.
-	for i := 0; i < maxTraceSpans+10; i++ {
-		tr.Add("level.done", "", time.Microsecond)
-	}
-	spans, dropped = tr.Spans()
-	if len(spans) != maxTraceSpans || dropped != 12 {
-		t.Fatalf("after overflow: %d spans, %d dropped", len(spans), dropped)
-	}
-	if !strings.Contains(tr.String(), "+12 dropped") {
-		t.Errorf("dropped count not rendered: %q", tr.String())
-	}
-	ctx := WithTrace(context.Background(), tr)
-	if TraceFrom(ctx) != tr {
-		t.Fatal("trace lost on context")
-	}
-	if TraceFrom(context.Background()) != nil {
-		t.Fatal("phantom trace")
-	}
 }

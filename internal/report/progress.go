@@ -23,23 +23,23 @@ func ProgressLine(ev engine.Event) string {
 			ev.Type, ev.N, ev.Property, yesNo(ev.OK), ev.Elapsed.Round(10*time.Microsecond), suffix)
 	case "shard.done":
 		return fmt.Sprintf("[engine] %s: %d-%s %s (%s)",
-			ev.Type, ev.N, ev.Property, ev.Detail, ev.Elapsed.Round(10*time.Microsecond))
+			ev.Type, ev.N, ev.Property, ev.Detail(), ev.Elapsed.Round(10*time.Microsecond))
 	case "analyze.done":
 		return fmt.Sprintf("[engine] %s: analysis done in %s", ev.Type, ev.Elapsed.Round(10*time.Microsecond))
 	case "check.start":
 		return fmt.Sprintf("[engine] %s: checking", ev.Type)
 	case "check.done":
 		return fmt.Sprintf("[engine] %s: check %s (%s, %s)",
-			ev.Type, passFail(ev.OK), ev.Detail, ev.Elapsed.Round(10*time.Microsecond))
+			ev.Type, passFail(ev.OK), ev.Detail(), ev.Elapsed.Round(10*time.Microsecond))
 	case "checkbatch.start":
 		return fmt.Sprintf("[engine] %s: batch checking %d requests", ev.Type, ev.N)
 	case "checkbatch.done":
 		return fmt.Sprintf("[engine] %s: batch check %s (%s, %s)",
-			ev.Type, passFail(ev.OK), ev.Detail, ev.Elapsed.Round(10*time.Microsecond))
+			ev.Type, passFail(ev.OK), ev.Detail(), ev.Elapsed.Round(10*time.Microsecond))
 	case "chain.start":
 		return fmt.Sprintf("[engine] %s: building Theorem 13 chain", ev.Type)
 	case "chain.stage":
-		return fmt.Sprintf("[engine] %s: chain stage %d is %s", ev.Type, ev.N, ev.Detail)
+		return fmt.Sprintf("[engine] %s: chain stage %d is %s", ev.Type, ev.N, ev.Detail())
 	}
 	return fmt.Sprintf("[engine] %s: %s", ev.Type, ev.Kind)
 }

@@ -93,7 +93,7 @@ func progressJSON(ev engine.Event) progressEvent {
 	return progressEvent{
 		Kind: ev.Kind, Type: ev.Type, Property: string(ev.Property), N: ev.N,
 		OK: ev.OK, Cached: ev.Cached, ElapsedMs: float64(ev.Elapsed.Microseconds()) / 1000,
-		Detail: ev.Detail,
+		Detail: ev.Detail(),
 	}
 }
 
@@ -106,9 +106,7 @@ func (s *Server) jobEngine(ctx context.Context, j *jobs.Job, maxN int) *engine.E
 		engine.WithContext(ctx),
 		engine.WithCache(s.cfg.Cache),
 		engine.WithParallelism(s.cfg.Parallelism),
-		engine.WithShardThreshold(s.cfg.ShardThreshold),
 		engine.WithMaxN(maxN),
-		engine.WithMetrics(s.engMetrics),
 		engine.WithProgress(func(ev engine.Event) { j.Publish(ev.Kind, progressJSON(ev)) }),
 		engine.WithGraphCache(s.graphs),
 	)

@@ -96,21 +96,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeHistogram(&b, durName, fmt.Sprintf("endpoint=%q", name), snap)
 	}
 
-	// Engine-side graph-phase histograms, aggregated across every
-	// per-request and per-job engine: resolve = graph cache resolution
-	// (hit, warm disk load, or shell build), expand = walks that grew
-	// the state space, walk = fully warm walks.
+	// Graph-phase histograms of the server-wide graph cache, so across
+	// every per-request and per-job engine: resolve = graph cache
+	// resolution (hit, warm disk load, or shell build), expand = walks
+	// that grew the state space, walk = fully warm walks.
 	const engName = "reprod_engine_graph_duration_seconds"
 	fmt.Fprintf(&b, "# HELP %s Engine graph time by phase (resolve, expand, walk).\n# TYPE %s histogram\n", engName, engName)
+	resolve, expand, walk := s.graphs.PhaseSnapshots()
 	for _, ph := range []struct {
 		phase string
-		h     *obs.Histogram
+		snap  obs.Snapshot
 	}{
-		{"resolve", s.engMetrics.GraphResolve},
-		{"expand", s.engMetrics.GraphExpand},
-		{"walk", s.engMetrics.GraphWalk},
+		{"resolve", resolve},
+		{"expand", expand},
+		{"walk", walk},
 	} {
-		writeHistogram(&b, engName, fmt.Sprintf("phase=%q", ph.phase), ph.h.Snapshot())
+		writeHistogram(&b, engName, fmt.Sprintf("phase=%q", ph.phase), ph.snap)
 	}
 
 	counter("reprod_types_analyzed_total", "Type analyses completed across analyze and batch.",

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -79,9 +78,10 @@ func (w *statusWriter) status() int {
 //     InfoContext log line carries it — and echoed on the response
 //     header before the handler runs, so even error envelopes written
 //     mid-handler can reference it.
-//   - a per-request obs.Trace on the context; the request engine streams
-//     its progress events into it (see requestEngine), and the
-//     slow-request log dumps it when the request exceeds the threshold.
+//   - with Config.SlowRequest above 0, a per-request trace on the
+//     context; the request engine streams its progress events into it
+//     (see requestEngine), and the slow-request log renders it when the
+//     request exceeds the threshold.
 //   - panic recovery: a panicking handler answers a coded 500 envelope
 //     (when nothing was written yet) and logs the stack instead of
 //     tearing down the connection silently.
@@ -97,8 +97,12 @@ func (s *Server) instrument(endpoint string, es *endpointStats, h http.HandlerFu
 			id = obs.NewRequestID()
 		}
 		w.Header().Set(obs.HeaderRequestID, id)
-		tr := obs.NewTrace()
-		ctx := obs.WithTrace(obs.WithRequestID(r.Context(), id), tr)
+		ctx := obs.WithRequestID(r.Context(), id)
+		var tr *trace
+		if s.cfg.SlowRequest > 0 {
+			tr = newTrace()
+			ctx = withTrace(ctx, tr)
+		}
 		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
@@ -121,7 +125,7 @@ func (s *Server) instrument(endpoint string, es *endpointStats, h http.HandlerFu
 				slog.String("endpoint", endpoint),
 				slog.Int("status", status),
 				slog.Duration("elapsed", elapsed))
-			if s.cfg.SlowRequest > 0 && elapsed >= s.cfg.SlowRequest {
+			if tr != nil && elapsed >= s.cfg.SlowRequest {
 				s.logger.WarnContext(ctx, "http.slow",
 					slog.String("endpoint", endpoint),
 					slog.Int("status", status),
@@ -130,16 +134,5 @@ func (s *Server) instrument(endpoint string, es *endpointStats, h http.HandlerFu
 			}
 		}()
 		h(sw, r)
-	}
-}
-
-// traceProgress adapts engine progress events onto a request trace.
-func traceProgress(tr *obs.Trace) func(engine.Event) {
-	return func(ev engine.Event) {
-		detail := ev.Type
-		if ev.Detail != "" {
-			detail = ev.Type + ", " + ev.Detail
-		}
-		tr.Add(ev.Kind, detail, ev.Elapsed)
 	}
 }

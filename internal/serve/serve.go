@@ -57,9 +57,6 @@ type Config struct {
 	// Parallelism is each request engine's worker-pool width
 	// (0 = runtime.NumCPU()).
 	Parallelism int
-	// ShardThreshold is passed through to each request engine
-	// (see engine.WithShardThreshold).
-	ShardThreshold int
 	// RequestTimeout bounds one request's analysis
 	// (0 = DefaultRequestTimeout; negative = no timeout).
 	RequestTimeout time.Duration
@@ -104,7 +101,7 @@ type Config struct {
 	Logger *slog.Logger
 	// SlowRequest is the latency threshold above which a request logs a
 	// warn-level line with its per-stage engine trace attached. 0
-	// disables the slow-request log.
+	// disables the slow-request log, and with it the per-request trace.
 	SlowRequest time.Duration
 }
 
@@ -134,10 +131,6 @@ type Server struct {
 	named   map[string]model.Protocol
 	// logger is Config.Logger or a nop logger, never nil.
 	logger *slog.Logger
-	// engMetrics collects engine-side latency histograms (graph
-	// resolution, cold expansion, warm walks) across every per-request
-	// and per-job engine.
-	engMetrics *engine.Metrics
 	// endpoints maps endpoint name to its middleware instrumentation;
 	// read-only after New.
 	endpoints map[string]*endpointStats
@@ -196,7 +189,6 @@ func New(cfg Config) *Server {
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
 	}
-	s.engMetrics = engine.NewMetrics()
 
 	// Every route goes through the instrument middleware, so ALL
 	// endpoints — including stats, version, metrics and health — are
@@ -556,21 +548,20 @@ func (s *Server) requestEngine(r *http.Request, maxN int) (*engine.Engine, conte
 	if s.cfg.RequestTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	}
-	opts := []engine.Option{
+	// Stream the engine's stage events into the request's trace, if any,
+	// so the slow-request log can say where the time went.
+	var progress func(engine.Event)
+	if tr := traceFrom(r.Context()); tr != nil {
+		progress = tr.add
+	}
+	return engine.New(
 		engine.WithContext(ctx),
 		engine.WithCache(s.cfg.Cache),
 		engine.WithParallelism(s.cfg.Parallelism),
-		engine.WithShardThreshold(s.cfg.ShardThreshold),
 		engine.WithMaxN(maxN),
-		engine.WithMetrics(s.engMetrics),
 		engine.WithGraphCache(s.graphs),
-	}
-	// Stream the engine's stage events into the request's trace, so the
-	// slow-request log can say where the time went.
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
-		opts = append(opts, engine.WithProgress(traceProgress(tr)))
-	}
-	return engine.New(opts...), cancel
+		engine.WithProgress(progress),
+	), cancel
 }
 
 // analysisJSON renders a core.Analysis.

@@ -245,16 +245,6 @@ func OpenGraphStore(dir string) (*GraphStore, error) { return graphstore.Open(di
 // resolves to.
 const DefaultGraphCacheBudget = engine.DefaultGraphCacheBudget
 
-// WithShardThreshold controls auto-sharding of single level checks: a
-// level whose operation-assignment count exceeds the threshold is split
-// across the engine's idle workers, with results identical to the serial
-// scan (0 = DefaultShardThreshold, negative = never shard).
-func WithShardThreshold(assignments int) Option { return engine.WithShardThreshold(assignments) }
-
-// DefaultShardThreshold is the assignment count WithShardThreshold(0)
-// resolves to.
-const DefaultShardThreshold = engine.DefaultShardThreshold
-
 // Resolve parses a registry descriptor ("tas", "tnn:5,2", "x4",
 // "product:tas,register:2", ...) into a type; unknown names error with
 // the list of valid descriptors. It is the default engine's Resolve.
