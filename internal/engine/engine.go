@@ -49,7 +49,8 @@ type Event struct {
 	// Property and N identify the level check for "level.done" and
 	// "shard.done". For "check.done" emitted inside a batch, N is the
 	// request's index; for "checkbatch.start"/"checkbatch.done" it is the
-	// batch size; for "chain.stage" the stage's index.
+	// batch size; for "chain.stage" the stage's index; for
+	// "analyze.start"/"analyze.done" the analysis limit.
 	Property Property
 	N        int
 	// OK is the level check's outcome (or overall success for
