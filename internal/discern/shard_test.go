@@ -2,13 +2,93 @@ package discern
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/spec"
 )
+
+// TestSearchSharded pins the shard scheduler on its own, driving it with
+// a synthetic check that reports a witness at planted ranks of a
+// 6435-rank space: at every shard count from 1 to 8 the lowest planted
+// rank wins, every worker reports once with its index below the worker
+// count and Lo <= Hi, a witness-free scan checks each rank once (the
+// Scanned counts sum to Count), and a canceled context returns its error
+// and no witness.
+func TestSearchSharded(t *testing.T) {
+	space := NewTupleSpace(8, 8, false)
+	total := space.Count()
+	if total != 6435 {
+		t.Fatalf("Count = %d, want C(15, 8) = 6435", total)
+	}
+	plants := [][]int64{nil, {0}, {total - 1}, {4000, 17}, {5000, 1111, 3210}, {6400, 6401, 6402}}
+	for _, planted := range plants {
+		for shards := 1; shards <= 8; shards++ {
+			var mu sync.Mutex
+			var reports []ShardReport
+			w, err := SearchSharded(context.Background(), space, shards, plantedCheck(space, planted), func(r ShardReport) {
+				mu.Lock()
+				reports = append(reports, r)
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Fatalf("planted %v shards=%d: %v", planted, shards, err)
+			}
+			switch {
+			case len(planted) == 0 && w != nil:
+				t.Fatalf("shards=%d: witness %d with nothing planted", shards, *w)
+			case len(planted) > 0 && (w == nil || *w != slices.Min(planted)):
+				t.Fatalf("planted %v shards=%d: witness %v, want rank %d", planted, shards, w, slices.Min(planted))
+			}
+			if len(reports) != shards {
+				t.Fatalf("planted %v shards=%d: %d reports", planted, shards, len(reports))
+			}
+			seen := make(map[int]bool)
+			var scanned int64
+			found := false
+			for _, r := range reports {
+				if r.Shards != shards || r.Shard < 0 || r.Shard >= r.Shards || seen[r.Shard] || r.Lo > r.Hi {
+					t.Fatalf("planted %v shards=%d: bad report %+v", planted, shards, r)
+				}
+				seen[r.Shard] = true
+				scanned += r.Scanned
+				found = found || r.Found
+			}
+			if found != (len(planted) > 0) {
+				t.Errorf("planted %v shards=%d: a report says found=%v", planted, shards, found)
+			}
+			if len(planted) == 0 && scanned != total {
+				t.Errorf("shards=%d: witness-free scan checked %d of %d ranks", shards, scanned, total)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for shards := 1; shards <= 8; shards++ {
+		w, err := SearchSharded(ctx, space, shards, plantedCheck(space, []int64{0, 100}), nil)
+		if !errors.Is(err, context.Canceled) || w != nil {
+			t.Fatalf("canceled, shards=%d: (%v, %v), want no witness and context.Canceled", shards, w, err)
+		}
+	}
+}
+
+// plantedCheck is a SearchSharded check over space that reports the rank
+// of each planted assignment as its witness.
+func plantedCheck(space TupleSpace, planted []int64) func() func([]spec.Op) *int64 {
+	return func() func([]spec.Op) *int64 {
+		return func(ops []spec.Op) *int64 {
+			if r := space.Rank(ops); slices.Contains(planted, r) {
+				return &r
+			}
+			return nil
+		}
+	}
+}
 
 // TestShardedMatchesSerial is the determinism gate of the sharded search:
 // across seeded random types, n=2..4 and shard counts {1,2,7}, the
