@@ -22,14 +22,17 @@ import (
 	"repro/internal/record"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/types"
 	"repro/internal/universal"
 	"repro/internal/xsearch"
 )
 
-// The benchmarks below regenerate every experiment of DESIGN.md's
-// per-experiment index (E1..E11) plus the ablations called out in
-// DESIGN.md Section 5. They are organized one benchmark per experiment;
+// The benchmarks below regenerate the experiments E1..E13 of
+// `go run ./cmd/experiments` (its -markdown report states each one's
+// paper claim) plus the crash-budget ablation; the deciders' own
+// ablations sit beside their code in internal/discern and
+// internal/record. They are organized one benchmark per experiment;
 // sub-benchmarks sweep the experiment's parameters.
 
 // BenchmarkE1Figure3 regenerates the Figure 3 state machine (type
@@ -315,11 +318,11 @@ func BenchmarkBitsetLevelCheck(b *testing.B) {
 		})
 	}
 	run("discern/backend=search", func() (bool, error) {
-		ok, _, err := discern.IsNDiscerningCtx(ctx, ft, n, discern.Options{})
+		ok, _, err := discern.IsNDiscerningCtx(ctx, ft, n)
 		return ok, err
 	})
 	run("record/backend=search", func() (bool, error) {
-		ok, _, err := record.IsNRecordingCtx(ctx, ft, n, record.Options{})
+		ok, _, err := record.IsNRecordingCtx(ctx, ft, n)
 		return ok, err
 	})
 	run("discern/backend=bitset", func() (bool, error) {
@@ -333,12 +336,12 @@ func BenchmarkBitsetLevelCheck(b *testing.B) {
 }
 
 // BenchmarkShardedLevelCheck measures sharding a SINGLE large-n level
-// check — the workload PR 1's across-level pool cannot parallelize. The
-// level is a full negative sweep (Tnn(5,2) has consensus number 5, so no
-// 6-discerning witness exists and every operation assignment is
-// checked), which makes the sharded work perfectly determined: shards=1
-// is the serial baseline, shards=4 is the CI speedup gate (>1.5x on a
-// 4-core runner), wider shard counts quantify the scaling headroom.
+// check, as the engine shards one: the production decider
+// (internal/decider) on discern.SearchSharded's workers. The level is a
+// full negative sweep (Tnn(5,2) has consensus number 5, so no 6-discerning
+// witness exists and every operation assignment is checked), which makes
+// the sharded work perfectly determined: shards=1 is the serial baseline,
+// wider shard counts quantify the scaling headroom.
 func BenchmarkShardedLevelCheck(b *testing.B) {
 	ft := types.Tnn(5, 2)
 	const n = 6
@@ -350,7 +353,7 @@ func BenchmarkShardedLevelCheck(b *testing.B) {
 	for _, shards := range shardSet {
 		b.Run(fmt.Sprintf("discern/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ok, _, err := discern.ShardedIsNDiscerning(ctx, ft, n, shards, discern.ShardOptions{})
+				ok, _, err := decider.IsNDiscerning(ctx, ft, n, shards, nil)
 				if err != nil || ok {
 					b.Fatalf("tnn(5,2) must not be 6-discerning: ok=%v err=%v", ok, err)
 				}
@@ -360,7 +363,7 @@ func BenchmarkShardedLevelCheck(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("record/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ok, _, err := record.ShardedIsNRecording(ctx, ft, n, shards, record.ShardOptions{})
+				ok, _, err := decider.IsNRecording(ctx, ft, n, shards, nil)
 				if err != nil || ok {
 					b.Fatalf("tnn(5,2) must not be 6-recording: ok=%v err=%v", ok, err)
 				}
@@ -369,12 +372,17 @@ func BenchmarkShardedLevelCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLevelCheckSteal tracks the work-stealing chunk queue
-// of the sharded level check on the Tnn(5,2) n=6 negative instance, with
-// allocs/op: the queue's per-shard cost must stay flat as shards grow.
+// BenchmarkShardedLevelCheckSteal tracks the work-stealing chunk queue of
+// discern.SearchSharded on its own: a no-op check over the assignment
+// space of the Tnn(5,2) n=6 level, so allocs/op is the queue's own cost
+// per shard count and must stay flat as shards grow.
 func BenchmarkShardedLevelCheckSteal(b *testing.B) {
 	ft := types.Tnn(5, 2)
 	const n = 6
+	space := discern.NewTupleSpace(ft.NumOps(), n)
+	noop := func() func([]spec.Op) *struct{} {
+		return func([]spec.Op) *struct{} { return nil }
+	}
 	shardSet := []int{2, 4}
 	if c := runtime.NumCPU(); c > 4 {
 		shardSet = append(shardSet, c)
@@ -384,9 +392,8 @@ func BenchmarkShardedLevelCheckSteal(b *testing.B) {
 		b.Run(fmt.Sprintf("steal/shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ok, _, err := discern.ShardedIsNDiscerning(ctx, ft, n, shards, discern.ShardOptions{})
-				if err != nil || ok {
-					b.Fatalf("tnn(5,2) must not be 6-discerning: ok=%v err=%v", ok, err)
+				if w, err := discern.SearchSharded(ctx, space, shards, noop, nil); err != nil || w != nil {
+					b.Fatalf("a no-op check found (%v, %v)", w, err)
 				}
 			}
 		})
@@ -703,38 +710,7 @@ func BenchmarkServeCheckWarm(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md Section 5) ---
-
-// BenchmarkAblationDiscernNaive compares the naive operation-assignment
-// enumeration against the symmetry-reduced default.
-func BenchmarkAblationDiscernNaive(b *testing.B) {
-	ft := types.Tnn(4, 2)
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			discern.IsNDiscerningOpt(ft, 4, discern.Options{Naive: true})
-		}
-	})
-	b.Run("reduced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			discern.IsNDiscerningOpt(ft, 4, discern.Options{})
-		}
-	})
-}
-
-// BenchmarkAblationRecordNaive is the recording-side ablation.
-func BenchmarkAblationRecordNaive(b *testing.B) {
-	ft := types.Tnn(4, 2)
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			record.IsNRecordingOpt(ft, 4, record.Options{Naive: true})
-		}
-	})
-	b.Run("reduced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			record.IsNRecordingOpt(ft, 4, record.Options{})
-		}
-	})
-}
+// --- Ablations ---
 
 // BenchmarkAblationCrashBudget measures how the explored state space and
 // cost grow with the crash quota (the engine-level analogue of choosing z
@@ -755,32 +731,6 @@ func BenchmarkAblationCrashBudget(b *testing.B) {
 			b.ReportMetric(float64(nodes), "nodes")
 		})
 	}
-}
-
-// BenchmarkAblationPrefixSharing measures the shared-prefix DFS of the
-// deciders against full per-schedule re-simulation.
-func BenchmarkAblationPrefixSharing(b *testing.B) {
-	ft := types.XFour()
-	b.Run("discern-shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			discern.IsNDiscerningOpt(ft, 4, discern.Options{})
-		}
-	})
-	b.Run("discern-noshare", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			discern.IsNDiscerningOpt(ft, 4, discern.Options{NoPrefixSharing: true})
-		}
-	})
-	b.Run("record-shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			record.IsNRecordingOpt(ft, 3, record.Options{})
-		}
-	})
-	b.Run("record-noshare", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			record.IsNRecordingOpt(ft, 3, record.Options{NoPrefixSharing: true})
-		}
-	})
 }
 
 // BenchmarkE12Universal measures the recoverable universal construction:

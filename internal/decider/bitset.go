@@ -42,7 +42,7 @@ func IsNDiscerning(ctx context.Context, t *spec.FiniteType, n, shards int, onSha
 }
 
 // IsNRecording is IsNDiscerning for the recording property.
-func IsNRecording(ctx context.Context, t *spec.FiniteType, n, shards int, onShard func(record.ShardReport)) (bool, *record.Witness, error) {
+func IsNRecording(ctx context.Context, t *spec.FiniteType, n, shards int, onShard func(discern.ShardReport)) (bool, *record.Witness, error) {
 	if n < 2 {
 		panic(fmt.Sprintf("decider: n-recording is undefined for n=%d (need n >= 2)", n))
 	}
@@ -57,7 +57,7 @@ func search[W any](ctx context.Context, t *spec.FiniteType, n, shards int, onSha
 		return false, nil, err
 	}
 	l := newLevel(t, n)
-	space := discern.NewTupleSpace(t.NumOps(), n, false)
+	space := discern.NewTupleSpace(t.NumOps(), n)
 	w, err := discern.SearchSharded(ctx, space, shards, func() func([]spec.Op) *W {
 		s := l.newSweeper()
 		return func(ops []spec.Op) *W { return check(s, ops) }

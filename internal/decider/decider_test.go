@@ -69,11 +69,11 @@ func TestBitsetMatchesSearch(t *testing.T) {
 	for name, ft := range zoo() {
 		for n := 2; n <= 4; n++ {
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
-				sOK, sDW, err := discern.IsNDiscerningCtx(ctx, ft, n, discern.Options{})
+				sOK, sDW, err := discern.IsNDiscerningCtx(ctx, ft, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sOK2, sRW, err := record.IsNRecordingCtx(ctx, ft, n, record.Options{})
+				sOK2, sRW, err := record.IsNRecordingCtx(ctx, ft, n)
 				if err != nil {
 					t.Fatal(err)
 				}

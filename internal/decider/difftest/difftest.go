@@ -209,7 +209,7 @@ func VerifyRecord(t *spec.FiniteType, n int, w *record.Witness) error {
 func Check(ctx context.Context, t *spec.FiniteType, n int, shards []int) error {
 	err := check("discerning", n, shards,
 		func() (bool, *discern.Witness, error) {
-			return discern.IsNDiscerningCtx(ctx, t, n, discern.Options{})
+			return discern.IsNDiscerningCtx(ctx, t, n)
 		},
 		func(w *discern.Witness) error { return VerifyDiscern(t, n, w) },
 		func(s int) (bool, *discern.Witness, error) { return decider.IsNDiscerning(ctx, t, n, s, nil) })
@@ -218,7 +218,7 @@ func Check(ctx context.Context, t *spec.FiniteType, n int, shards []int) error {
 	}
 	return check("recording", n, shards,
 		func() (bool, *record.Witness, error) {
-			return record.IsNRecordingCtx(ctx, t, n, record.Options{})
+			return record.IsNRecordingCtx(ctx, t, n)
 		},
 		func(w *record.Witness) error { return VerifyRecord(t, n, w) },
 		func(s int) (bool, *record.Witness, error) { return decider.IsNRecording(ctx, t, n, s, nil) })

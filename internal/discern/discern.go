@@ -38,29 +38,11 @@ func (w *Witness) Clone() *Witness {
 	}
 }
 
-// Options configures the decision procedure.
-type Options struct {
-	// Naive disables the symmetry reduction over operation assignments
-	// (all numOps^n assignments are tried instead of the numOps multisets
-	// of size n). Used by ablation benchmarks and cross-checking tests.
-	Naive bool
-	// NoPrefixSharing disables the shared-prefix DFS over S(P): every
-	// schedule is re-simulated from the initial value instead of reusing
-	// the object value computed for its prefix. Used by the ablation
-	// benchmarks (DESIGN.md Section 5).
-	NoPrefixSharing bool
-}
-
 // IsNDiscerning reports whether t is n-discerning, for n >= 2, and returns
 // a witness if it is. It panics if n < 2, since the property is undefined
 // (the partition into two nonempty teams requires at least two processes).
 func IsNDiscerning(t *spec.FiniteType, n int) (bool, *Witness) {
-	return IsNDiscerningOpt(t, n, Options{})
-}
-
-// IsNDiscerningOpt is IsNDiscerning with explicit Options.
-func IsNDiscerningOpt(t *spec.FiniteType, n int, opts Options) (bool, *Witness) {
-	ok, w, _ := IsNDiscerningCtx(context.Background(), t, n, opts)
+	ok, w, _ := IsNDiscerningCtx(context.Background(), t, n)
 	return ok, w
 }
 
@@ -71,12 +53,12 @@ func IsNDiscerningOpt(t *spec.FiniteType, n int, opts Options) (bool, *Witness) 
 // — between two complete assignments with cancellation pending.
 const pollEvery = 256
 
-// IsNDiscerningCtx is IsNDiscerningOpt with cancellation: the search is
+// IsNDiscerningCtx is IsNDiscerning with cancellation: the search is
 // abandoned (returning ctx.Err()) as soon as the context is done. The
 // context is polled once per operation assignment, the unit of work of
 // the enumeration, and additionally every pollEvery recursion steps so a
 // deep prefix sweep cannot delay cancellation.
-func IsNDiscerningCtx(ctx context.Context, t *spec.FiniteType, n int, opts Options) (bool, *Witness, error) {
+func IsNDiscerningCtx(ctx context.Context, t *spec.FiniteType, n int) (bool, *Witness, error) {
 	if n < 2 {
 		panic(fmt.Sprintf("discern: n-discerning is undefined for n=%d (need n >= 2)", n))
 	}
@@ -102,13 +84,10 @@ func IsNDiscerningCtx(ctx context.Context, t *spec.FiniteType, n int, opts Optio
 				return nil
 			default:
 			}
-			if w := checkAssignment(t, n, ops, opts); w != nil {
-				return w
-			}
-			return nil
+			return checkAssignment(t, n, ops)
 		}
 		start := spec.Op(0)
-		if !opts.Naive && pos > 0 {
+		if pos > 0 {
 			// Symmetry reduction: processes are interchangeable, so only
 			// non-decreasing operation tuples need to be tried.
 			start = ops[pos-1]
@@ -144,15 +123,9 @@ type pairKey struct {
 // checkAssignment decides whether some (u, partition) completes the given
 // operation assignment into an n-discerning witness, and returns the
 // witness if so.
-func checkAssignment(t *spec.FiniteType, n int, ops []spec.Op, opts Options) *Witness {
+func checkAssignment(t *spec.FiniteType, n int, ops []spec.Op) *Witness {
 	for u := 0; u < t.NumValues(); u++ {
-		var firstMask map[pairKey]uint32
-		if opts.NoPrefixSharing {
-			firstMask = observationsNoShare(t, n, ops, spec.Value(u))
-		} else {
-			firstMask = observations(t, n, ops, spec.Value(u))
-		}
-		if teams := colorObservations(n, firstMask); teams != nil {
+		if teams := colorObservations(n, observations(t, n, ops, spec.Value(u))); teams != nil {
 			w := &Witness{N: n, U: spec.Value(u), Teams: teams, Ops: make([]spec.Op, n)}
 			copy(w.Ops, ops)
 			return w
@@ -198,47 +171,6 @@ func observations(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) map[pa
 		order = order[:len(order)-1]
 		inSched[f] = false
 	}
-	return firstMask
-}
-
-// observationsNoShare is the ablation variant of observations: it
-// enumerates the schedules identically but re-simulates each schedule
-// from u in full instead of sharing prefix values.
-func observationsNoShare(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) map[pairKey]uint32 {
-	firstMask := make(map[pairKey]uint32)
-	inSched := make([]bool, n)
-	order := make([]int, 0, n)
-	record := func() {
-		// Full re-simulation of the current schedule.
-		val := u
-		resps := make([]spec.Response, len(order))
-		for i, p := range order {
-			e := t.Apply(val, ops[p])
-			resps[i] = e.Resp
-			val = e.Next
-		}
-		bit := uint32(1) << uint(order[0])
-		for i, j := range order {
-			firstMask[pairKey{j: j, resp: resps[i], val: val}] |= bit
-		}
-	}
-	var rec func()
-	rec = func() {
-		if len(order) > 0 {
-			record()
-		}
-		for p := 0; p < n; p++ {
-			if inSched[p] {
-				continue
-			}
-			inSched[p] = true
-			order = append(order, p)
-			rec()
-			order = order[:len(order)-1]
-			inSched[p] = false
-		}
-	}
-	rec()
 	return firstMask
 }
 

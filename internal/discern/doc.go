@@ -27,17 +27,19 @@
 //
 // # Concurrency and byte-stability
 //
-// The deciders are pure functions of their inputs and safe for
-// concurrent use. The operation-assignment space is enumerated through
-// a deterministic rank/unrank TupleSpace, so sharded scans return
-// exactly the serial decider's answer, including the same
-// (lowest-ranked) witness. ShardedIsNDiscerning schedules shards over a
-// work-stealing chunk queue: ranks are split into fixed-size chunks,
-// workers atomically claim the next unclaimed chunk, and a shared
-// best-rank bound prunes chunks that can no longer hold the first
-// witness — a rank is only ever skipped when a strictly lower witness
-// is already in hand, so the lowest-ranked witness is found regardless
-// of claim interleaving.
+// The reference is one serial, symmetry-reduced, prefix-sharing search;
+// it is a pure function of its inputs and safe for concurrent use. The
+// package also holds the assignment space and shard scheduler the
+// production decider (internal/decider) runs: TupleSpace ranks the
+// non-decreasing operation tuples in the serial search's lexicographic
+// order, and SearchSharded scans it on a work-stealing chunk queue —
+// ranks are split into fixed-size chunks, workers atomically claim the
+// next unclaimed chunk, and a shared best-rank bound prunes chunks that
+// can no longer hold the first witness. A rank is only ever skipped when
+// a strictly lower witness is already in hand, so the lowest-ranked
+// witness is found regardless of claim interleaving, exactly as a serial
+// scan finds it.
+//
 // Witness JSON encoding round-trips byte-identically — the contract the
 // persistent decision store relies on.
 package discern

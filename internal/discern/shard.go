@@ -2,7 +2,6 @@ package discern
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -35,15 +34,6 @@ type ShardReport struct {
 	Found bool
 	// Elapsed is the worker's wall-clock cost.
 	Elapsed time.Duration
-}
-
-// ShardOptions configures a sharded level check.
-type ShardOptions struct {
-	// Options is the underlying decision procedure's configuration.
-	Options
-	// OnShard, if non-nil, is called once per worker as it finishes, from
-	// the worker's goroutine.
-	OnShard func(ShardReport)
 }
 
 // noWitness is the best-rank sentinel meaning "no witness found yet".
@@ -206,26 +196,4 @@ func SearchSharded[W any](ctx context.Context, space TupleSpace, shards int, new
 		return nil, ctx.Err()
 	}
 	return nil, nil
-}
-
-// ShardedIsNDiscerning is IsNDiscerningCtx with the operation-assignment
-// enumeration split across `shards` concurrent workers on the
-// work-stealing chunk queue of SearchSharded. It returns
-// exactly what the serial scan returns — same verdict, same witness (the
-// lowest-ranked witnessing assignment, completed by checkAssignment's
-// deterministic choice of u and partition) — while a losing worker is
-// cancelled as soon as it provably cannot hold the winning assignment.
-// shards below 1 are clamped to 1.
-func ShardedIsNDiscerning(ctx context.Context, t *spec.FiniteType, n, shards int, opts ShardOptions) (bool, *Witness, error) {
-	if n < 2 {
-		panic(fmt.Sprintf("discern: n-discerning is undefined for n=%d (need n >= 2)", n))
-	}
-	space := NewTupleSpace(t.NumOps(), n, opts.Naive)
-	w, err := SearchSharded(ctx, space, shards, func() func([]spec.Op) *Witness {
-		return func(ops []spec.Op) *Witness { return checkAssignment(t, n, ops, opts.Options) }
-	}, opts.OnShard)
-	if err != nil {
-		return false, nil, err
-	}
-	return w != nil, w, nil
 }

@@ -20,7 +20,7 @@ import (
 // Scanned counts sum to Count), and a canceled context returns its error
 // and no witness.
 func TestSearchSharded(t *testing.T) {
-	space := NewTupleSpace(8, 8, false)
+	space := NewTupleSpace(8, 8)
 	total := space.Count()
 	if total != 6435 {
 		t.Fatalf("Count = %d, want C(15, 8) = 6435", total)
@@ -90,55 +90,49 @@ func plantedCheck(space TupleSpace, planted []int64) func() func([]spec.Op) *int
 	}
 }
 
-// TestShardedMatchesSerial is the determinism gate of the sharded search:
-// across seeded random types, n=2..4 and shard counts {1,2,7}, the
-// sharded check must return the exact (verdict, witness) pair of the
-// serial scan. Run under -race in CI, this also exercises the shard
-// workers' sharing discipline.
+// shardedSearch decides one level on the shard scheduler: shards workers
+// scan the level's symmetry-reduced space with check, which must be safe
+// for concurrent use.
+func shardedSearch(ctx context.Context, ft *spec.FiniteType, n, shards int, check func([]spec.Op) *Witness, onShard func(ShardReport)) (*Witness, error) {
+	return SearchSharded(ctx, NewTupleSpace(ft.NumOps(), n), shards, func() func([]spec.Op) *Witness { return check }, onShard)
+}
+
+// serialScan is shardedSearch on one worker: a serial scan in the
+// reference's order.
+func serialScan(ft *spec.FiniteType, n int, check func([]spec.Op) *Witness) *Witness {
+	w, _ := shardedSearch(context.Background(), ft, n, 1, check, nil)
+	return w
+}
+
+// referenceCheck is the reference's per-assignment decision.
+func referenceCheck(ft *spec.FiniteType, n int) func([]spec.Op) *Witness {
+	return func(ops []spec.Op) *Witness { return checkAssignment(ft, n, ops) }
+}
+
+// TestShardedMatchesSerial is the determinism gate of the shard scheduler
+// under the reference's own check: across seeded random types, n=2..4
+// and shard counts {1,2,7}, the sharded scan must return the exact
+// (verdict, witness) pair of the serial recursive search. Run under -race
+// in CI, this also exercises the shard workers' sharing discipline.
 func TestShardedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(90125))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		ft := randomType(rng, 3+rng.Intn(3), 2+rng.Intn(2))
 		for n := 2; n <= 4; n++ {
-			wantOK, wantW, err := IsNDiscerningCtx(ctx, ft, n, Options{})
+			wantOK, wantW, err := IsNDiscerningCtx(ctx, ft, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 7} {
-				ok, w, err := ShardedIsNDiscerning(ctx, ft, n, shards, ShardOptions{})
+				w, err := shardedSearch(ctx, ft, n, shards, referenceCheck(ft, n), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok != wantOK || !reflect.DeepEqual(w, wantW) {
-					t.Fatalf("type %d n=%d shards=%d: got (%v, %v), serial (%v, %v)",
-						i, n, shards, ok, w, wantOK, wantW)
+				if (w != nil) != wantOK || !reflect.DeepEqual(w, wantW) {
+					t.Fatalf("type %d n=%d shards=%d: got %v, serial (%v, %v)",
+						i, n, shards, w, wantOK, wantW)
 				}
-			}
-		}
-	}
-}
-
-// TestShardedNaiveMatchesSerial covers the ablation (naive) enumeration,
-// whose tuple space and rank order differ from the reduced one.
-func TestShardedNaiveMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7001))
-	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		ft := randomType(rng, 3+rng.Intn(2), 2)
-		for _, shards := range []int{2, 7} {
-			wantOK, wantW, err := IsNDiscerningCtx(ctx, ft, 3, Options{Naive: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ok, w, err := ShardedIsNDiscerning(ctx, ft, 3, shards,
-				ShardOptions{Options: Options{Naive: true}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok != wantOK || !reflect.DeepEqual(w, wantW) {
-				t.Fatalf("type %d shards=%d: got (%v, %v), serial (%v, %v)",
-					i, shards, ok, w, wantOK, wantW)
 			}
 		}
 	}
@@ -151,11 +145,11 @@ func TestShardedWitnessVerifies(t *testing.T) {
 	found := 0
 	for i := 0; i < 80 && found < 10; i++ {
 		ft := randomType(rng, 4, 2)
-		ok, w, err := ShardedIsNDiscerning(context.Background(), ft, 3, 4, ShardOptions{})
+		w, err := shardedSearch(context.Background(), ft, 3, 4, referenceCheck(ft, 3), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
+		if w != nil {
 			found++
 			verifyWitness(t, ft, w)
 		}
@@ -165,28 +159,26 @@ func TestShardedWitnessVerifies(t *testing.T) {
 	}
 }
 
-// TestShardedReports checks the per-shard progress reports: every shard
-// reports exactly once, ranges tile [0, Count), and on a full scan of a
-// non-discerning level the scanned counts add up to the whole space.
+// TestShardedReports checks the per-shard progress reports of a full
+// scan of a non-discerning level: every shard reports exactly once and
+// the scanned counts add up to the whole space.
 func TestShardedReports(t *testing.T) {
 	ft := buildRegisterLike(t)
 	const n, shards = 3, 4
 	var mu sync.Mutex
 	var reports []ShardReport
-	ok, _, err := ShardedIsNDiscerning(context.Background(), ft, n, shards, ShardOptions{
-		OnShard: func(r ShardReport) {
-			mu.Lock()
-			reports = append(reports, r)
-			mu.Unlock()
-		},
+	w, err := shardedSearch(context.Background(), ft, n, shards, referenceCheck(ft, n), func(r ShardReport) {
+		mu.Lock()
+		reports = append(reports, r)
+		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if w != nil {
 		t.Fatal("a register-like type must not be 3-discerning")
 	}
-	space := NewTupleSpace(ft.NumOps(), n, false)
+	space := NewTupleSpace(ft.NumOps(), n)
 	if len(reports) != shards {
 		t.Fatalf("got %d shard reports, want %d", len(reports), shards)
 	}
@@ -211,12 +203,12 @@ func TestShardedCancellation(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(5))
 	ft := randomType(rng, 4, 3)
-	ok, w, err := ShardedIsNDiscerning(ctx, ft, 4, 4, ShardOptions{})
+	w, err := shardedSearch(ctx, ft, 4, 4, referenceCheck(ft, 4), nil)
 	if err == nil {
 		t.Fatal("canceled sharded search must error")
 	}
-	if ok || w != nil {
-		t.Fatalf("canceled search leaked a result: (%v, %v)", ok, w)
+	if w != nil {
+		t.Fatalf("canceled search leaked a witness: %v", w)
 	}
 }
 

@@ -8,47 +8,35 @@ import (
 
 // TupleSpace is the operation-assignment enumeration of one level check in
 // rank-addressable form: the non-decreasing length-n tuples over the
-// operation set (the symmetry-reduced space the deciders scan), or all
-// numOps^n tuples in naive mode. Ranks follow lexicographic order, which
-// is exactly the order the serial recursive enumeration in
-// IsNDiscerningCtx / IsNRecordingCtx visits assignments — that shared
-// order is what lets a sharded scan reproduce the serial result bit for
-// bit (the lowest-ranked witnessing assignment wins either way).
+// operation set, the symmetry-reduced space the deciders scan. Ranks
+// follow lexicographic order, which is exactly the order the serial
+// recursive enumeration in IsNDiscerningCtx / IsNRecordingCtx visits
+// assignments — that shared order is what lets a sharded scan reproduce
+// the serial result bit for bit (the lowest-ranked witnessing assignment
+// wins either way).
 //
 // The zero value is not meaningful; construct with NewTupleSpace.
 type TupleSpace struct {
-	m, n  int
-	naive bool
+	m, n int
 }
 
 // NewTupleSpace describes the assignment space for n processes over a
-// type with numOps operations. With naive=false the space is the
-// C(numOps+n-1, n) non-decreasing tuples; with naive=true it is all
-// numOps^n tuples (the ablation enumeration).
-func NewTupleSpace(numOps, n int, naive bool) TupleSpace {
-	return TupleSpace{m: numOps, n: n, naive: naive}
+// type with numOps operations: the C(numOps+n-1, n) non-decreasing
+// tuples.
+func NewTupleSpace(numOps, n int) TupleSpace {
+	return TupleSpace{m: numOps, n: n}
 }
 
 // Count returns the number of assignments in the space, saturating at
 // math.MaxInt64 for spaces too large to count (which are far too large to
 // enumerate anyway).
 func (s TupleSpace) Count() int64 {
-	if s.naive {
-		return powSat(s.m, s.n)
-	}
 	return binom(s.m+s.n-1, s.n)
 }
 
 // Unrank writes the assignment with lexicographic rank r into out, which
 // must have length n. r must be in [0, Count()).
 func (s TupleSpace) Unrank(r int64, out []spec.Op) {
-	if s.naive {
-		for i := s.n - 1; i >= 0; i-- {
-			out[i] = spec.Op(r % int64(s.m))
-			r /= int64(s.m)
-		}
-		return
-	}
 	// Walk positions left to right; at position i with running minimum v
 	// (tuples are non-decreasing, so out[i] >= out[i-1]), the block of
 	// tuples fixing out[i]=v has size C(m-v+n-i-2, n-i-1): the remaining
@@ -67,16 +55,9 @@ func (s TupleSpace) Unrank(r int64, out []spec.Op) {
 	}
 }
 
-// Rank returns the lexicographic rank of t, the inverse of Unrank. In the
-// symmetry-reduced space t must be non-decreasing.
+// Rank returns the lexicographic rank of the non-decreasing tuple t, the
+// inverse of Unrank.
 func (s TupleSpace) Rank(t []spec.Op) int64 {
-	if s.naive {
-		r := int64(0)
-		for i := 0; i < s.n; i++ {
-			r = r*int64(s.m) + int64(t[i])
-		}
-		return r
-	}
 	r := int64(0)
 	v := 0
 	for i := 0; i < s.n; i++ {
@@ -90,16 +71,6 @@ func (s TupleSpace) Rank(t []spec.Op) int64 {
 // Next advances t to its lexicographic successor in place, returning
 // false (and leaving t past the last tuple) when t was the final tuple.
 func (s TupleSpace) Next(t []spec.Op) bool {
-	if s.naive {
-		for i := s.n - 1; i >= 0; i-- {
-			if int(t[i]) < s.m-1 {
-				t[i]++
-				return true
-			}
-			t[i] = 0
-		}
-		return false
-	}
 	for i := s.n - 1; i >= 0; i-- {
 		if int(t[i]) < s.m-1 {
 			v := t[i] + 1
@@ -129,21 +100,6 @@ func binom(a, b int) int64 {
 			return math.MaxInt64
 		}
 		r = r * f / int64(i)
-	}
-	return r
-}
-
-// powSat computes m^n, saturating at math.MaxInt64.
-func powSat(m, n int) int64 {
-	r := int64(1)
-	for i := 0; i < n; i++ {
-		if m == 0 {
-			return 0
-		}
-		if r > math.MaxInt64/int64(m) {
-			return math.MaxInt64
-		}
-		r *= int64(m)
 	}
 	return r
 }

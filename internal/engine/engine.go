@@ -265,7 +265,7 @@ type levelJob struct {
 // concurrent jobs may both count the same worker as idle and briefly
 // oversubscribe the pool with goroutines, which Go's scheduler absorbs.
 func (e *Engine) shardsFor(t *spec.FiniteType, n int) int {
-	if e.parallelism <= 1 || discern.NewTupleSpace(t.NumOps(), n, false).Count() <= int64(e.shardThreshold) {
+	if e.parallelism <= 1 || discern.NewTupleSpace(t.NumOps(), n).Count() <= int64(e.shardThreshold) {
 		return 1
 	}
 	idle := e.parallelism - int(e.active.Load())

@@ -2,6 +2,7 @@ package record
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/spec"
@@ -48,17 +49,17 @@ func TestMonotonicityOnRandomTypes(t *testing.T) {
 	}
 }
 
-// TestPrefixSharingAblationAgrees: the ablation variant must agree with
-// the default.
+// TestPrefixSharingAblationAgrees: a scan that re-simulates every
+// schedule must find the reference's verdict and witness on random types.
 func TestPrefixSharingAblationAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < 40; i++ {
 		ft := randomType(rng, 3+rng.Intn(2), 2)
 		for n := 2; n <= 3; n++ {
-			a, _ := IsNRecordingOpt(ft, n, Options{})
-			b, _ := IsNRecordingOpt(ft, n, Options{NoPrefixSharing: true})
-			if a != b {
-				t.Fatalf("type %d n=%d: shared=%v noshare=%v", i, n, a, b)
+			a, w := IsNRecording(ft, n)
+			noShare := serialScan(ft, n, noShareCheck(ft, n))
+			if a != (noShare != nil) || !reflect.DeepEqual(w, noShare) {
+				t.Fatalf("type %d n=%d: shared=(%v, %v) noshare=%v", i, n, a, w, noShare)
 			}
 		}
 	}

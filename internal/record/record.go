@@ -37,25 +37,11 @@ func (w *Witness) Clone() *Witness {
 	}
 }
 
-// Options configures the decision procedure.
-type Options struct {
-	// Naive disables the symmetry reduction over operation assignments.
-	Naive bool
-	// NoPrefixSharing re-simulates every schedule from the initial value
-	// instead of sharing prefix values (ablation; see DESIGN.md).
-	NoPrefixSharing bool
-}
-
 // IsNRecording reports whether t is n-recording, for n >= 2, and returns a
 // witness if it is. It panics if n < 2 (the partition into two nonempty
 // teams requires at least two processes).
 func IsNRecording(t *spec.FiniteType, n int) (bool, *Witness) {
-	return IsNRecordingOpt(t, n, Options{})
-}
-
-// IsNRecordingOpt is IsNRecording with explicit Options.
-func IsNRecordingOpt(t *spec.FiniteType, n int, opts Options) (bool, *Witness) {
-	ok, w, _ := IsNRecordingCtx(context.Background(), t, n, opts)
+	ok, w, _ := IsNRecordingCtx(context.Background(), t, n)
 	return ok, w
 }
 
@@ -65,11 +51,11 @@ func IsNRecordingOpt(t *spec.FiniteType, n int, opts Options) (bool, *Witness) {
 // package discern.
 const pollEvery = 256
 
-// IsNRecordingCtx is IsNRecordingOpt with cancellation: the search is
+// IsNRecordingCtx is IsNRecording with cancellation: the search is
 // abandoned (returning ctx.Err()) as soon as the context is done, polled
 // once per operation assignment and additionally every pollEvery
 // recursion steps so a deep prefix sweep cannot delay cancellation.
-func IsNRecordingCtx(ctx context.Context, t *spec.FiniteType, n int, opts Options) (bool, *Witness, error) {
+func IsNRecordingCtx(ctx context.Context, t *spec.FiniteType, n int) (bool, *Witness, error) {
 	if n < 2 {
 		panic(fmt.Sprintf("record: n-recording is undefined for n=%d (need n >= 2)", n))
 	}
@@ -95,10 +81,10 @@ func IsNRecordingCtx(ctx context.Context, t *spec.FiniteType, n int, opts Option
 				return nil
 			default:
 			}
-			return checkAssignment(t, n, ops, opts)
+			return checkAssignment(t, n, ops)
 		}
 		start := spec.Op(0)
-		if !opts.Naive && pos > 0 {
+		if pos > 0 {
 			start = ops[pos-1]
 		}
 		for o := start; int(o) < numOps; o++ {
@@ -121,9 +107,13 @@ func IsNRecordingCtx(ctx context.Context, t *spec.FiniteType, n int, opts Option
 	return false, nil, nil
 }
 
-func checkAssignment(t *spec.FiniteType, n int, ops []spec.Op, opts Options) *Witness {
+// checkAssignment decides whether some (u, partition) completes the given
+// operation assignment into an n-recording witness, and returns the
+// witness if so.
+func checkAssignment(t *spec.FiniteType, n int, ops []spec.Op) *Witness {
 	for u := 0; u < t.NumValues(); u++ {
-		if teams := checkValueAssignment(t, n, ops, spec.Value(u), opts); teams != nil {
+		firstMask := finalValues(t, n, ops, spec.Value(u))
+		if teams := ColorFinal(uf.New(n), firstMask, spec.Value(u)); teams != nil {
 			w := &Witness{N: n, U: spec.Value(u), Teams: teams, Ops: make([]spec.Op, n)}
 			copy(w.Ops, ops)
 			return w
@@ -156,50 +146,6 @@ func finalValues(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) []uint3
 		inSched[f] = false
 	}
 	return firstMask
-}
-
-// finalValuesNoShare is the ablation variant: every schedule is
-// re-simulated from u in full.
-func finalValuesNoShare(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value) []uint32 {
-	firstMask := make([]uint32, t.NumValues())
-	inSched := make([]bool, n)
-	order := make([]int, 0, n)
-	var rec func()
-	rec = func() {
-		if len(order) > 0 {
-			val := u
-			for _, p := range order {
-				val = t.Apply(val, ops[p]).Next
-			}
-			firstMask[val] |= uint32(1) << uint(order[0])
-		}
-		for p := 0; p < n; p++ {
-			if inSched[p] {
-				continue
-			}
-			inSched[p] = true
-			order = append(order, p)
-			rec()
-			order = order[:len(order)-1]
-			inSched[p] = false
-		}
-	}
-	rec()
-	return firstMask
-}
-
-// checkValueAssignment decides whether some partition completes
-// (u, ops) into an n-recording witness and returns the team assignment.
-func checkValueAssignment(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value, opts Options) []int {
-	// firstMask[v] = bitmask of first-movers f such that some nonempty
-	// schedule starting with f leaves the object with value v.
-	var firstMask []uint32
-	if opts.NoPrefixSharing {
-		firstMask = finalValuesNoShare(t, n, ops, u)
-	} else {
-		firstMask = finalValues(t, n, ops, u)
-	}
-	return ColorFinal(uf.New(n), firstMask, u)
 }
 
 // ColorFinal turns one assignment's final-value observation sets into an

@@ -105,7 +105,7 @@ func TestDiscernWithoutRecordGap(t *testing.T) {
 }
 
 // TestNaiveMatchesReduced cross-checks the symmetry-reduced search against
-// the naive one.
+// the naive search over all numOps^n assignments.
 func TestNaiveMatchesReduced(t *testing.T) {
 	zoo := []*spec.FiniteType{
 		types.Register(2), types.TestAndSet(), types.Swap(2), types.FetchAdd(3),
@@ -114,8 +114,8 @@ func TestNaiveMatchesReduced(t *testing.T) {
 	}
 	for _, ft := range zoo {
 		for n := 2; n <= 3; n++ {
-			fast, _ := IsNRecordingOpt(ft, n, Options{})
-			slow, _ := IsNRecordingOpt(ft, n, Options{Naive: true})
+			fast, _ := IsNRecording(ft, n)
+			slow := searchNaive(ft, n) != nil
 			if fast != slow {
 				t.Errorf("%s n=%d: reduced=%v naive=%v", ft.Name(), n, fast, slow)
 			}

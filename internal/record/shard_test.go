@@ -5,30 +5,52 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/discern"
+	"repro/internal/spec"
 )
 
+// shardedSearch decides one level on discern's shard scheduler: shards
+// workers scan the level's symmetry-reduced space with check, which must
+// be safe for concurrent use.
+func shardedSearch(ctx context.Context, ft *spec.FiniteType, n, shards int, check func([]spec.Op) *Witness) (*Witness, error) {
+	return discern.SearchSharded(ctx, discern.NewTupleSpace(ft.NumOps(), n), shards, func() func([]spec.Op) *Witness { return check }, nil)
+}
+
+// serialScan is shardedSearch on one worker: a serial scan in the
+// reference's order.
+func serialScan(ft *spec.FiniteType, n int, check func([]spec.Op) *Witness) *Witness {
+	w, _ := shardedSearch(context.Background(), ft, n, 1, check)
+	return w
+}
+
+// referenceCheck is the reference's per-assignment decision.
+func referenceCheck(ft *spec.FiniteType, n int) func([]spec.Op) *Witness {
+	return func(ops []spec.Op) *Witness { return checkAssignment(ft, n, ops) }
+}
+
 // TestShardedMatchesSerial mirrors the discerning-side determinism gate
-// for the recording decider: seeded random types, n=2..4, shard counts
-// {1,2,7}, byte-identical (verdict, witness) against the serial scan.
-// Run under -race in CI.
+// for the recording check on the shard scheduler: seeded random types,
+// n=2..4, shard counts {1,2,7}, byte-identical (verdict, witness) against
+// the serial recursive search. Run under -race in CI.
 func TestShardedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(60607))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		ft := randomType(rng, 3+rng.Intn(3), 2+rng.Intn(2))
 		for n := 2; n <= 4; n++ {
-			wantOK, wantW, err := IsNRecordingCtx(ctx, ft, n, Options{})
+			wantOK, wantW, err := IsNRecordingCtx(ctx, ft, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 7} {
-				ok, w, err := ShardedIsNRecording(ctx, ft, n, shards, ShardOptions{})
+				w, err := shardedSearch(ctx, ft, n, shards, referenceCheck(ft, n))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok != wantOK || !reflect.DeepEqual(w, wantW) {
-					t.Fatalf("type %d n=%d shards=%d: got (%v, %v), serial (%v, %v)",
-						i, n, shards, ok, w, wantOK, wantW)
+				if (w != nil) != wantOK || !reflect.DeepEqual(w, wantW) {
+					t.Fatalf("type %d n=%d shards=%d: got %v, serial (%v, %v)",
+						i, n, shards, w, wantOK, wantW)
 				}
 			}
 		}
@@ -42,11 +64,11 @@ func TestShardedWitnessVerifies(t *testing.T) {
 	found := 0
 	for i := 0; i < 100 && found < 10; i++ {
 		ft := randomType(rng, 4, 2)
-		ok, w, err := ShardedIsNRecording(context.Background(), ft, 3, 4, ShardOptions{})
+		w, err := shardedSearch(context.Background(), ft, 3, 4, referenceCheck(ft, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
+		if w != nil {
 			found++
 			verifyWitness(t, ft, w)
 		}
@@ -63,11 +85,11 @@ func TestShardedCancellation(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(5))
 	ft := randomType(rng, 4, 3)
-	ok, w, err := ShardedIsNRecording(ctx, ft, 4, 4, ShardOptions{})
+	w, err := shardedSearch(ctx, ft, 4, 4, referenceCheck(ft, 4))
 	if err == nil {
 		t.Fatal("canceled sharded search must error")
 	}
-	if ok || w != nil {
-		t.Fatalf("canceled search leaked a result: (%v, %v)", ok, w)
+	if w != nil {
+		t.Fatalf("canceled search leaked a witness: %v", w)
 	}
 }

@@ -23,9 +23,11 @@
 // # Concurrency and reproducibility
 //
 // Sampling is seeded: a given seed deterministically produces the same
-// candidate sequence, so a reported hit is reproducible by seed. The
-// engine-driven deciders (SearchDecider, HasXSignatureDecider) may run
-// candidates' signature checks sharded across a worker pool without
-// changing any verdict, and SearchCtx honors context cancellation
-// between candidates.
+// candidate sequence, so a reported hit is reproducible by seed. There is
+// one sweep, SearchDecider, and one signature check,
+// HasXSignatureDecider, both over a LevelDecider: an engine may run a
+// candidate's level checks cached and sharded across its worker pool
+// without changing any verdict, and HasXSignature runs the production
+// decider serially. SearchDecider honors context cancellation between
+// candidates, and the decider's own context within one.
 package xsearch

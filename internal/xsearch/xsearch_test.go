@@ -36,38 +36,38 @@ func TestFrozenSeedReproduces(t *testing.T) {
 }
 
 // TestXFourHasSignature re-verifies the frozen type's signature through
-// the search predicate.
+// the search predicate, serial and sharded.
 func TestXFourHasSignature(t *testing.T) {
-	if !HasX4Signature(types.XFour()) {
+	if !HasXSignature(types.XFour(), 4) {
 		t.Error("frozen XFour lost the X_4 signature")
 	}
-	if !HasXSignature(types.XFour(), 4) {
-		t.Error("generalized signature check disagrees")
+	if ok, err := HasXSignatureDecider(shardedDecider(2), types.XFour(), 4); err != nil || !ok {
+		t.Errorf("sharded signature check = (%v, %v), want (true, nil)", ok, err)
 	}
 }
 
 // TestNegativeSignatures checks the predicate rejects types that fail each
 // leg of the signature.
 func TestNegativeSignatures(t *testing.T) {
-	if HasX4Signature(types.Queue(2)) {
+	if HasXSignature(types.Queue(2), 4) {
 		t.Error("non-readable queue must be rejected")
 	}
-	if HasX4Signature(types.CompareAndSwap(2)) {
+	if HasXSignature(types.CompareAndSwap(2), 4) {
 		t.Error("CAS is 3-recording, must be rejected")
 	}
-	if HasX4Signature(types.TestAndSet()) {
+	if HasXSignature(types.TestAndSet(), 4) {
 		t.Error("TAS is not 2-recording, must be rejected")
 	}
-	if HasX4Signature(types.Register(3)) {
+	if HasXSignature(types.Register(3), 4) {
 		t.Error("registers are not 4-discerning, must be rejected")
 	}
 }
 
-// TestSignatureMatchesReference runs the signature check, which goes
-// through the production level decider, against the same three legs
+// TestSignatureMatchesReference runs the signature check through the
+// production level decider at two shards against the same three legs
 // decided by the recursive reference deciders over a seed window, and
 // checks it refuses n above the decider's cap with decider.CheckN's
-// error before any work.
+// error before any level check runs.
 func TestSignatureMatchesReference(t *testing.T) {
 	reference := func(ft *spec.FiniteType, n int) bool {
 		if !ft.Readable() {
@@ -85,7 +85,7 @@ func TestSignatureMatchesReference(t *testing.T) {
 	hits := 0
 	for seed := int64(1990); seed < 2000; seed++ {
 		ft := Sample(seed, 5)
-		got, err := HasXSignatureShardedCtx(context.Background(), ft, 4, 2)
+		got, err := HasXSignatureDecider(shardedDecider(2), ft, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,10 +99,34 @@ func TestSignatureMatchesReference(t *testing.T) {
 	if hits == 0 {
 		t.Error("the seed window holds the frozen X_4 seed; expected a hit")
 	}
-	_, err := HasXSignatureShardedCtx(context.Background(), types.XFour(), decider.BitsetMaxN+1, 1)
+	_, err := HasXSignatureDecider(refusingDecider{t}, types.XFour(), decider.BitsetMaxN+1)
 	if want := decider.CheckN(decider.BitsetMaxN + 1); err == nil || err.Error() != want.Error() {
 		t.Fatalf("n above the cap: error %v, want %v", err, want)
 	}
+}
+
+// shardedDecider is the production level decider at a fixed shard count.
+type shardedDecider int
+
+func (s shardedDecider) Discerning(t *spec.FiniteType, n int) (bool, *discern.Witness, error) {
+	return decider.IsNDiscerning(context.Background(), t, n, int(s), nil)
+}
+
+func (s shardedDecider) Recording(t *spec.FiniteType, n int) (bool, *record.Witness, error) {
+	return decider.IsNRecording(context.Background(), t, n, int(s), nil)
+}
+
+// refusingDecider fails its test if any level check reaches it.
+type refusingDecider struct{ t *testing.T }
+
+func (d refusingDecider) Discerning(_ *spec.FiniteType, n int) (bool, *discern.Witness, error) {
+	d.t.Errorf("discerning level n=%d ran", n)
+	return false, nil, nil
+}
+
+func (d refusingDecider) Recording(_ *spec.FiniteType, n int) (bool, *record.Witness, error) {
+	d.t.Errorf("recording level n=%d ran", n)
+	return false, nil, nil
 }
 
 func TestSignaturePanicsBelow4(t *testing.T) {
@@ -120,7 +144,7 @@ func TestSearchFindsFrozenSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search is a few seconds")
 	}
-	found := Search(4, 1990, 10, []int{5}, 0, nil)
+	found := SearchDecider(context.Background(), serialDecider{}, 4, 1990, 10, []int{5}, 0, nil)
 	ok := false
 	for _, c := range found {
 		if c.Seed == 1994 && c.NumValues == 5 {
