@@ -58,18 +58,17 @@ func (e *Engine) requestCtx(reqCtx context.Context) (context.Context, func()) {
 // Results are positionally aligned with reqs and byte-identical to
 // serial Engine.Check calls of the same requests. Errors are
 // per-item — a malformed request (wrong inputs length) or a canceled
-// per-request context (CheckRequest.Ctx) fails only its own item. The
-// returned GraphStats aggregates reuse attributed to this batch: the
-// counter deltas of its graphs over the call (a fully warm batch reports
-// Expanded == 0; concurrent calls sharing a cached graph may blur the
-// attribution, never the results). CheckBatch itself errors only when
-// the engine context is done or the protocol fails validation.
+// per-request context (CheckRequest.Ctx) fails only its own item, and a
+// protocol the graph cache cannot compile (one failing model.Validate)
+// fails every item with the compile's error. The returned GraphStats
+// aggregates reuse attributed to this batch: the counter deltas of its
+// graphs over the call (a fully warm batch reports Expanded == 0;
+// concurrent calls sharing a cached graph may blur the attribution,
+// never the results). CheckBatch itself errors only when the engine
+// context is done.
 func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem, model.GraphStats, error) {
 	var agg model.GraphStats
 	if err := e.ctx.Err(); err != nil {
-		return nil, agg, err
-	}
-	if err := model.Validate(p); err != nil {
 		return nil, agg, err
 	}
 	start := time.Now()
@@ -77,9 +76,9 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 	e.emit(Event{Kind: "checkbatch.start", Type: name, N: len(reqs)})
 	items := make([]CheckItem, len(reqs))
 
-	// Group requests by input vector; each group shares one graph (served
-	// from the engine's graph cache when enabled). Graph resolution
-	// errors (wrong inputs length) are per-item.
+	// Group requests by input vector; each group shares one graph, served
+	// from the engine's graph cache. Graph resolution errors (an invalid
+	// protocol, wrong inputs length) are per-item.
 	graphs := make(map[string]*model.Graph)
 	before := make(map[*model.Graph]model.GraphStats)
 	graphFor := make([]*model.Graph, len(reqs))

@@ -126,6 +126,39 @@ func TestCheckBatchPerItemErrors(t *testing.T) {
 	}
 }
 
+// TestCheckBatchInvalidProtocol: a protocol that fails validation fails
+// every item with the validation error, the way wrong-length inputs fail
+// theirs, and the call itself does not error.
+func TestCheckBatchInvalidProtocol(t *testing.T) {
+	p := noObjects{proto.NewCASWaitFree(2)}
+	want := model.Validate(p)
+	if want == nil {
+		t.Fatal("a protocol with no objects must fail validation")
+	}
+	reqs := []CheckRequest{
+		{Inputs: []int{0, 1}},
+		{Inputs: []int{1, 0}},
+		{Inputs: []int{0, 1}, CrashQuota: []int{1, 1}},
+	}
+	items, _, err := New(WithParallelism(2)).CheckBatch(p, reqs)
+	if err != nil {
+		t.Fatalf("CheckBatch error %v, want item errors only", err)
+	}
+	if len(items) != len(reqs) {
+		t.Fatalf("%d items for %d requests", len(items), len(reqs))
+	}
+	for i, it := range items {
+		if it.Result != nil || it.Err == nil || it.Err.Error() != want.Error() {
+			t.Errorf("item %d = (%v, %v), want the validation error %q", i, it.Result, it.Err, want)
+		}
+	}
+}
+
+// noObjects is a protocol with its shared objects removed.
+type noObjects struct{ model.Protocol }
+
+func (noObjects) Objects() []model.ObjectSpec { return nil }
+
 // TestCheckBatchPerRequestCancel cancels one request mid-batch; only that
 // item may fail.
 func TestCheckBatchPerRequestCancel(t *testing.T) {

@@ -53,19 +53,20 @@ func TestCachedAnalyzeAllocFloor(t *testing.T) {
 // the reply; the walk itself allocates a fixed handful of flat slices.
 // The server has no slow-request threshold, so it builds no trace and
 // its engines no events. The bounds leave the same relative headroom
-// over today's counts (105 and 83 allocs/op, 113 and 86 under -race) as
-// the bounds of 160 and 130 did over 130 and 108, the counts when every
-// request built a trace and every batch named its protocol and
-// formatted event details; a per-visit allocation would add hundreds:
-// the walks have 912 and 442 nodes. tnn-wf:4,2 reports an agreement
-// violation, cas-rec:3 passes.
+// over today's counts (96 and 76 allocs/op, 105 and 79 under -race) as
+// the bounds of 129 and 100 did over 105 and 83, the counts when every
+// batch validated its protocol, and those of 160 and 130 over 130 and
+// 108, when every request built a trace and every batch named its
+// protocol and formatted event details; a per-visit allocation would
+// add hundreds: the walks have 912 and 442 nodes. tnn-wf:4,2 reports an
+// agreement violation, cas-rec:3 passes.
 func TestWarmCheckServeAllocFloor(t *testing.T) {
 	cases := []struct {
 		protocol, inputs, quota string
 		limit                   float64
 	}{
-		{"tnn-wf:4,2", "0,1,0,1", "1,1,1,1", 129},
-		{"cas-rec:3", "0,1,1", "1,1,1", 100},
+		{"tnn-wf:4,2", "0,1,0,1", "1,1,1,1", 118},
+		{"cas-rec:3", "0,1,1", "1,1,1", 92},
 	}
 	for _, c := range cases {
 		t.Run(c.protocol, func(t *testing.T) {

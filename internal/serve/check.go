@@ -113,8 +113,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// runCheckBatch turns per-item timeouts into per-request contexts on
-	// the engine batch; only engine-level failures (context, invalid
-	// protocol) land in err — item failures are reported per item.
+	// the engine batch; only engine-level failures (the context) land in
+	// err — item failures, an invalid protocol's included, are reported
+	// per item.
 	resp, err := s.runCheckBatch(r.Context(), eng, p, label, req.Requests)
 	if err != nil {
 		s.fail(w, analysisStatus(err), "check %s: %v", label, err)
