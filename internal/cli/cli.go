@@ -125,9 +125,10 @@ func (f *EngineFlags) OpenCache() (*repro.PersistentCache, error) {
 // for tools that drive sweeps on a sub-context of their own (early-exit
 // cancellation) or whose own progress rendering is the tool's voice, so
 // the engine stays quiet (the -progress writer is NOT installed; pass
-// repro.WithProgress in extra to opt in). The -cache-file persistent
-// cache and the -graph-dir exploration-graph store are wired when set.
-// The returned cleanup must be deferred: it flushes dirty exploration
+// repro.WithProgress in extra to opt in). The engine's graph cache is
+// built from -graph-cache-budget; the -cache-file persistent cache and
+// the -graph-dir exploration-graph store are wired when set. The
+// returned cleanup must be deferred: it flushes dirty exploration
 // graphs to the -graph-dir store and closes the persistent cache
 // (flushing its journal), reporting failures on stderr; canceling ctx
 // remains the caller's job.
@@ -147,22 +148,18 @@ func (f *EngineFlags) EngineOn(ctx context.Context, extra ...repro.Option) (*rep
 	if err != nil {
 		return nil, nil, err
 	}
-	var gc *repro.GraphCache
+	gc := repro.NewGraphCache(f.GraphCacheBudget)
 	if gs != nil {
-		gc = repro.NewGraphCache(f.GraphCacheBudget)
 		gc.SetStore(gs)
-		opts = append(opts, repro.WithGraphCache(gc))
-	} else {
-		opts = append(opts, repro.WithGraphCacheBudget(f.GraphCacheBudget))
 	}
+	opts = append(opts, repro.WithGraphCache(gc))
 	if pc != nil {
 		opts = append(opts, repro.WithCache(pc.Cache()))
 	}
 	cleanup := func() {
-		if gc != nil {
-			if err := gc.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "graph-dir:", err)
-			}
+		// Flush is a no-op on a cache without a store.
+		if err := gc.Flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "graph-dir:", err)
 		}
 		if pc != nil {
 			if err := pc.Close(); err != nil {

@@ -32,9 +32,9 @@
 //
 // Check, CheckBatch and Theorem13 resolve their model.Graphs through a
 // GraphCache: a bounded LRU keyed by protocol identity + input vector,
-// engine-private by default (WithGraphCacheBudget) or shared across
-// engines (WithGraphCache — the reprod service installs one server-wide
-// cache into its per-request engines). The cache owns only references:
+// engine-private by default or installed with WithGraphCache, which
+// shares one cache across engines (the reprod service installs one
+// server-wide cache into its per-request engines). The cache owns only references:
 // graphs are built under the cache lock (cheap validation; expansion is
 // lazy and singleflight inside the graph), the node budget is enforced
 // against live node counts on every resolution, and evicting a graph

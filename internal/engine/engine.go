@@ -109,7 +109,6 @@ type Engine struct {
 	progressMu  sync.Mutex
 	cache       *Cache
 	graphs      *GraphCache
-	graphBudget int
 	maxN        int
 	budget      int
 	// shardThreshold is defaultShardThreshold; in-package tests lower it
@@ -165,22 +164,13 @@ func WithMaxN(n int) Option {
 	return func(e *Engine) { e.maxN = n }
 }
 
-// WithGraphCache installs a shared exploration-graph cache, letting
-// several engines (the reprod service's per-request engines, say) reuse
-// expanded state spaces. A nil cache is replaced by a fresh private one.
-// The default is a fresh private cache with the engine's
-// WithGraphCacheBudget.
+// WithGraphCache installs an exploration-graph cache, letting several
+// engines (the reprod service's per-request engines, say) reuse expanded
+// state spaces; NewGraphCache sets its node budget. A nil cache is
+// replaced by a fresh private one. The default is a fresh private cache
+// with DefaultGraphCacheBudget.
 func WithGraphCache(c *GraphCache) Option {
 	return func(e *Engine) { e.graphs = c }
-}
-
-// WithGraphCacheBudget bounds the engine's private graph cache: the total
-// number of interned exploration-graph nodes retained across cached
-// graphs before least-recently-used graphs are evicted. A budget <= 0
-// (the default is 0) selects DefaultGraphCacheBudget. Ignored when
-// WithGraphCache installs a shared cache, which carries its own budget.
-func WithGraphCacheBudget(nodes int) Option {
-	return func(e *Engine) { e.graphBudget = nodes }
 }
 
 // WithBudget bounds the model checker's explored state space, in nodes,
@@ -209,7 +199,7 @@ func New(opts ...Option) *Engine {
 		e.cache = NewCache()
 	}
 	if e.graphs == nil {
-		e.graphs = NewGraphCache(e.graphBudget)
+		e.graphs = NewGraphCache(0)
 	}
 	// An out-of-range maxN is reported by Analyze/AnalyzeAll, not here:
 	// option application has no error channel.

@@ -12,10 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultGraphCacheBudget is the node budget a GraphCache is built with
-// when WithGraphCacheBudget is left at 0: the total number of interned
-// exploration-graph nodes retained across all cached graphs (roughly two
-// default-sized model-checker explorations).
+// DefaultGraphCacheBudget is the node budget NewGraphCache selects for a
+// budget <= 0, an engine's private cache included: the total number of
+// interned exploration-graph nodes retained across all cached graphs
+// (roughly two default-sized model-checker explorations).
 const DefaultGraphCacheBudget = 4_000_000
 
 // GraphStore is the persistence backend a GraphCache can spill to and

@@ -103,7 +103,7 @@ func TestGraphCacheServesCheckAndTheorem13(t *testing.T) {
 // checks the counters move while results stay correct.
 func TestGraphCacheEviction(t *testing.T) {
 	p := proto.NewCASRecoverable(2)
-	e := New(WithParallelism(1), WithGraphCacheBudget(1))
+	e := New(WithParallelism(1), WithGraphCache(NewGraphCache(1)))
 	inputSets := [][]int{{0, 1}, {1, 0}, {1, 1}, {0, 0}}
 	want := make([]batchObservable, len(inputSets))
 	for i, in := range inputSets {
@@ -233,7 +233,7 @@ func TestGraphCacheConcurrentChurn(t *testing.T) {
 	work = append(work, workload{p: tnn, req: CheckRequest{Inputs: []int{1, 0}, CrashQuota: []int{0, 2}}, chain: true})
 
 	// Budget of 1 node: every Get over-budget, eviction on every touch.
-	e := New(WithParallelism(4), WithGraphCacheBudget(1))
+	e := New(WithParallelism(4), WithGraphCache(NewGraphCache(1)))
 	wantChain := make(map[int]string)
 	for i, w := range work {
 		if !w.chain {

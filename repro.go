@@ -203,15 +203,10 @@ func WithMaxN(n int) Option { return engine.WithMaxN(n) }
 // WithBudget bounds the model checker's explored state space in nodes.
 func WithBudget(states int) Option { return engine.WithBudget(states) }
 
-// WithGraphCache installs a shared exploration-graph cache, letting
-// several engines reuse expanded state spaces across Check, CheckBatch
-// and Theorem13 calls.
+// WithGraphCache installs an exploration-graph cache, letting several
+// engines reuse expanded state spaces across Check, CheckBatch and
+// Theorem13 calls; NewGraphCache sets its node budget.
 func WithGraphCache(c *GraphCache) Option { return engine.WithGraphCache(c) }
-
-// WithGraphCacheBudget bounds the engine's private exploration-graph
-// cache in total interned nodes (budget <= 0 selects
-// DefaultGraphCacheBudget).
-func WithGraphCacheBudget(nodes int) Option { return engine.WithGraphCacheBudget(nodes) }
 
 // NewGraphCache returns an empty exploration-graph cache for
 // WithGraphCache (budget <= 0 selects DefaultGraphCacheBudget).
@@ -241,8 +236,8 @@ type GraphStore = graphstore.Store
 // at a time may own a directory.
 func OpenGraphStore(dir string) (*GraphStore, error) { return graphstore.Open(dir) }
 
-// DefaultGraphCacheBudget is the node budget WithGraphCacheBudget(0)
-// resolves to.
+// DefaultGraphCacheBudget is the node budget NewGraphCache(0) resolves
+// to, and that of an engine's private graph cache.
 const DefaultGraphCacheBudget = engine.DefaultGraphCacheBudget
 
 // Resolve parses a registry descriptor ("tas", "tnn:5,2", "x4",
