@@ -1,13 +1,14 @@
 // Command experiments runs the reproduction suite E1..E15 (every figure,
-// lemma and derived table documented in DESIGN.md) and prints
-// paper-vs-measured rows. Its markdown output is the measured section of
-// EXPERIMENTS.md.
+// lemma and derived table of the paper the repository reproduces) and
+// prints paper-vs-measured rows; -markdown prints the same outcomes as a
+// markdown report, one section per experiment with its paper claim and
+// measured rows.
 //
 // Usage:
 //
 //	experiments                # run everything, text report
 //	experiments -only E4,E5    # a subset
-//	experiments -markdown      # EXPERIMENTS.md body
+//	experiments -markdown      # the markdown report
 //	experiments -parallel 8    # run experiments on a worker pool
 //	experiments -timeout 2m    # best-effort bound: skips experiments
 //	                           # not yet started when the deadline fires

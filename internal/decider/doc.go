@@ -44,7 +44,10 @@
 //
 // # Concurrency
 //
-// IsNDiscerning and IsNRecording are safe for concurrent use. A level's
-// flattened tables are shared read-only by its workers; sweep scratch
-// is per worker and lives no longer than the level.
+// IsNDiscerning and IsNRecording are safe for concurrent use. They are
+// the only sharded level checks (the reference deciders are serial):
+// both run on discern.SearchSharded and report each finished worker as a
+// discern.ShardReport. A level's flattened tables are shared read-only
+// by its workers; sweep scratch is per worker and lives no longer than
+// the level.
 package decider

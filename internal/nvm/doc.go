@@ -4,8 +4,8 @@
 // application and access statistics.
 //
 // Go's garbage-collected runtime cannot host real persistent memory, so
-// this package is the substitution documented in DESIGN.md: object values
-// live in an explicit store that the simulation layer never resets, while
+// this package substitutes an explicit store for it: object values
+// live in a store that the simulation layer never resets, while
 // process-local state (ordinary Go variables in a process's program) is
 // wiped by restarting the program — exactly the crash semantics the paper
 // assumes.

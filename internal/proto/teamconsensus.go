@@ -29,7 +29,8 @@ import (
 // The decision is the team index (0 or 1). Full binary consensus
 // additionally requires mapping teams back to input values, which is the
 // part of DFFR's construction that lives in their paper; this protocol
-// isolates the recording mechanism itself (see DESIGN.md).
+// isolates the recording mechanism itself (Experiment E14 in
+// `go run ./cmd/experiments -markdown`).
 type TeamConsensus struct {
 	ft      *spec.FiniteType
 	witness *record.Witness

@@ -1,8 +1,8 @@
 // Package report defines the experiment harness: one Experiment per paper
 // artifact (figure, lemma, theorem or derived table), each of which
 // re-derives the paper's claim from the library and reports
-// paper-vs-measured rows. cmd/experiments runs the suite and prints the
-// tables recorded in EXPERIMENTS.md.
+// paper-vs-measured rows. cmd/experiments runs the suite and prints its
+// tables, as text or (with -markdown) as a markdown report.
 //
 // The package also renders engine progress events (ProgressLine,
 // ProgressWriter): one stable log line per event kind — level decisions,

@@ -15,8 +15,9 @@ import (
 	"repro/internal/universal"
 )
 
-// PaperSuite builds the full experiment suite E1..E11 of DESIGN.md,
-// running every spectrum analysis on the serial reference analyzer.
+// PaperSuite builds the full experiment suite E1..E15 (the ones
+// `go run ./cmd/experiments` lists), running every spectrum analysis on
+// the serial reference analyzer.
 func PaperSuite() *Suite {
 	return PaperSuiteWith(nil)
 }

@@ -157,7 +157,8 @@ func Render(outcomes []Outcome) string {
 	return b.String()
 }
 
-// Markdown formats outcomes as the EXPERIMENTS.md body.
+// Markdown formats outcomes as the markdown report cmd/experiments
+// prints with -markdown.
 func Markdown(outcomes []Outcome) string {
 	var b strings.Builder
 	for _, o := range outcomes {

@@ -29,7 +29,8 @@ import (
 // counterpart of the paper's separation. (DFFR's X_n achieves the larger
 // gap cons - rcons = 2; its definition appears in DFFR [4], not in this
 // paper, so this repository certifies the gap-1 family exactly and hunts
-// for gap-2 instances with cmd/xsearch — see DESIGN.md and EXPERIMENTS.md.)
+// for gap-2 instances with cmd/xsearch — see Experiment E9 in
+// `go run ./cmd/experiments -markdown`.)
 // XFour is a readable deterministic type with consensus number exactly 4
 // and recoverable consensus number exactly 2 — a concrete instance of the
 // paper's corollary that "for all n >= 4 there exists a readable type with
