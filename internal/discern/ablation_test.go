@@ -9,8 +9,8 @@ import (
 
 // The two ablations of the reference search live here, beside the tests
 // and benchmarks that use them: searchNaive drops the symmetry reduction
-// over operation assignments, and noShareCheck drops the shared-prefix
-// DFS over S(P).
+// over operation assignments, and checkAssignmentNoShare drops the
+// shared-prefix DFS over S(P).
 
 // searchNaive is the reference search without its symmetry reduction: it
 // decides every one of the numOps^n operation assignments with
@@ -33,17 +33,21 @@ func searchNaive(t *spec.FiniteType, n int) *Witness {
 	}
 }
 
-// noShareCheck is checkAssignment with observationsNoShare in place of
-// observations: the same witness, found by re-simulating every schedule.
+// noShareCheck is the per-assignment check of the no-share ablation.
 func noShareCheck(t *spec.FiniteType, n int) func([]spec.Op) *Witness {
-	return func(ops []spec.Op) *Witness {
-		for u := 0; u < t.NumValues(); u++ {
-			if teams := colorObservations(n, observationsNoShare(t, n, ops, spec.Value(u))); teams != nil {
-				return &Witness{N: n, U: spec.Value(u), Teams: teams, Ops: append([]spec.Op(nil), ops...)}
-			}
+	return func(ops []spec.Op) *Witness { return checkAssignmentNoShare(t, n, ops) }
+}
+
+// checkAssignmentNoShare is checkAssignment with observationsNoShare in
+// place of observations: the same witness, found by re-simulating every
+// schedule.
+func checkAssignmentNoShare(t *spec.FiniteType, n int, ops []spec.Op) *Witness {
+	for u := 0; u < t.NumValues(); u++ {
+		if teams := colorObservations(n, observationsNoShare(t, n, ops, spec.Value(u))); teams != nil {
+			return &Witness{N: n, U: spec.Value(u), Teams: teams, Ops: append([]spec.Op(nil), ops...)}
 		}
-		return nil
 	}
+	return nil
 }
 
 // observationsNoShare is the ablation variant of observations: it

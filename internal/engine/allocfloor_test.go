@@ -201,10 +201,10 @@ func TestNegativeLevelAllocFloor(t *testing.T) {
 // and 19, 21 and 23 when it also named the protocol three times and
 // formatted two details per batch whether or not anything read them).
 // The bounds keep the relative headroom 16, 18 and 20 left over 13, 15
-// and 17. With a no-op
-// consumer, Check and CheckBatch may allocate one more than headless:
-// the protocol's name, computed once per call (Check allocated 3
-// headless and 6 with a consumer when events carried formatted text).
+// and 17. With a no-op consumer, Check and CheckBatch may allocate one
+// more than headless: the protocol's name, computed once per call
+// (Check allocated 3 headless and 6 with a consumer when events carried
+// formatted text).
 // That comparison runs on fixedName, whose name costs exactly one
 // allocation: the registry protocols format theirs with fmt, whose
 // printer pool the race detector drains at random.

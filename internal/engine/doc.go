@@ -34,13 +34,13 @@
 // GraphCache: a bounded LRU keyed by protocol identity + input vector,
 // engine-private by default or installed with WithGraphCache, which
 // shares one cache across engines (the reprod service installs one
-// server-wide cache into its per-request engines). The cache owns only references:
-// graphs are built under the cache lock (cheap validation; expansion is
-// lazy and singleflight inside the graph), the node budget is enforced
-// against live node counts on every resolution, and evicting a graph
-// never invalidates walks already running on it — they hold their own
-// reference and finish unharmed. Every engine has a graph cache, its
-// own or a shared one.
+// server-wide cache into its per-request engines). The cache owns only
+// references: graphs are built under the cache lock (cheap validation;
+// expansion is lazy and singleflight inside the graph), the node budget
+// is enforced against live node counts on every resolution, and
+// evicting a graph never invalidates walks already running on it — they
+// hold their own reference and finish unharmed. Every engine has a graph
+// cache, its own or a shared one.
 //
 // # Observability
 //

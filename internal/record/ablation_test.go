@@ -10,8 +10,8 @@ import (
 
 // The two ablations of the reference search live here, beside the tests
 // and benchmarks that use them: searchNaive drops the symmetry reduction
-// over operation assignments, and noShareCheck drops the shared-prefix
-// DFS over S(P).
+// over operation assignments, and checkAssignmentNoShare drops the
+// shared-prefix DFS over S(P).
 
 // searchNaive is the reference search without its symmetry reduction: it
 // decides every one of the numOps^n operation assignments with
@@ -34,18 +34,22 @@ func searchNaive(t *spec.FiniteType, n int) *Witness {
 	}
 }
 
-// noShareCheck is checkAssignment with finalValuesNoShare in place of
-// finalValues: the same witness, found by re-simulating every schedule.
+// noShareCheck is the per-assignment check of the no-share ablation.
 func noShareCheck(t *spec.FiniteType, n int) func([]spec.Op) *Witness {
-	return func(ops []spec.Op) *Witness {
-		for u := 0; u < t.NumValues(); u++ {
-			firstMask := finalValuesNoShare(t, n, ops, spec.Value(u))
-			if teams := ColorFinal(uf.New(n), firstMask, spec.Value(u)); teams != nil {
-				return &Witness{N: n, U: spec.Value(u), Teams: teams, Ops: append([]spec.Op(nil), ops...)}
-			}
+	return func(ops []spec.Op) *Witness { return checkAssignmentNoShare(t, n, ops) }
+}
+
+// checkAssignmentNoShare is checkAssignment with finalValuesNoShare in
+// place of finalValues: the same witness, found by re-simulating every
+// schedule.
+func checkAssignmentNoShare(t *spec.FiniteType, n int, ops []spec.Op) *Witness {
+	for u := 0; u < t.NumValues(); u++ {
+		firstMask := finalValuesNoShare(t, n, ops, spec.Value(u))
+		if teams := ColorFinal(uf.New(n), firstMask, spec.Value(u)); teams != nil {
+			return &Witness{N: n, U: spec.Value(u), Teams: teams, Ops: append([]spec.Op(nil), ops...)}
 		}
-		return nil
 	}
+	return nil
 }
 
 // finalValuesNoShare is the ablation variant of finalValues: every
