@@ -598,12 +598,11 @@ func BenchmarkGraphStoreWarmStart(b *testing.B) {
 }
 
 // BenchmarkTheorem13Graph measures graph-backed Theorem 13 chains: the
-// construction walking one shared exploration graph for all stages
-// (shared, the default) versus re-exploring each stage on a one-shot
-// graph (per-stage, the pre-cache behavior, kept as the
-// FreshGraphPerStage ablation). The tas-reg case is the multi-walk
-// chain: its colliding stage forces a second full exploration, which the
-// shared graph serves without expanding a single new node.
+// construction walking one shared exploration graph for all stages. The
+// tas-reg case is the multi-walk chain: its colliding stage forces a
+// second full exploration, which the shared graph serves without
+// expanding a single new node. The per-stage reference, every stage on a
+// one-shot graph, is BenchmarkTheorem13PerStage in internal/model.
 func BenchmarkTheorem13Graph(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -616,28 +615,15 @@ func BenchmarkTheorem13Graph(b *testing.B) {
 		{"tnn-rec42", proto.NewTnnRecoverable(4, 2, 2), []int{1, 0}, []int{0, 2}, false},
 		// tas-reg's chain legitimately dies at stage 1 (wait-free-only
 		// algorithms are not crash-tolerant — that is Golab's
-		// separation); both variants still pay stage 1's exploration,
-		// which is the interesting one to amortize.
+		// separation); it still pays stage 1's exploration, which is the
+		// interesting one to amortize.
 		{"tas-reg", proto.NewTASConsensus(), []int{1, 0}, []int{2, 2}, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name+"/shared", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				chain, err := model.Theorem13ChainOpts(c.pr, c.inputs, c.quota, model.ChainOpts{})
-				if err != nil && !c.mayErr {
-					b.Fatalf("chain failed: %v", err)
-				}
-				if len(chain.Stages) == 0 {
-					b.Fatal("no stages")
-				}
-			}
-		})
-		b.Run(c.name+"/per-stage", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				chain, err := model.Theorem13ChainOpts(c.pr, c.inputs, c.quota,
-					model.ChainOpts{FreshGraphPerStage: true})
+				chain, err := model.Theorem13Chain(c.pr, c.inputs, c.quota)
 				if err != nil && !c.mayErr {
 					b.Fatalf("chain failed: %v", err)
 				}

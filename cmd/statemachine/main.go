@@ -19,12 +19,12 @@
 // sub-decisions collapse in the cache, instead of each type serializing
 // behind the previous one.
 //
-// -check reads a model-check batch as JSON — the same shape as the
-// reprod service's POST /v1/check body: {"protocol":"cas-rec:2",
-// "requests":[{"inputs":[0,1],"crashQuota":[1,1]}]} — and runs it as one
-// Engine.CheckBatch: requests with the same inputs walk one shared
-// exploration graph, per-item errors stay per-item, and the JSON result
-// (per-request outcomes plus graph-reuse counters) lands on stdout.
+// -check reads a reprod POST /v1/check body, such as {"protocol":
+// "cas-rec:2","requests":[{"inputs":[0,1],"crashQuota":[1,1]}]}, runs it
+// through the service's check path (serve.RunCheckBatch, with no batch
+// limit or node ceiling) and prints the reply /v1/check gives, indented.
+// A protocolFingerprint names a protocol registered with a reprod server,
+// so it needs one: this tool has no protocol registry.
 package main
 
 import (
@@ -36,11 +36,11 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/registry"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -58,7 +58,7 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list registered type descriptors")
 	analyze := fs.Bool("analyze", false, "append the type's hierarchy summary")
 	batch := fs.String("batch", "", "read type descriptors from this file, one per line (\"-\" = stdin); with -analyze, all types run in one engine pass")
-	check := fs.String("check", "", "read a model-check batch (JSON: {\"protocol\":...,\"requests\":[...]}) from this file (\"-\" = stdin) and run one Engine.CheckBatch")
+	check := fs.String("check", "", "read a POST /v1/check body (JSON: {\"protocol\":...,\"requests\":[...]}) from this file (\"-\" = stdin) and print the service's reply")
 	ef := cli.AddEngineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,7 +75,7 @@ func run(args []string) error {
 	defer cleanup()
 
 	if *check != "" {
-		if err := runCheckBatch(eng, *check); err != nil {
+		if err := runCheck(eng, *check); err != nil {
 			return err
 		}
 		ef.Summary(eng.Cache())
@@ -146,43 +146,9 @@ func run(args []string) error {
 	return nil
 }
 
-// checkFile is the -check input: one protocol descriptor plus the
-// request batch, using the same field names as POST /v1/check on the
-// reprod service, so a request body works as a -check file unchanged.
-type checkFile struct {
-	Protocol string `json:"protocol"`
-	Requests []struct {
-		Inputs       []int `json:"inputs"`
-		CrashQuota   []int `json:"crashQuota,omitempty"`
-		MaxNodes     int   `json:"maxNodes,omitempty"`
-		SkipLiveness bool  `json:"skipLiveness,omitempty"`
-		TimeoutMs    int   `json:"timeoutMs,omitempty"`
-	} `json:"requests"`
-}
-
-// checkResult is one -check outcome; checkOutput is the full rendering,
-// one result per request (positionally aligned), plus the batch's
-// graph-reuse counters.
-type checkResult struct {
-	Error      string   `json:"error,omitempty"`
-	OK         bool     `json:"ok"`
-	Nodes      int      `json:"nodes,omitempty"`
-	Truncated  bool     `json:"truncated,omitempty"`
-	Violations []string `json:"violations,omitempty"`
-}
-
-type checkOutput struct {
-	Protocol string           `json:"protocol"`
-	Results  []checkResult    `json:"results"`
-	Graph    repro.GraphStats `json:"graph"`
-}
-
-// runCheckBatch loads a -check batch file and runs it as one
-// Engine.CheckBatch: every request with the same inputs walks one shared
-// exploration graph, and the whole batch runs concurrently on the
-// engine's pool. Results are printed as JSON on stdout; per-item errors
-// (malformed inputs) land in their item, not the exit status.
-func runCheckBatch(eng *repro.Engine, path string) error {
+// runCheck runs a -check body; per-item errors land in their item, not
+// the exit status.
+func runCheck(eng *repro.Engine, path string) error {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -192,59 +158,27 @@ func runCheckBatch(eng *repro.Engine, path string) error {
 		defer f.Close()
 		r = f
 	}
-	var cf checkFile
+	var body serve.CheckRequestBody
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cf); err != nil {
+	if err := dec.Decode(&body); err != nil {
 		return fmt.Errorf("-check: parse %s: %w", path, err)
 	}
-	if len(cf.Requests) == 0 {
-		return fmt.Errorf("-check: %s has no requests", path)
+	if err := body.Validate(0); err != nil {
+		return fmt.Errorf("-check: %w", err)
 	}
-	pr, err := eng.ResolveProtocol(cf.Protocol)
+	if body.ProtocolFingerprint != "" {
+		return fmt.Errorf("-check: protocolFingerprint names a protocol registered with a reprod server; this tool has no protocol registry")
+	}
+	pr, err := eng.ResolveProtocol(body.Protocol)
 	if err != nil {
 		return fmt.Errorf("-check: %w", err)
 	}
-	reqs := make([]repro.CheckRequest, len(cf.Requests))
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	for i, item := range cf.Requests {
-		reqs[i] = repro.CheckRequest{
-			Inputs:       item.Inputs,
-			CrashQuota:   item.CrashQuota,
-			MaxNodes:     item.MaxNodes,
-			SkipLiveness: item.SkipLiveness,
-		}
-		if item.TimeoutMs > 0 {
-			// Per-item deadline, exactly as the /v1/check handler wires
-			// timeoutMs: an expired item fails alone.
-			ctx, c := context.WithTimeout(context.Background(), time.Duration(item.TimeoutMs)*time.Millisecond)
-			cancels = append(cancels, c)
-			reqs[i].Ctx = ctx
-		}
-	}
-	items, gs, err := eng.CheckBatch(pr, reqs)
+	resp, err := serve.RunCheckBatch(context.Background(), eng, pr, body.Protocol, body.Requests, 0)
 	if err != nil {
 		return fmt.Errorf("-check: %w", err)
 	}
-	out := checkOutput{Protocol: cf.Protocol, Graph: gs, Results: make([]checkResult, len(items))}
-	for i, it := range items {
-		if it.Err != nil {
-			out.Results[i].Error = it.Err.Error()
-			continue
-		}
-		out.Results[i].OK = it.Result.OK()
-		out.Results[i].Nodes = it.Result.Nodes
-		out.Results[i].Truncated = it.Result.Truncated
-		for _, v := range it.Result.Violations {
-			out.Results[i].Violations = append(out.Results[i].Violations, v.String())
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.MarshalIndent(resp, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/internal/spec"
 )
 
@@ -141,6 +144,50 @@ func TestCheckBatchMode(t *testing.T) {
 	}
 	if res.Graph.Expanded == 0 || res.Graph.Reused == 0 {
 		t.Fatalf("batch reported no graph sharing: %+v", res.Graph)
+	}
+}
+
+// TestCheckMatchesService: -check prints exactly the reply POST /v1/check
+// gives for the same body, legacy backend field included: violations as
+// {kind, trace, config, detail}, per-item errors and graph counters.
+func TestCheckMatchesService(t *testing.T) {
+	body := `{"protocol":"tas-reg","backend":"auto","requests":[{"inputs":[0,1],"crashQuota":[1,1]},{"inputs":[0]}]}`
+	rec := httptest.NewRecorder()
+	serve.New(serve.Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/check = %d %s", rec.Code, rec.Body)
+	}
+	var resp serve.CheckResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 2 || len(resp.Results[0].Violations) != 1 ||
+		resp.Results[0].Violations[0].Kind != "agreement" || !strings.Contains(resp.Results[1].Error, "inputs") {
+		t.Fatalf("unexpected service reply: %s", rec.Body)
+	}
+	want, err := json.MarshalIndent(resp, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	file := t.TempDir() + "/reqs.json"
+	if err := os.WriteFile(file, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, func() error { return run([]string{"-check", file}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want)+"\n" {
+		t.Fatalf("-check output differs from the /v1/check reply:\n got %s\nwant %s", out, want)
+	}
+
+	if err := os.WriteFile(file, []byte(`{"protocolFingerprint":"00","requests":[{"inputs":[0,1]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = capture(t, func() error { return run([]string{"-check", file}) })
+	if err == nil || !strings.Contains(err.Error(), "no protocol registry") {
+		t.Fatalf("protocolFingerprint body: err = %v, want one naming the missing protocol registry", err)
 	}
 }
 

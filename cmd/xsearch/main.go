@@ -119,15 +119,19 @@ func run(args []string) error {
 		}
 	}
 	hitsBySize := make([][]xsearch.Candidate, len(sizes))
-	searched, _ := pool.Run(sctx, len(sizes), ef.Parallel, func(i int) error {
+	searched, err := pool.Run(sctx, len(sizes), ef.Parallel, func(i int) error {
 		sz := sizes[i]
-		hitsBySize[i] = xsearch.SearchDecider(sctx, eng, *n, *seedStart, *attempts,
+		var err error
+		hitsBySize[i], err = xsearch.SearchDecider(sctx, eng, *n, *seedStart, *attempts,
 			[]int{sz}, *attempts/4, progressFor(sz))
 		if len(hitsBySize[i]) > 0 {
 			stopEarly()
 		}
-		return nil
+		return err
 	})
+	if err != nil {
+		return err
+	}
 
 	found := 0
 	for _, hits := range hitsBySize[:searched] {

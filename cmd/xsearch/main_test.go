@@ -52,6 +52,17 @@ func TestNoHitFails(t *testing.T) {
 	}
 }
 
+// TestNAboveCapFails: n above the level decider's cap fails with the
+// decider's own message, as rcnum does, not as a search without hits.
+func TestNAboveCapFails(t *testing.T) {
+	_, err := capture(t, func() error {
+		return run([]string{"-n", "17", "-attempts", "3", "-sizes", "5", "-parallel", "1"})
+	})
+	if want := "n=17 is above the level decider's cap n <= 16"; err == nil || err.Error() != want {
+		t.Fatalf("-n 17: error %v, want %q", err, want)
+	}
+}
+
 func TestArgErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "3"},

@@ -92,17 +92,19 @@ func observationsNoShare(t *spec.FiniteType, n int, ops []spec.Op, u spec.Value)
 }
 
 // BenchmarkAblationDiscernNaive compares the naive operation-assignment
-// enumeration against the symmetry-reduced reference.
+// enumeration against the symmetry-reduced reference. T_{4,2} is not
+// 5-discerning, so both scan their whole space (at n = 4 an early
+// assignment is a witness, and both would stop after two).
 func BenchmarkAblationDiscernNaive(b *testing.B) {
 	ft := types.Tnn(4, 2)
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			searchNaive(ft, 4)
+			searchNaive(ft, 5)
 		}
 	})
 	b.Run("reduced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			IsNDiscerning(ft, 4)
+			IsNDiscerning(ft, 5)
 		}
 	})
 }

@@ -114,7 +114,7 @@ func (e *Engine) CheckBatch(p model.Protocol, reqs []CheckRequest) ([]CheckItem,
 			Ctx:          ctx,
 			Inputs:       req.Inputs,
 			CrashQuota:   req.CrashQuota,
-			MaxNodes:     e.maxNodes(req),
+			MaxNodes:     req.MaxNodes,
 			SkipLiveness: req.SkipLiveness,
 		})
 		if err != nil {

@@ -110,7 +110,6 @@ type Engine struct {
 	cache       *Cache
 	graphs      *GraphCache
 	maxN        int
-	budget      int
 	// shardThreshold is defaultShardThreshold; in-package tests lower it
 	// to force sharding.
 	shardThreshold int
@@ -171,14 +170,6 @@ func WithMaxN(n int) Option {
 // with DefaultGraphCacheBudget.
 func WithGraphCache(c *GraphCache) Option {
 	return func(e *Engine) { e.graphs = c }
-}
-
-// WithBudget bounds the model checker's explored state space, in nodes,
-// for Check and Theorem13 (0 means the checker's default). Explorations
-// that exceed the budget come back Truncated, exactly as with
-// model.CheckOpts.MaxNodes.
-func WithBudget(states int) Option {
-	return func(e *Engine) { e.budget = states }
 }
 
 // New constructs an Engine from the given options.
@@ -520,8 +511,9 @@ type CheckRequest struct {
 	Inputs []int
 	// CrashQuota[p] bounds process p's crashes (nil: crash-free).
 	CrashQuota []int
-	// MaxNodes overrides the engine's budget for this run (0: use the
-	// engine budget, which itself defaults to the checker's default).
+	// MaxNodes bounds the run's explored state space, in nodes (0:
+	// model.DefaultMaxNodes); a Theorem13 chain applies it to each stage.
+	// An exploration that exceeds it comes back Truncated.
 	MaxNodes int
 	// SkipLiveness disables the recoverable wait-freedom (cycle) check.
 	SkipLiveness bool
@@ -532,16 +524,8 @@ type CheckRequest struct {
 	Ctx context.Context
 }
 
-// maxNodes resolves a request's node bound against the engine budget.
-func (e *Engine) maxNodes(req CheckRequest) int {
-	if req.MaxNodes > 0 {
-		return req.MaxNodes
-	}
-	return e.budget
-}
-
-// Check model-checks a consensus protocol under the engine's context and
-// state budget (plus the request's own context, when set). The walk runs
+// Check model-checks a consensus protocol under the engine's context
+// (plus the request's own context, when set). The walk runs
 // on the engine's cached exploration graph for (p, inputs): a repeat
 // check on one engine walks a warm graph and expands nothing. For many
 // requests against one protocol, CheckBatch amortizes the state-space
@@ -562,7 +546,7 @@ func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error
 		Ctx:          ctx,
 		Inputs:       req.Inputs,
 		CrashQuota:   req.CrashQuota,
-		MaxNodes:     e.maxNodes(req),
+		MaxNodes:     req.MaxNodes,
 		SkipLiveness: req.SkipLiveness,
 	})
 	if err != nil {
@@ -575,11 +559,11 @@ func (e *Engine) Check(p model.Protocol, req CheckRequest) (*model.Result, error
 }
 
 // Theorem13 runs the mechanized Theorem 13 chain construction under the
-// engine's context and state budget, reporting each stage as a progress
-// event. All chain stages walk the engine's cached exploration graph for
-// (p, inputs), so the chain expands the overlapping per-stage state
-// spaces once — and a repeated chain (or a Check of the same protocol
-// and inputs) reuses them again.
+// engine's context, reporting each stage as a progress event. The chain
+// is Graph.Theorem13 on the engine's cached exploration graph for
+// (p, inputs), so it expands the overlapping per-stage state spaces once
+// — and a repeated chain (or a Check of the same protocol and inputs)
+// reuses them again.
 func (e *Engine) Theorem13(p model.Protocol, req CheckRequest) (*model.Chain, error) {
 	start := time.Now()
 	name := e.protoName(p)
@@ -592,10 +576,9 @@ func (e *Engine) Theorem13(p model.Protocol, req CheckRequest) (*model.Chain, er
 	}
 	before := g.Stats()
 	walkStart := time.Now()
-	chain, err := model.Theorem13ChainOpts(p, req.Inputs, req.CrashQuota, model.ChainOpts{
+	chain, err := g.Theorem13(req.CrashQuota, model.ChainOpts{
 		Ctx:      ctx,
-		MaxNodes: e.maxNodes(req),
-		Graph:    g,
+		MaxNodes: req.MaxNodes,
 		OnStage: func(stage int, info *model.CriticalInfo) {
 			e.emit(Event{Kind: "chain.stage", Type: name, N: stage, Class: info.Class})
 		},

@@ -131,8 +131,8 @@ func TestOptions(t *testing.T) {
 			}
 		}},
 		{"explicit", []Option{WithContext(ctx), WithParallelism(7), WithMaxN(3),
-			WithBudget(1234), WithCache(cache)}, func(t *testing.T, e *Engine) {
-			if e.parallelism != 7 || e.maxN != 3 || e.budget != 1234 || e.cache != cache {
+			WithCache(cache)}, func(t *testing.T, e *Engine) {
+			if e.parallelism != 7 || e.maxN != 3 || e.cache != cache {
 				t.Error("options not applied")
 			}
 		}},
@@ -417,24 +417,31 @@ func TestCheckAndTheorem13(t *testing.T) {
 	}
 }
 
-// TestBudgetTruncates checks WithBudget maps onto exploration truncation.
+// TestBudgetTruncates checks CheckRequest.MaxNodes maps onto exploration
+// truncation, and that 0 leaves the checker's default.
 func TestBudgetTruncates(t *testing.T) {
-	eng := New(WithBudget(3))
-	res, err := eng.Check(proto.NewCASRecoverable(3), CheckRequest{Inputs: []int{0, 1, 1}})
+	eng := New()
+	res, err := eng.Check(proto.NewCASRecoverable(3), CheckRequest{Inputs: []int{0, 1, 1}, MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Truncated {
 		t.Error("a 3-node budget must truncate the exploration")
 	}
-	// A per-request override beats the engine budget.
+	res, err = eng.Check(proto.NewCASRecoverable(3), CheckRequest{Inputs: []int{0, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated {
+		t.Error("MaxNodes 0 must leave the checker's default bound")
+	}
 	res, err = eng.Check(proto.NewCASRecoverable(2),
 		CheckRequest{Inputs: []int{0, 1}, MaxNodes: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Truncated {
-		t.Error("request-level MaxNodes override ignored")
+		t.Error("request-level MaxNodes ignored")
 	}
 }
 

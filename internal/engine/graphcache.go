@@ -36,9 +36,14 @@ type GraphStore interface {
 // expansion it has ever performed, so repeated checks of the same
 // protocol and inputs walk a warm graph and expand nothing.
 //
-// Graph construction is cheap (validation only; expansion is lazy), so
-// builds run under the cache lock, which doubles as singleflight:
-// concurrent requests for the same key always share one graph.
+// A miss builds its graph under the cache lock: model.NewGraph compiles
+// the protocol to transition tables (validation, the closure over its
+// reachable local states, the tables themselves), and with a store the
+// disk load and import run there too; expansion stays lazy, in the
+// graph. The lock doubles as singleflight: concurrent requests for the
+// same key always share one graph. The compile is not free (ROADMAP item
+// 7 measured 47–180 allocations and 5.6–20.1 µs per NewGraph on the
+// benchmark's protocol pool) and holds up every other Get meanwhile.
 //
 // # Protocol identity
 //

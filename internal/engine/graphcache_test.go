@@ -300,8 +300,9 @@ func TestGraphCacheConcurrentChurn(t *testing.T) {
 
 // TestTheorem13GraphBackedMatchesSerial is the chain byte-identity
 // property test at the engine level: the graph-cached chain must render
-// identically to the pre-cache per-stage construction for the registry
-// protocols.
+// identically to model.Theorem13Chain on a fresh graph for the registry
+// protocols (model's own tests hold that chain to the per-stage
+// reference).
 func TestTheorem13GraphBackedMatchesSerial(t *testing.T) {
 	cases := []struct {
 		desc   string
@@ -319,8 +320,7 @@ func TestTheorem13GraphBackedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := model.Theorem13ChainOpts(p, tc.inputs, tc.quota,
-			model.ChainOpts{FreshGraphPerStage: true})
+		want, err := model.Theorem13Chain(p, tc.inputs, tc.quota)
 		if err != nil {
 			t.Fatalf("%s serial: %v", tc.desc, err)
 		}

@@ -50,70 +50,50 @@ type Chain struct {
 // For a correct recoverable algorithm the chain is expected to end in an
 // n-recording configuration; for wait-free-only algorithms it may end
 // colliding (see Experiment E6), which is exactly why such algorithms are
-// not crash-tolerant.
+// not crash-tolerant. Theorem13Chain builds one graph for pr and inputs
+// and runs Graph.Theorem13 on it.
 func Theorem13Chain(pr Protocol, inputs []int, quota []int) (*Chain, error) {
-	return Theorem13ChainOpts(pr, inputs, quota, ChainOpts{})
+	g, err := NewGraph(pr, inputs)
+	if err != nil {
+		return &Chain{}, err
+	}
+	return g.Theorem13(quota, ChainOpts{})
 }
 
-// ChainOpts configures the Theorem 13 chain construction.
+// ChainOpts configures a Theorem 13 chain.
 type ChainOpts struct {
 	// Ctx, when non-nil, cancels the per-stage explorations.
 	Ctx context.Context
-	// MaxNodes bounds each stage's exploration (0 means the model
-	// checker's default).
+	// MaxNodes bounds each stage's exploration (0 means DefaultMaxNodes).
 	MaxNodes int
 	// OnStage, when non-nil, is invoked after each stage is classified —
 	// the engine's progress hook.
 	OnStage func(stage int, info *CriticalInfo)
-	// Graph, when non-nil, is the shared exploration graph every stage
-	// walks (it must have been built for pr and inputs, e.g. served by
-	// the engine's graph cache). When nil — and FreshGraphPerStage is
-	// unset — the construction builds one graph itself and shares it
-	// across stages: each stage is a StartTrace-overlay walk, so an
-	// L-stage chain expands the common state space once, not L times.
-	Graph *Graph
-	// FreshGraphPerStage restores the historical behavior of exploring
-	// every stage on its own one-shot graph. It exists as the ablation
-	// baseline for benchmarks and the byte-identity property tests;
-	// results are identical either way, only the expansion work differs.
-	// Ignored when Graph is set.
-	FreshGraphPerStage bool
 }
 
-// Theorem13ChainOpts is Theorem13Chain with cancellation, a per-stage
-// node budget, a stage progress hook, and shared-graph exploration: by
-// default all stages walk one exploration graph (ChainOpts.Graph, or a
-// private one), so the chain's overlapping per-stage state spaces are
-// expanded once.
-func Theorem13ChainOpts(pr Protocol, inputs []int, quota []int, o ChainOpts) (*Chain, error) {
-	n := pr.Procs()
+// Theorem13 runs the Theorem 13 chain (see Theorem13Chain) on g, with
+// cancellation, a per-stage node bound and a stage progress hook. Every
+// stage is a StartTrace walk of g, so an L-stage chain expands the
+// overlapping per-stage state spaces once, not L times, and a chain on a
+// warm graph (the engine's cached one) expands nothing.
+func (g *Graph) Theorem13(quota []int, o ChainOpts) (*Chain, error) {
+	return theorem13(g.m.n, g.inputs, quota, o, g.Check)
+}
+
+// theorem13 is the chain loop over n processes; check explores one
+// stage.
+func theorem13(n int, inputs, quota []int, o ChainOpts, check func(CheckOpts) (*Result, error)) (*Chain, error) {
 	chain := &Chain{}
 	prefix := schedule.Schedule{}
-
-	g := o.Graph
-	if g == nil && !o.FreshGraphPerStage {
-		var err error
-		if g, err = NewGraph(pr, inputs); err != nil {
-			return chain, err
-		}
-	}
-
 	for stage := 0; stage <= n; stage++ {
-		opts := CheckOpts{
+		res, err := check(CheckOpts{
 			Ctx:          o.Ctx,
 			Inputs:       inputs,
 			CrashQuota:   quota,
 			StartTrace:   prefix,
 			MaxNodes:     o.MaxNodes,
 			SkipLiveness: true,
-		}
-		var res *Result
-		var err error
-		if g != nil {
-			res, err = g.Check(opts)
-		} else {
-			res, err = Check(pr, opts)
-		}
+		})
 		if err != nil {
 			return chain, err
 		}

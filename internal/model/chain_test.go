@@ -112,21 +112,26 @@ func chainCases() []struct {
 // TestTheorem13ChainGraphMatchesPerStage is the chain byte-identity
 // property test: the shared-graph construction must produce stages
 // identical — start schedules, critical traces, classifications, team
-// vectors — to the historical per-stage construction (FreshGraphPerStage)
-// AND to a direct serial replay of every stage (a fresh model.Check from
-// the stage's start prefix followed by FindCritical).
+// vectors — to the per-stage reference (Theorem13PerStage, the chain loop
+// over one-shot graphs) AND to a direct serial replay of every stage (a
+// fresh model.Check from the stage's start prefix followed by
+// FindCritical).
 func TestTheorem13ChainGraphMatchesPerStage(t *testing.T) {
 	for _, tc := range chainCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			shared, errShared := model.Theorem13ChainOpts(tc.pr, tc.inputs, tc.quota, model.ChainOpts{})
-			fresh, errFresh := model.Theorem13ChainOpts(tc.pr, tc.inputs, tc.quota,
-				model.ChainOpts{FreshGraphPerStage: true})
+			shared, errShared := model.Theorem13Chain(tc.pr, tc.inputs, tc.quota)
+			fresh, errFresh := model.Theorem13PerStage(tc.pr, tc.inputs, tc.quota)
 			if (errShared == nil) != (errFresh == nil) {
 				t.Fatalf("error behavior diverged: shared %v, per-stage %v", errShared, errFresh)
 			}
 			if errShared != nil {
 				if errShared.Error() != errFresh.Error() {
 					t.Fatalf("errors diverged: shared %v, per-stage %v", errShared, errFresh)
+				}
+				// tas-reg is wait-free only: its colliding stage 0 leads to
+				// a configuration with no critical execution.
+				if want := "stage 1: model: process p0 already decided in critical configuration"; tc.name != "tas-reg" || errShared.Error() != want {
+					t.Fatalf("chain error %q, want tas-reg's %q", errShared, want)
 				}
 				return
 			}
@@ -186,8 +191,7 @@ func TestTheorem13ChainSharedGraphExpandsOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			var perStage []model.GraphStats
-			shared, chainErr := model.Theorem13ChainOpts(tc.pr, tc.inputs, tc.quota, model.ChainOpts{
-				Graph:   g,
+			shared, chainErr := g.Theorem13(tc.quota, model.ChainOpts{
 				OnStage: func(int, *model.CriticalInfo) { perStage = append(perStage, g.Stats()) },
 			})
 			if chainErr != nil && len(shared.Stages) == 0 {
@@ -223,6 +227,39 @@ func TestTheorem13ChainSharedGraphExpandsOnce(t *testing.T) {
 			if sharedTotal := g.Stats().Expanded; sharedTotal > freshTotal {
 				t.Fatalf("shared graph expanded more (%d) than per-stage total (%d)",
 					sharedTotal, freshTotal)
+			}
+		})
+	}
+}
+
+// BenchmarkTheorem13PerStage measures the per-stage reference
+// (Theorem13PerStage: every stage re-explored on a one-shot graph) on the
+// cases of the root package's BenchmarkTheorem13Graph, whose */shared
+// sub-benchmarks measure the production chain walking one graph.
+func BenchmarkTheorem13PerStage(b *testing.B) {
+	cases := []struct {
+		name   string
+		pr     model.Protocol
+		inputs []int
+		quota  []int
+		mayErr bool
+	}{
+		{"cas-rec2", proto.NewCASRecoverable(2), []int{1, 0}, []int{0, 2}, false},
+		{"tnn-rec42", proto.NewTnnRecoverable(4, 2, 2), []int{1, 0}, []int{0, 2}, false},
+		// tas-reg's chain dies at stage 1, after paying its exploration.
+		{"tas-reg", proto.NewTASConsensus(), []int{1, 0}, []int{2, 2}, true},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				chain, err := model.Theorem13PerStage(c.pr, c.inputs, c.quota)
+				if err != nil && !c.mayErr {
+					b.Fatalf("chain failed: %v", err)
+				}
+				if len(chain.Stages) == 0 {
+					b.Fatal("no stages")
+				}
 			}
 		})
 	}

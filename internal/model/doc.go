@@ -75,9 +75,9 @@
 //
 // Check builds a one-shot Graph; batch callers (engine.CheckBatch) walk
 // one Graph per input vector, long-lived callers (the engine's graph
-// cache) keep Graphs warm across calls, and Theorem13ChainOpts walks
-// every chain stage over one Graph — all share every transition,
-// output-merge and packing computation. Export and ImportSnapshot copy
+// cache) keep Graphs warm across calls, and Graph.Theorem13 walks every
+// chain stage over the Graph it is called on — all share every
+// transition, output-merge and packing computation. Export and ImportSnapshot copy
 // the arena out and in as words plus successor ids (GraphSnapshot), the
 // unit internal/graphstore persists.
 //
@@ -106,6 +106,6 @@
 // scheduling (the liveness sweep walks nodes in discovery order, not map
 // order). Shared-graph walks are byte-identical to serial ones, and
 // shared-graph Theorem 13 chains are byte-identical to the per-stage
-// construction (ChainOpts.FreshGraphPerStage is kept as the tested
-// ablation baseline).
+// construction, which the package's tests keep as their reference (the
+// same chain loop with every stage on a one-shot graph).
 package model

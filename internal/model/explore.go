@@ -7,6 +7,10 @@ import (
 	"repro/internal/schedule"
 )
 
+// DefaultMaxNodes is the node bound of a walk whose CheckOpts.MaxNodes is
+// 0 or less: the model checker's default.
+const DefaultMaxNodes = 2_000_000
+
 // CheckOpts configures an exploration.
 type CheckOpts struct {
 	// Ctx, when non-nil, cancels the exploration: Check polls it
@@ -23,7 +27,7 @@ type CheckOpts struct {
 	// input of some process.
 	Validity func(decided int) bool
 	// MaxNodes aborts exploration when the state space exceeds the bound
-	// (0 means the default of 2,000,000).
+	// (0 or less means DefaultMaxNodes).
 	MaxNodes int
 	// SkipLiveness disables the recoverable wait-freedom (cycle) check.
 	SkipLiveness bool

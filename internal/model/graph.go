@@ -599,8 +599,8 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		return nil, fmt.Errorf("model: %d crash quotas for %d processes", len(quota), n)
 	}
 	maxNodes := opts.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 2_000_000
+	if maxNodes <= 0 {
+		maxNodes = DefaultMaxNodes
 	}
 
 	// Walk nodes, edges and usage ids are int32 indices; a walk that

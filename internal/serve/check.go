@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"context"
+	"fmt"
 	"net/http"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/model"
 )
 
 // DefaultCheckMaxNodes bounds one model-check item's explored state
-// space when Config.CheckMaxNodes is 0. It matches the model checker's
-// own default.
-const DefaultCheckMaxNodes = 2_000_000
+// space when Config.CheckMaxNodes is 0: the model checker's own default.
+const DefaultCheckMaxNodes = model.DefaultMaxNodes
 
 // CheckItemRequest is one element of a POST /v1/check batch.
 type CheckItemRequest struct {
@@ -18,8 +21,8 @@ type CheckItemRequest struct {
 	Inputs []int `json:"inputs"`
 	// CrashQuota[p] bounds process p's crashes (absent: crash-free).
 	CrashQuota []int `json:"crashQuota,omitempty"`
-	// MaxNodes bounds this item's explored state space (0 = server
-	// default; capped at the server's CheckMaxNodes).
+	// MaxNodes bounds this item's explored state space (0 = the server's
+	// CheckMaxNodes, which also caps it; see RunCheckBatch).
 	MaxNodes int `json:"maxNodes,omitempty"`
 	// SkipLiveness disables the recoverable wait-freedom (cycle) check.
 	SkipLiveness bool `json:"skipLiveness,omitempty"`
@@ -69,14 +72,96 @@ type CheckResponse struct {
 	Graph model.GraphStats `json:"graph"`
 }
 
-// resolveCheckMaxNodes applies the server's default and ceiling to one
-// item's node budget.
-func (s *Server) resolveCheckMaxNodes(reqMax int) int {
-	ceiling := s.cfg.CheckMaxNodes
-	if reqMax <= 0 || reqMax > ceiling {
+// Validate checks a body's batch (at least one request, at most limit,
+// 0 for no limit) and its legacy backend name; the caller resolves the
+// protocol.
+func (b *CheckRequestBody) Validate(limit int) error {
+	if len(b.Requests) == 0 {
+		return fmt.Errorf("check needs at least one request")
+	}
+	if limit > 0 && len(b.Requests) > limit {
+		return fmt.Errorf("batch of %d check requests exceeds the limit of %d", len(b.Requests), limit)
+	}
+	return checkBackend(b.Backend)
+}
+
+// capNodes applies a node ceiling (0: none) to a requested bound; a
+// request of 0 takes the ceiling.
+func capNodes(requested, ceiling int) int {
+	if ceiling > 0 && (requested <= 0 || requested > ceiling) {
 		return ceiling
 	}
-	return reqMax
+	return requested
+}
+
+// RunCheckBatch runs validated items against p as one Engine.CheckBatch
+// on eng and renders the reply: each item's node bound capped at
+// maxNodes (0: no cap), its timeoutMs a deadline of its own under ctx.
+// Only an engine-level failure (its context) is an error. /v1/check,
+// check jobs and statemachine -check all run checks through it.
+func RunCheckBatch(ctx context.Context, eng *engine.Engine, p model.Protocol,
+	label string, items []CheckItemRequest, maxNodes int) (CheckResponse, error) {
+	reqs := make([]engine.CheckRequest, len(items))
+	var cancels []context.CancelFunc
+	defer func() {
+		for _, c := range cancels {
+			c()
+		}
+	}()
+	for i, item := range items {
+		reqs[i] = engine.CheckRequest{
+			Inputs:       item.Inputs,
+			CrashQuota:   item.CrashQuota,
+			MaxNodes:     capNodes(item.MaxNodes, maxNodes),
+			SkipLiveness: item.SkipLiveness,
+		}
+		if item.TimeoutMs > 0 {
+			itemCtx, c := context.WithTimeout(ctx, time.Duration(item.TimeoutMs)*time.Millisecond)
+			cancels = append(cancels, c)
+			reqs[i].Ctx = itemCtx
+		}
+	}
+	results, gs, err := eng.CheckBatch(p, reqs)
+	if err != nil {
+		return CheckResponse{}, err
+	}
+	resp := CheckResponse{Protocol: label, Graph: gs}
+	for _, it := range results {
+		var out CheckItemResult
+		switch {
+		case it.Err != nil:
+			out.Error = it.Err.Error()
+		default:
+			out.OK = it.Result.OK()
+			out.Nodes = it.Result.Nodes
+			out.Truncated = it.Result.Truncated
+			for _, v := range it.Result.Violations {
+				out.Violations = append(out.Violations, ViolationJSON{
+					Kind: v.Kind, Trace: v.Trace.String(), Config: v.Config.String(), Detail: v.Detail,
+				})
+			}
+		}
+		resp.Results = append(resp.Results, out)
+	}
+	return resp, nil
+}
+
+// runCheck is RunCheckBatch under the server's node ceiling, counted
+// into the server's check totals.
+func (s *Server) runCheck(ctx context.Context, eng *engine.Engine, p model.Protocol,
+	label string, items []CheckItemRequest) (CheckResponse, error) {
+	resp, err := RunCheckBatch(ctx, eng, p, label, items, s.cfg.CheckMaxNodes)
+	if err != nil {
+		return resp, err
+	}
+	for _, out := range resp.Results {
+		if out.Error == "" {
+			s.checkItems.Add(1)
+		}
+	}
+	s.graphExpanded.Add(resp.Graph.Expanded)
+	s.graphReused.Add(resp.Graph.Reused)
+	return resp, nil
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -86,21 +171,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p, label, err := s.resolveProtocol(req.Protocol, req.ProtocolFingerprint)
+	if err == nil {
+		err = req.Validate(s.cfg.BatchLimit)
+	}
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.Requests) == 0 {
-		s.fail(w, http.StatusBadRequest, "check needs at least one request")
-		return
-	}
-	if len(req.Requests) > s.cfg.BatchLimit {
-		s.fail(w, http.StatusBadRequest, "batch of %d check requests exceeds the limit of %d",
-			len(req.Requests), s.cfg.BatchLimit)
-		return
-	}
-	if err := checkBackend(req.Backend); err != nil {
-		s.failBackend(w, err)
+		s.badRequest(w, err)
 		return
 	}
 	release, err := s.acquire(r)
@@ -112,11 +187,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	eng, cancel := s.requestEngine(r, s.cfg.MaxN)
 	defer cancel()
 
-	// runCheckBatch turns per-item timeouts into per-request contexts on
-	// the engine batch; only engine-level failures (the context) land in
-	// err — item failures, an invalid protocol's included, are reported
-	// per item.
-	resp, err := s.runCheckBatch(r.Context(), eng, p, label, req.Requests)
+	// Only engine-level failures (the context) land in err; item
+	// failures, an invalid protocol's included, are reported per item.
+	resp, err := s.runCheck(r.Context(), eng, p, label, req.Requests)
 	if err != nil {
 		s.fail(w, analysisStatus(err), "check %s: %v", label, err)
 		return

@@ -18,7 +18,8 @@
 // engine.CheckBatch): requests with the same input vector expand common
 // state-space prefixes once. Errors are per-item — one malformed or
 // timed-out item never fails the batch — and each item may carry its own
-// timeoutMs.
+// timeoutMs. CheckRequestBody.Validate and RunCheckBatch are the one
+// check path of /v1/check, check jobs and cmd/statemachine -check.
 //
 // # Concurrency and ownership
 //

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/jobs"
-	"repro/internal/model"
 )
 
 // sseHeartbeat is the idle interval after which the SSE handler emits a
@@ -52,8 +51,8 @@ type Theorem13Request struct {
 	Inputs []int `json:"inputs"`
 	// CrashQuota[p] bounds process p's crashes per chain stage.
 	CrashQuota []int `json:"crashQuota,omitempty"`
-	// MaxNodes bounds each stage's explored state space (0 = server
-	// default; capped at the server's CheckMaxNodes).
+	// MaxNodes bounds each stage's explored state space (0 = the server's
+	// CheckMaxNodes, which also caps it).
 	MaxNodes int `json:"maxNodes,omitempty"`
 	// Backend is a no-op kept for wire compatibility (see checkBackend);
 	// an unknown name answers 400 invalid_argument at submission.
@@ -126,12 +125,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := s.jobSpec(req)
 	if err != nil {
-		var iae invalidArgError
-		if errors.As(err, &iae) {
-			s.failBackend(w, iae.err)
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, err)
 		return
 	}
 	_, view, err := s.jobsMgr.Submit(spec)
@@ -148,15 +142,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusAccepted, view)
 }
-
-// invalidArgError marks a submission failure that must answer with the
-// invalid_argument coded envelope rather than the generic bad_request:
-// a field named a value outside its fixed set (an unknown name in the
-// legacy "backend" field). jobSpec wraps, handleJobSubmit unwraps.
-type invalidArgError struct{ err error }
-
-func (e invalidArgError) Error() string { return e.err.Error() }
-func (e invalidArgError) Unwrap() error { return e.err }
 
 // jobSpec validates a JobRequest and builds the jobs.Spec running it.
 // Validation is complete at submission — including the legacy backend
@@ -182,7 +167,7 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 			return spec, err
 		}
 		if err := checkBackend(req.Analyze.Backend); err != nil {
-			return spec, invalidArgError{err}
+			return spec, err
 		}
 		spec.Label = "analyze " + label
 		spec.Run = func(ctx context.Context, j *jobs.Job) (any, error) {
@@ -200,22 +185,15 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 		}
 		body := *req.Check
 		p, label, err := s.resolveProtocol(body.Protocol, body.ProtocolFingerprint)
+		if err == nil {
+			err = body.Validate(s.cfg.BatchLimit)
+		}
 		if err != nil {
 			return spec, err
 		}
-		if len(body.Requests) == 0 {
-			return spec, fmt.Errorf("check needs at least one request")
-		}
-		if len(body.Requests) > s.cfg.BatchLimit {
-			return spec, fmt.Errorf("batch of %d check requests exceeds the limit of %d",
-				len(body.Requests), s.cfg.BatchLimit)
-		}
-		if err := checkBackend(body.Backend); err != nil {
-			return spec, invalidArgError{err}
-		}
 		spec.Label = "check " + label
 		spec.Run = func(ctx context.Context, j *jobs.Job) (any, error) {
-			return s.runCheckBatch(ctx, s.jobEngine(ctx, j, s.cfg.MaxN), p, label, body.Requests)
+			return s.runCheck(ctx, s.jobEngine(ctx, j, s.cfg.MaxN), p, label, body.Requests)
 		}
 
 	case "theorem13":
@@ -232,7 +210,7 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 				p.Procs(), label, len(body.Inputs))
 		}
 		if err := checkBackend(body.Backend); err != nil {
-			return spec, invalidArgError{err}
+			return spec, err
 		}
 		spec.Label = "theorem13 " + label
 		spec.Run = func(ctx context.Context, j *jobs.Job) (any, error) {
@@ -240,7 +218,7 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 			chain, err := eng.Theorem13(p, engine.CheckRequest{
 				Inputs:     body.Inputs,
 				CrashQuota: body.CrashQuota,
-				MaxNodes:   s.resolveCheckMaxNodes(body.MaxNodes),
+				MaxNodes:   capNodes(body.MaxNodes, s.cfg.CheckMaxNodes),
 			})
 			if err != nil {
 				return nil, err
@@ -256,59 +234,6 @@ func (s *Server) jobSpec(req JobRequest) (jobs.Spec, error) {
 		return spec, fmt.Errorf("unknown job kind %q (valid: analyze, check, theorem13)", req.Kind)
 	}
 	return spec, nil
-}
-
-// runCheckBatch runs one model-check batch on eng and renders the shared
-// response shape. It is the common execution path of POST /v1/check and
-// check jobs, so both feed the same server counters.
-func (s *Server) runCheckBatch(ctx context.Context, eng *engine.Engine, p model.Protocol,
-	label string, items []CheckItemRequest) (CheckResponse, error) {
-	reqs := make([]engine.CheckRequest, len(items))
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	for i, item := range items {
-		reqs[i] = engine.CheckRequest{
-			Inputs:       item.Inputs,
-			CrashQuota:   item.CrashQuota,
-			MaxNodes:     s.resolveCheckMaxNodes(item.MaxNodes),
-			SkipLiveness: item.SkipLiveness,
-		}
-		if item.TimeoutMs > 0 {
-			itemCtx, c := context.WithTimeout(ctx, time.Duration(item.TimeoutMs)*time.Millisecond)
-			cancels = append(cancels, c)
-			reqs[i].Ctx = itemCtx
-		}
-	}
-	results, gs, err := eng.CheckBatch(p, reqs)
-	if err != nil {
-		return CheckResponse{}, err
-	}
-	resp := CheckResponse{Protocol: label, Graph: gs}
-	for _, it := range results {
-		var out CheckItemResult
-		switch {
-		case it.Err != nil:
-			out.Error = it.Err.Error()
-		default:
-			out.OK = it.Result.OK()
-			out.Nodes = it.Result.Nodes
-			out.Truncated = it.Result.Truncated
-			for _, v := range it.Result.Violations {
-				out.Violations = append(out.Violations, ViolationJSON{
-					Kind: v.Kind, Trace: v.Trace.String(), Config: v.Config.String(), Detail: v.Detail,
-				})
-			}
-			s.checkItems.Add(1)
-		}
-		resp.Results = append(resp.Results, out)
-	}
-	s.graphExpanded.Add(gs.Expanded)
-	s.graphReused.Add(gs.Reused)
-	return resp, nil
 }
 
 // handleJobGet serves GET /v1/jobs/{id}.

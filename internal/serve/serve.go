@@ -507,23 +507,34 @@ func (s *Server) resolveMaxN(reqMaxN int) (int, error) {
 	return reqMaxN, nil
 }
 
+// invalidArgError is a request error answered 400 invalid_argument
+// rather than bad_request: a field named a value outside its fixed set
+// (an unknown name in the legacy "backend" field).
+type invalidArgError string
+
+func (e invalidArgError) Error() string { return string(e) }
+
 // checkBackend validates a request's legacy "backend" field. API
 // revision 2 selected a level decider by name; since revision 3 one
 // decider serves every request, so the names revision 2 accepted are
-// no-ops and any other name is still an error, answered 400
-// invalid_argument (see failBackend).
+// no-ops and any other name is still an invalidArgError.
 func checkBackend(name string) error {
 	switch name {
 	case "", "auto", "bitset", "search":
 		return nil
 	}
-	return fmt.Errorf("unknown backend %q (valid: auto, bitset, search; all run the one level decider)", name)
+	return invalidArgError(fmt.Sprintf("unknown backend %q (valid: auto, bitset, search; all run the one level decider)", name))
 }
 
-// failBackend answers an unknown-backend name with the invalid_argument
-// coded envelope.
-func (s *Server) failBackend(w http.ResponseWriter, err error) {
-	s.failCode(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+// badRequest answers a request that failed validation with 400:
+// invalid_argument for an invalidArgError, bad_request otherwise.
+func (s *Server) badRequest(w http.ResponseWriter, err error) {
+	code := CodeBadRequest
+	var iae invalidArgError
+	if errors.As(err, &iae) {
+		code = CodeInvalidArgument
+	}
+	s.failCode(w, http.StatusBadRequest, code, "%v", err)
 }
 
 // acquire takes one analysis slot, waiting until the request context
@@ -620,7 +631,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := checkBackend(req.Backend); err != nil {
-		s.failBackend(w, err)
+		s.badRequest(w, err)
 		return
 	}
 	release, err := s.acquire(r)
@@ -661,7 +672,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := checkBackend(req.Backend); err != nil {
-		s.failBackend(w, err)
+		s.badRequest(w, err)
 		return
 	}
 

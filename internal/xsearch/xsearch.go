@@ -114,23 +114,28 @@ func HasXSignatureDecider(d LevelDecider, t *spec.FiniteType, n int) (bool, erro
 // signature checks routed through d (see HasXSignatureDecider).
 // progress, if non-nil, is called every progressEvery attempts with the
 // attempt count. The context is polled once per attempt, and d is
-// expected to honor its own context mid-check, as an engine does; when
-// either fires, the candidates found so far are returned.
-func SearchDecider(ctx context.Context, d LevelDecider, n int, seedStart int64, attempts int, sizes []int, progressEvery int, progress func(done int)) []Candidate {
+// expected to honor its own context mid-check, as an engine does; once
+// ctx is done, the candidates found so far are returned with no error.
+// Any other signature-check error (n above the decider's cap, say) stops
+// the sweep and is returned.
+func SearchDecider(ctx context.Context, d LevelDecider, n int, seedStart int64, attempts int, sizes []int, progressEvery int, progress func(done int)) ([]Candidate, error) {
 	var found []Candidate
 	cdone := ctx.Done()
 	done := 0
 	for i := 0; i < attempts; i++ {
 		select {
 		case <-cdone:
-			return found
+			return found, nil
 		default:
 		}
 		for _, sz := range sizes {
 			t := Sample(seedStart+int64(i), sz)
 			ok, err := HasXSignatureDecider(d, t, n)
 			if err != nil {
-				return found // canceled mid-check; report what we have
+				if ctx.Err() != nil {
+					return found, nil // canceled mid-check; report what we have
+				}
+				return found, err
 			}
 			if ok {
 				found = append(found, Candidate{Type: t, Seed: seedStart + int64(i), NumValues: sz})
@@ -141,5 +146,5 @@ func SearchDecider(ctx context.Context, d LevelDecider, n int, seedStart int64, 
 			progress(done)
 		}
 	}
-	return found
+	return found, nil
 }

@@ -144,7 +144,10 @@ func TestSearchFindsFrozenSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search is a few seconds")
 	}
-	found := SearchDecider(context.Background(), serialDecider{}, 4, 1990, 10, []int{5}, 0, nil)
+	found, err := SearchDecider(context.Background(), serialDecider{}, 4, 1990, 10, []int{5}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ok := false
 	for _, c := range found {
 		if c.Seed == 1994 && c.NumValues == 5 {
@@ -154,6 +157,51 @@ func TestSearchFindsFrozenSeed(t *testing.T) {
 	if !ok {
 		t.Error("search over seeds [1990,2000) did not rediscover seed 1994")
 	}
+}
+
+// TestSearchDeciderErrors: a signature-check error that is not the
+// context's stops the sweep and is returned (n above the decider's cap
+// fails with decider.CheckN's error and no candidate), while a context
+// canceled mid-check returns the candidates found so far and no error.
+func TestSearchDeciderErrors(t *testing.T) {
+	n := decider.BitsetMaxN + 1
+	found, err := SearchDecider(context.Background(), refusingDecider{t}, n, 1, 3, []int{5}, 0, nil)
+	if want := decider.CheckN(n); err == nil || err.Error() != want.Error() || len(found) != 0 {
+		t.Fatalf("n=%d: (%d candidates, %v), want (0, %v)", n, len(found), err, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d := &cancelingDecider{ctx: ctx, cancel: cancel, cancelAt: 7}
+	found, err = SearchDecider(ctx, d, 4, 1, 100, []int{5}, 0, nil)
+	if err != nil || len(found) != 2 {
+		t.Fatalf("canceled on the third check: (%d candidates, %v), want (2, nil)", len(found), err)
+	}
+}
+
+// cancelingDecider answers every level the way the X_4 signature needs
+// (2-recording, not 3-recording, 4-discerning) until its cancelAt-th
+// call, which cancels ctx; from then on it fails with the context's
+// error, as an engine does. Each readable candidate costs three calls.
+type cancelingDecider struct {
+	ctx             context.Context
+	cancel          context.CancelFunc
+	calls, cancelAt int
+}
+
+func (d *cancelingDecider) call() error {
+	if d.calls++; d.calls == d.cancelAt {
+		d.cancel()
+	}
+	return d.ctx.Err()
+}
+
+func (d *cancelingDecider) Discerning(*spec.FiniteType, int) (bool, *discern.Witness, error) {
+	return true, nil, d.call()
+}
+
+func (d *cancelingDecider) Recording(_ *spec.FiniteType, n int) (bool, *record.Witness, error) {
+	return n == 2, nil, d.call()
 }
 
 // spec2/op2 are tiny readability helpers for index conversions.

@@ -155,8 +155,9 @@ const (
 const Unbounded = core.Unbounded
 
 // New constructs an analysis Engine. With no options it uses
-// context.Background(), a worker per CPU, a fresh private cache, maxN=5
-// and the model checker's default state budget.
+// context.Background(), a worker per CPU, a fresh private cache, a fresh
+// private graph cache and maxN=5. A model check's node bound is its
+// CheckRequest.MaxNodes, not engine state.
 func New(opts ...Option) *Engine { return engine.New(opts...) }
 
 // NewCache returns an empty decision cache for WithCache.
@@ -199,9 +200,6 @@ func WithCache(c *Cache) Option { return engine.WithCache(c) }
 // WithMaxN sets the largest process count Engine.Analyze checks, at
 // most 16 (the level decider's cap).
 func WithMaxN(n int) Option { return engine.WithMaxN(n) }
-
-// WithBudget bounds the model checker's explored state space in nodes.
-func WithBudget(states int) Option { return engine.WithBudget(states) }
 
 // WithGraphCache installs an exploration-graph cache, letting several
 // engines reuse expanded state spaces across Check, CheckBatch and
