@@ -35,13 +35,14 @@
 // engine-private by default or installed with WithGraphCache, which
 // shares one cache across engines (the reprod service installs one
 // server-wide cache into its per-request engines). The cache owns only
-// references: graphs are built under the cache lock (the protocol's
-// compile to transition tables, and a store's load; expansion is lazy and
-// singleflight inside the graph), the node budget
-// is enforced against live node counts on every resolution, and
-// evicting a graph never invalidates walks already running on it — they
-// hold their own reference and finish unharmed. Every engine has a graph
-// cache, its own or a shared one.
+// references. It compiles each protocol value once, off its lock, and
+// keeps the compiled machine, whose tables every graph of that value
+// shares; under the lock a miss builds only the graph's shell, and a
+// store's load (expansion is lazy and singleflight inside the graph).
+// The node budget is enforced against live node counts on every
+// resolution, and evicting a graph never invalidates walks already
+// running on it — they hold their own reference and finish unharmed.
+// Every engine has a graph cache, its own or a shared one.
 //
 // # Observability
 //

@@ -36,14 +36,16 @@ type GraphStore interface {
 // expansion it has ever performed, so repeated checks of the same
 // protocol and inputs walk a warm graph and expand nothing.
 //
-// A miss builds its graph under the cache lock: model.NewGraph compiles
-// the protocol to transition tables (validation, the closure over its
-// reachable local states, the tables themselves), and with a store the
-// disk load and import run there too; expansion stays lazy, in the
-// graph. The lock doubles as singleflight: concurrent requests for the
-// same key always share one graph. The compile is not free (ROADMAP item
-// 7 measured 47–180 allocations and 5.6–20.1 µs per NewGraph on the
-// benchmark's protocol pool) and holds up every other Get meanwhile.
+// A protocol value is compiled once per cache: model.Compile validates
+// it, builds its transition tables (the closure over its reachable
+// local states) and hashes its fingerprint, off the cache lock, and the
+// cache keeps the compiled machine for every later Get of that value.
+// Every graph of the value, one per input vector, is built from that one
+// machine and shares its tables. A miss builds only the graph's shell
+// under the cache lock, and with a store the disk load and import run
+// there too; expansion stays lazy, in the graph. The lock doubles as
+// singleflight: concurrent requests for the same key always share one
+// graph.
 //
 // # Protocol identity
 //
@@ -109,16 +111,17 @@ type GraphCache struct {
 	// warm Gets probe entries via an allocation-free string(keyBuf) map
 	// lookup and only materialize a key string on a miss.
 	keyBuf []byte
-	// fps memoizes model.Fingerprint by the Protocol interface value
+	// machines memoizes model.Compile by the Protocol interface value
 	// itself (guarded by mu), so a caller re-checking the same protocol
 	// value (the server's resolved registry descriptors, compiled
-	// descriptors held by jobs, bench loops) pays the SHA-256 closure walk
-	// once, not per Get. The map retains its protocol keys, which is what
-	// makes interface-value keying sound: a key can never be collected and
-	// have its address reused by a different protocol while the memo
-	// still maps it. It holds at most fpMemoCap entries, never evicted,
-	// and dies with the cache.
-	fps map[model.Protocol]string
+	// descriptors held by jobs, bench loops) pays the compile and the
+	// fingerprint's SHA-256 once, not per Get, and every graph of the
+	// value shares one machine. The map retains its protocol keys, which
+	// is what makes interface-value keying sound: a key can never be
+	// collected and have its address reused by a different protocol while
+	// the memo still maps it. It holds at most fpMemoCap entries, never
+	// evicted, and dies with the cache.
+	machines map[model.Protocol]*model.Machine
 
 	hits, misses, evicted uint64
 	st                    GraphStoreStats
@@ -219,10 +222,10 @@ func NewGraphCache(budget int) *GraphCache {
 		budget = DefaultGraphCacheBudget
 	}
 	c := &GraphCache{
-		budget:  uint64(budget),
-		entries: make(map[string]*gcEntry),
-		byGraph: make(map[*model.Graph]*gcEntry),
-		fps:     make(map[model.Protocol]string),
+		budget:   uint64(budget),
+		entries:  make(map[string]*gcEntry),
+		byGraph:  make(map[*model.Graph]*gcEntry),
+		machines: make(map[model.Protocol]*model.Machine),
 	}
 	c.spillEnded.L = &c.mu
 	return c
@@ -236,7 +239,7 @@ func (c *GraphCache) SetStore(s GraphStore) {
 	c.store = s
 }
 
-// fpMemoCap bounds a GraphCache's fingerprint memo.
+// fpMemoCap bounds a GraphCache's memo of compiled protocols.
 const fpMemoCap = 4096
 
 // appendGraphKey canonicalizes the (protocol identity, inputs) cache key
@@ -255,7 +258,8 @@ func appendGraphKey(dst []byte, fp string, inputs []int) []byte {
 // Get returns the cached live graph for (p, inputs), building and caching
 // it on a miss. Construction errors (invalid protocol, wrong inputs
 // length, fingerprint budget exceeded) are returned without caching
-// anything.
+// anything. A protocol value the memo holds is not compiled again; one
+// whose type cannot be a map key is compiled once per Get.
 //
 // With a store installed, a miss first tries a warm load: a snapshot on
 // disk imports into the fresh graph before it is served, so the first
@@ -282,27 +286,28 @@ func (c *GraphCache) Get(p model.Protocol, inputs []int) (*model.Graph, error) {
 // get is Get untimed.
 func (c *GraphCache) get(p model.Protocol, inputs []int) (*model.Graph, error) {
 	// Protocols whose dynamic type is not comparable (slice/map/func
-	// fields) cannot be map keys and are fingerprinted every time.
+	// fields) cannot be map keys and are compiled every time.
 	t := reflect.TypeOf(p)
 	memo := t != nil && t.Comparable()
 	c.mu.Lock()
-	fp, ok := "", false
+	var m *model.Machine
 	if memo {
-		fp, ok = c.fps[p]
+		m = c.machines[p]
 	}
-	if !ok {
+	if m == nil {
 		// A memo miss compiles and hashes the protocol off the lock.
 		c.mu.Unlock()
 		var err error
-		if fp, err = model.Fingerprint(p); err != nil {
+		if m, err = model.Compile(p); err != nil {
 			return nil, err
 		}
 		c.mu.Lock()
-		if memo && len(c.fps) < fpMemoCap {
-			c.fps[p] = fp
+		if memo && len(c.machines) < fpMemoCap {
+			c.machines[p] = m
 		}
 	}
 	defer c.mu.Unlock()
+	fp := m.Fingerprint()
 	c.keyBuf = appendGraphKey(c.keyBuf[:0], fp, inputs)
 	if e, ok := c.entries[string(c.keyBuf)]; ok {
 		c.hits++
@@ -310,7 +315,7 @@ func (c *GraphCache) get(p model.Protocol, inputs []int) (*model.Graph, error) {
 		c.enforce(e)
 		return e.g, nil
 	}
-	g, err := model.NewGraph(p, inputs)
+	g, err := m.NewGraph(inputs)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -166,39 +167,85 @@ func TestGraphCacheIdentity(t *testing.T) {
 	}
 }
 
-// TestGraphCacheFingerprintMemo pins the fingerprint memo's scope: it
-// lives with its cache, so a repeated protocol value is fingerprinted
-// once per cache, a new cache (a restarted server in the same process)
-// starts empty instead of inheriting every protocol an earlier one saw,
-// and the memo stops growing at fpMemoCap.
+// TestGraphCacheFingerprintMemo pins the memo of compiled protocols: a
+// repeated protocol value is compiled once per cache, however many
+// graphs it gets (one per input vector, all built from the one compiled
+// machine), a protocol whose type cannot be a map key is compiled once
+// per Get, a new cache (a restarted server in the same process) starts
+// empty instead of inheriting every protocol an earlier one saw, and the
+// memo stops growing at fpMemoCap. Compiles are counted by Init calls:
+// compiling calls Init, and walks and graph shells never call the
+// protocol.
 func TestGraphCacheFingerprintMemo(t *testing.T) {
+	p := &initCounter{Protocol: proto.NewCASRecoverable(2)}
+	if _, err := model.Fingerprint(p); err != nil {
+		t.Fatal(err)
+	}
+	perCompile := p.inits.Swap(0)
+	if perCompile == 0 {
+		t.Fatal("a fingerprint called Init no time; the count cannot tell compiles apart")
+	}
 	c := NewGraphCache(0)
-	p := proto.NewCASRecoverable(2)
 	for _, inputs := range [][]int{{0, 1}, {1, 0}, {0, 1}} {
 		if _, err := c.Get(p, inputs); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got := p.inits.Load(); got != perCompile {
+		t.Fatalf("three Gets of one protocol value over two input vectors called Init %d times, want %d (one compile)",
+			got, perCompile)
+	}
+	// A cache of its own, so both Gets miss: the graphs c holds would
+	// serve its fingerprint.
+	unkeyable := sliceProtocol{initCounter: &initCounter{Protocol: proto.NewCASRecoverable(2)}, tags: []string{"unkeyable"}}
+	uc := NewGraphCache(0)
+	for _, inputs := range [][]int{{0, 1}, {1, 0}} {
+		if _, err := uc.Get(unkeyable, inputs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := unkeyable.inits.Load(); got != 2*perCompile || len(uc.machines) != 0 {
+		t.Fatalf("two Gets of a protocol that cannot be a map key called Init %d times and memoized %d machines, want %d (one compile a Get) and none",
+			got, len(uc.machines), 2*perCompile)
+	}
 	if _, err := c.Get(proto.NewCASRecoverable(2), []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.fps) != 2 {
-		t.Fatalf("memo holds %d protocols after two protocol values, want 2", len(c.fps))
+	if len(c.machines) != 2 {
+		t.Fatalf("memo holds %d protocols after two keyable protocol values, want 2", len(c.machines))
 	}
-	if fresh := NewGraphCache(0); len(fresh.fps) != 0 {
-		t.Fatalf("a new cache starts with %d memoized protocols", len(fresh.fps))
+	if fresh := NewGraphCache(0); len(fresh.machines) != 0 {
+		t.Fatalf("a new cache starts with %d memoized protocols", len(fresh.machines))
 	}
-	for i := len(c.fps); i < fpMemoCap+4; i++ {
+	for i := len(c.machines); i < fpMemoCap+4; i++ {
 		if _, err := c.Get(proto.NewCASWaitFree(1), []int{0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(c.fps) != fpMemoCap {
-		t.Fatalf("memo holds %d protocols, want the cap %d", len(c.fps), fpMemoCap)
+	if len(c.machines) != fpMemoCap {
+		t.Fatalf("memo holds %d protocols, want the cap %d", len(c.machines), fpMemoCap)
 	}
 	if st := c.Stats(); st.Graphs != 3 {
 		t.Fatalf("%d graphs cached, want 3 (memo entries never split a key)", st.Graphs)
 	}
+}
+
+// initCounter counts its protocol's Init calls, the compiles it gets.
+type initCounter struct {
+	model.Protocol
+	inits atomic.Int64
+}
+
+func (p *initCounter) Init(proc, input int) string {
+	p.inits.Add(1)
+	return p.Protocol.Init(proc, input)
+}
+
+// sliceProtocol is a protocol value whose slice field keeps its type
+// from being a map key.
+type sliceProtocol struct {
+	*initCounter
+	tags []string
 }
 
 // TestGraphCacheConcurrentChurn is the race test for the tentpole:

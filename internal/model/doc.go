@@ -14,12 +14,16 @@
 //
 // All exploration runs on a Graph: a canonicalized store of
 // (configuration, output-history) nodes whose successors are computed
-// exactly once, with singleflight expansion. NewGraph compiles the
-// protocol once into per-process transition tables over its reachable
+// exactly once, with singleflight expansion. Compile turns the protocol
+// into a Machine: per-process transition tables over its reachable
 // state machine (the same canonical closure structural fingerprints
-// hash, so Fingerprint and the graph can never disagree): per state id,
+// hash, so Fingerprint and the graph can never disagree), per state id
 // its decision, or its object and, for each value of that object, the
-// (next value, next state id) pair. A node is nothing but its packed
+// (next value, next state id) pair, plus the fingerprint itself, hashed
+// once. The tables are immutable and shared by every graph built from
+// them: Machine.NewGraph builds one per input vector with no compile
+// (the engine's graph cache compiles each protocol value once), and
+// NewGraph compiles for a single graph. A node is nothing but its packed
 // fixed-width []uint64 — one 16-bit state id per process, one 16-bit
 // value per object and one 8-bit output per process — so a step or crash
 // successor is a table lookup over words, fingerprinting is a word-mix
@@ -61,7 +65,13 @@
 // It is sized to the graph when the walk starts and grown when a cold
 // walk meets a node interned since; at 4 bytes per graph node against
 // the graph's arena record, even a walk a client truncates with
-// MaxNodes is bounded by its graph. Each walk interns its crash-usage
+// MaxNodes is bounded by its graph. The node and edge lists start at
+// the larger of the graph's node count and the length of the graph's
+// last untruncated walk of the same shape (the number of crash-usage
+// vectors its quota admits), capped by the walk's node bound: a
+// crash-budgeted warm walk visits several walk nodes per graph node and
+// so allocates its lists once, and a crash-free walk never takes a
+// quota walk's size. Each walk interns its crash-usage
 // vectors once, as rows of one []int32 with a memo from (usage id,
 // process) to the id after one more crash, so a walk node carries a
 // usage id and a twin test is one int32 compare. Safety facts are computed once per edge: an expansion
@@ -87,7 +97,8 @@
 // only ever grows: eviction by a caching layer merely drops a reference,
 // in-flight walks finish unharmed. The intern index and the arena's
 // growth are guarded by the graph mutex; the compiled tables are
-// immutable and read lock-free. Each node's expansion is claimed
+// immutable and read lock-free, by every walk of every graph that
+// shares them. Each node's expansion is claimed
 // through its atomic state word (unexpanded, expanding, awaited, done):
 // the first walk to reach it expands it and publishes the successors by
 // storing done, and a walk that meets a node another walk is expanding
@@ -97,7 +108,9 @@
 // lazily computed valency masks mean even read-style methods (Valence,
 // FindCritical) must not race. A graph pools nothing: packing buffers
 // live on the caller's stack. A walk's flat slices (nodes, edges, head,
-// crash-usage rows) live in its Result and die with it.
+// crash-usage rows) live in its Result and die with it; what the graph
+// keeps of a walk is its length, one atomic per walk shape, which only
+// sizes later walks and never changes a result.
 //
 // # Byte-stability guarantees
 //

@@ -42,7 +42,8 @@ const FingerprintStateBudget = 1 << 14
 // would expand different state spaces.
 //
 // The hash is taken over the protocol compiled to transition tables —
-// the same tables a Graph built for it walks — so identity and
+// the same tables every Graph built for it walks, and the hash Compile
+// stores on the Machine those graphs share — so identity and
 // exploration can never disagree about the state machine. The closure
 // deliberately over-approximates reachability: it considers the poised
 // operation against every value of the object's type, not only values
@@ -51,10 +52,16 @@ const FingerprintStateBudget = 1 << 14
 // exceeds FingerprintStateBudget states for one process, or with an
 // object of more than 2^16 values, return an error.
 func Fingerprint(pr Protocol) (string, error) {
-	mc, err := compile(pr)
+	m, err := Compile(pr)
 	if err != nil {
 		return "", err
 	}
+	return m.Fingerprint(), nil
+}
+
+// fingerprint hashes the compiled tables: the one hash behind
+// Fingerprint and Machine.Fingerprint.
+func (mc *machine) fingerprint() string {
 	h := sha256.New()
 	wInt := func(v int) {
 		var buf [8]byte
@@ -86,7 +93,7 @@ func Fingerprint(pr Protocol) (string, error) {
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ReachableStates returns process p's reachable local states under the

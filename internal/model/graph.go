@@ -11,14 +11,15 @@ import (
 )
 
 // Graph is a canonicalized, lazily-expanded exploration graph for one
-// (protocol, inputs) pair, shared across many Check runs. NewGraph
-// compiles the protocol to transition tables over its canonical
-// reachable state machine (the same closure model.Fingerprint hashes),
-// and a node is nothing but its packed fixed-width words: one state id
-// per process, one value per object and the output history. Successors
-// are table lookups over words, interning hashes with a word-mix loop
-// and compares with == over words, and a Config is decoded only where
-// one is returned or printed.
+// (protocol, inputs) pair, shared across many Check runs. It walks the
+// protocol's transition tables over its canonical reachable state
+// machine (the same closure model.Fingerprint hashes): NewGraph compiles
+// them for the one graph, and Machine.NewGraph shares one compile among
+// every graph built from it. A node is nothing but its packed
+// fixed-width words: one state id per process, one value per object and
+// the output history. Successors are table lookups over words,
+// interning hashes with a word-mix loop and compares with == over
+// words, and a Config is decoded only where one is returned or printed.
 //
 // A node is an int32 id, its intern order, and its record lives in the
 // graph's arena (see arena): words, hash, output and decision vectors,
@@ -85,6 +86,13 @@ type Graph struct {
 	interned atomic.Uint64
 	expanded atomic.Uint64
 	reused   atomic.Uint64
+
+	// walkNodes[rows-1] is the node count of the last untruncated walk
+	// whose crash quota admits rows usage vectors (see usageRows): the
+	// size the next walk of that shape starts from, so a crash-budgeted
+	// warm walk allocates its node list once and a crash-free walk never
+	// takes a quota walk's size.
+	walkNodes [maxUsageRows]atomic.Int32
 }
 
 // GraphStats counts a graph's reuse: how many canonical nodes exist, how
@@ -311,12 +319,24 @@ func (g *Graph) flagEdges(c *chunk, i int) {
 // identity. Building compiles the protocol's transition tables (the
 // canonical per-process reachable state closures); protocols whose
 // closure exceeds the fingerprint budget, or whose objects have more
-// than 2^16 values, are refused.
+// than 2^16 values, are refused. A caller that builds several graphs of
+// one protocol compiles it once with Compile and builds each with
+// Machine.NewGraph.
 func NewGraph(pr Protocol, inputs []int) (*Graph, error) {
 	mc, err := compile(pr)
 	if err != nil {
 		return nil, err
 	}
+	return newGraph(mc, inputs)
+}
+
+// NewGraph builds an empty shared graph for the given input vector over
+// the machine's tables, which it shares with every other graph built
+// from m; it compiles nothing. The inputs are checked as NewGraph checks
+// them.
+func (m *Machine) NewGraph(inputs []int) (*Graph, error) { return newGraph(m.mc, inputs) }
+
+func newGraph(mc *machine, inputs []int) (*Graph, error) {
 	if len(inputs) != mc.n {
 		return nil, fmt.Errorf("model: %d inputs for %d processes", len(inputs), mc.n)
 	}
@@ -615,7 +635,8 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 		done = opts.Ctx.Done()
 	}
 	root := g.root(opts.StartTrace)
-	r := g.newResult(quota, maxNodes)
+	rows := usageRows(quota)
+	r := g.newResult(rows, maxNodes)
 	w := walkState{r: r, validity: opts.Validity}
 	r.add(r.headOf(root), node{gn: root, parent: -1})
 
@@ -686,6 +707,8 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 	}
 	if len(r.nodes) > maxNodes {
 		r.Truncated = true
+	} else {
+		g.walkNodes[rows-1].Store(int32(len(r.nodes)))
 	}
 	r.Nodes = len(r.nodes)
 
@@ -695,20 +718,34 @@ func (g *Graph) Check(opts CheckOpts) (*Result, error) {
 	return r, nil
 }
 
-// newResult sizes a walk from the graph's canonical node count: on a
-// warm graph it is head's exact length and bounds a crash-free walk's
-// node count, on a cold one it is a harmless underestimate that the
-// slices grow past. head, the crash-usage rows (room for every vector
-// the quota admits, up to 64) and the edge list are carved from one
-// pointer-free block.
-func (g *Graph) newResult(quota []int, maxNodes int) *Result {
-	n := g.m.n
-	interned := int(g.interned.Load())
-	hint := min(interned, maxNodes) + 1
+// maxUsageRows caps the crash-usage rows a walk reserves up front, and
+// so the walk shapes a graph keeps a size for.
+const maxUsageRows = 64
+
+// usageRows is the number of crash-usage vectors quota admits, capped
+// at maxUsageRows: 1 for a crash-free walk. It is the walk's shape, the
+// key of Graph.walkNodes.
+func usageRows(quota []int) int {
 	rows := 1
 	for _, q := range quota {
-		rows = min(rows*(min(max(q, 0), 63)+1), 64)
+		rows = min(rows*(min(max(q, 0), maxUsageRows-1)+1), maxUsageRows)
 	}
+	return rows
+}
+
+// newResult sizes a walk of the given shape (see usageRows). head takes
+// the graph's canonical node count, its exact length on a warm graph.
+// The node and edge lists take the larger of that count and the last
+// untruncated walk of the same shape, capped by the walk's node bound:
+// a crash-free walk on a warm graph needs no more than the graph's
+// nodes, a crash-budgeted walk visits several walk nodes per graph node,
+// and on a cold graph either is an underestimate the lists grow past.
+// head, the crash-usage rows (room for every vector the quota admits)
+// and the edge list are carved from one pointer-free block.
+func (g *Graph) newResult(rows, maxNodes int) *Result {
+	n := g.m.n
+	interned := int(g.interned.Load())
+	hint := min(max(interned, int(g.walkNodes[rows-1].Load())), maxNodes) + 1
 	usage := interned + 2*n*rows
 	buf := make([]int32, usage+n*hint)
 	return &Result{

@@ -103,23 +103,37 @@ func TestGraphCheckMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGraphCheckConcurrent hammers one shared graph from many goroutines
-// with mixed quotas; every result must match its serial twin. Run under
-// -race this is the shared-graph data-race check.
+// TestGraphCheckConcurrent hammers shared graphs from many goroutines
+// with mixed quotas; every result must match its serial twin. Half the
+// walkers use a second graph, for the complementary inputs, built from
+// the same compiled machine, so walks of two graphs that share one
+// machine's tables run at once. Run under -race this is the
+// shared-graph data-race check.
 func TestGraphCheckConcurrent(t *testing.T) {
 	for _, tc := range graphCheckCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := model.NewGraph(tc.pr, tc.inputs)
+			m, err := model.Compile(tc.pr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]checkObservables, len(tc.quotas))
-			for i, quota := range tc.quotas {
-				r, err := model.Check(tc.pr, model.CheckOpts{Inputs: tc.inputs, CrashQuota: quota})
-				if err != nil {
+			flipped := make([]int, len(tc.inputs))
+			for p, in := range tc.inputs {
+				flipped[p] = 1 - in
+			}
+			inputs := [2][]int{tc.inputs, flipped}
+			var graphs [2]*model.Graph
+			var want [2][]checkObservables
+			for k := range graphs {
+				if graphs[k], err = m.NewGraph(inputs[k]); err != nil {
 					t.Fatal(err)
 				}
-				want[i] = observablesOf(r)
+				for _, quota := range tc.quotas {
+					r, err := model.Check(tc.pr, model.CheckOpts{Inputs: inputs[k], CrashQuota: quota})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[k] = append(want[k], observablesOf(r))
+				}
 			}
 			const workers = 8
 			var wg sync.WaitGroup
@@ -128,14 +142,15 @@ func TestGraphCheckConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					k := w % 2
 					for i, quota := range tc.quotas {
-						got, err := g.Check(model.CheckOpts{Inputs: tc.inputs, CrashQuota: quota})
+						got, err := graphs[k].Check(model.CheckOpts{Inputs: inputs[k], CrashQuota: quota})
 						if err != nil {
 							errs <- err
 							return
 						}
-						if !reflect.DeepEqual(observablesOf(got), want[i]) {
-							errs <- fmt.Errorf("worker %d quota %v: diverged", w, quota)
+						if !reflect.DeepEqual(observablesOf(got), want[k][i]) {
+							errs <- fmt.Errorf("worker %d inputs %v quota %v: diverged", w, inputs[k], quota)
 							return
 						}
 					}
@@ -146,8 +161,10 @@ func TestGraphCheckConcurrent(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			if st := g.Stats(); st.Reused == 0 {
-				t.Fatalf("concurrent walks reused nothing: %+v", st)
+			for k, g := range graphs {
+				if st := g.Stats(); st.Reused == 0 {
+					t.Fatalf("concurrent walks of inputs %v reused nothing: %+v", inputs[k], st)
+				}
 			}
 		})
 	}

@@ -23,7 +23,7 @@ import (
 // two initial states, so every node a walk can reach — step and crash
 // successors, StartTrace replays — is expressible in ids of the closure.
 // A machine is immutable once compiled and shared read-only by every
-// walk of its Graph.
+// Graph built from it (see Machine) and every walk of those graphs.
 type machine struct {
 	n, m int
 	// sw/vw/ow are the word counts of the state, value and output
@@ -86,6 +86,31 @@ func NodeWords(procs, objects int) int {
 	sw, vw, ow := layout(procs, objects)
 	return sw + vw + ow
 }
+
+// Machine is a protocol compiled once: its transition tables, which
+// every Graph built from it shares read-only, and its structural
+// fingerprint, hashed once at compile time. A Machine is immutable and
+// safe for concurrent use; callers that build many graphs of one
+// protocol value (the engine's graph cache, one graph per input vector)
+// compile it once and build each graph with Machine.NewGraph.
+type Machine struct {
+	mc *machine
+	fp string
+}
+
+// Compile validates pr, compiles it to transition tables and hashes its
+// structural fingerprint. It refuses what Fingerprint refuses.
+func Compile(pr Protocol) (*Machine, error) {
+	mc, err := compile(pr)
+	if err != nil {
+		return nil, err
+	}
+	return &Machine{mc: mc, fp: mc.fingerprint()}, nil
+}
+
+// Fingerprint returns the compiled protocol's structural fingerprint,
+// the string model.Fingerprint returns for it.
+func (m *Machine) Fingerprint() string { return m.fp }
 
 // compile validates pr and compiles it to transition tables. It errors
 // when an object type's value count does not fit the 16-bit value lanes

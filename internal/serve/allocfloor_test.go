@@ -50,23 +50,26 @@ func TestCachedAnalyzeAllocFloor(t *testing.T) {
 // /v1/check through ServeHTTP: one crash-budgeted walk, quota 1 per
 // process, over a primed graph — the request check-warm traffic sends.
 // The request decodes, resolves its cached graph, walks it and encodes
-// the reply; the walk itself allocates a fixed handful of flat slices.
-// The server has no slow-request threshold, so it builds no trace and
-// its engines no events. The bounds leave the same relative headroom
-// over today's counts (96 and 76 allocs/op, 105 and 79 under -race) as
-// the bounds of 129 and 100 did over 105 and 83, the counts when every
-// batch validated its protocol, and those of 160 and 130 over 130 and
-// 108, when every request built a trace and every batch named its
-// protocol and formatted event details; a per-visit allocation would
-// add hundreds: the walks have 912 and 442 nodes. tnn-wf:4,2 reports an
-// agreement violation, cas-rec:3 passes.
+// the reply; the walk itself allocates a fixed handful of flat slices,
+// its node and edge lists sized from the graph's last walk of the same
+// shape. The server has no slow-request threshold, so it builds no
+// trace and its engines no events. The bounds leave the same relative
+// headroom over today's counts (95 and 71 allocs/op, 103 and 74 under
+// -race) as the bounds of 118 and 92 did over 96 and 76, the counts
+// while every warm quota walk grew its lists again, those of 129 and
+// 100 over 105 and 83, the counts when every batch validated its
+// protocol, and those of 160 and 130 over 130 and 108, when every
+// request built a trace and every batch named its protocol and
+// formatted event details; a per-visit allocation would add hundreds:
+// the walks have 912 and 442 nodes. tnn-wf:4,2 reports an agreement
+// violation, cas-rec:3 passes.
 func TestWarmCheckServeAllocFloor(t *testing.T) {
 	cases := []struct {
 		protocol, inputs, quota string
 		limit                   float64
 	}{
-		{"tnn-wf:4,2", "0,1,0,1", "1,1,1,1", 118},
-		{"cas-rec:3", "0,1,1", "1,1,1", 92},
+		{"tnn-wf:4,2", "0,1,0,1", "1,1,1,1", 117},
+		{"cas-rec:3", "0,1,1", "1,1,1", 86},
 	}
 	for _, c := range cases {
 		t.Run(c.protocol, func(t *testing.T) {
