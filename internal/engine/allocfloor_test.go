@@ -49,7 +49,7 @@ func TestWarmCheckAllocFloor(t *testing.T) {
 // shape, and the violation cases format one detail per reported kind,
 // so the count must stay flat across walks of 147 to 912 nodes. The
 // bound keeps the relative headroom 32 left over 11: measured 9, 9, 9
-// and 3 allocs/op (9 to 10 under -race), and 10, 10, 11 and 8 while
+// and 3 allocs/op (up to 10 under -race), and 10, 10, 11 and 8 while
 // every warm quota walk outgrew lists sized from the graph's node count
 // and grew them again. tnn-wf:4,2 also bounds its bytes: 51 712 B/op
 // measured (51 812 under -race), 82 437 while its lists grew once per

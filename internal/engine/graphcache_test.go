@@ -183,7 +183,7 @@ func TestGraphCacheFingerprintMemo(t *testing.T) {
 	}
 	perCompile := p.inits.Swap(0)
 	if perCompile == 0 {
-		t.Fatal("a fingerprint called Init no time; the count cannot tell compiles apart")
+		t.Fatal("a fingerprint never called Init; the count cannot tell compiles apart")
 	}
 	c := NewGraphCache(0)
 	for _, inputs := range [][]int{{0, 1}, {1, 0}, {0, 1}} {

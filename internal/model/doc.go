@@ -66,15 +66,13 @@
 // walk meets a node interned since; at 4 bytes per graph node against
 // the graph's arena record, even a walk a client truncates with
 // MaxNodes is bounded by its graph. The node and edge lists start at
-// the larger of the graph's node count and the length of the graph's
-// last untruncated walk of the same shape (the number of crash-usage
-// vectors its quota admits), capped by the walk's node bound: a
-// crash-budgeted warm walk visits several walk nodes per graph node and
-// so allocates its lists once, and a crash-free walk never takes a
-// quota walk's size. Each walk interns its crash-usage
-// vectors once, as rows of one []int32 with a memo from (usage id,
-// process) to the id after one more crash, so a walk node carries a
-// usage id and a twin test is one int32 compare. Safety facts are computed once per edge: an expansion
+// the larger of the graph's node count and its last untruncated walk of
+// the same crash-quota shape, so a warm crash-budgeted walk, which
+// visits several walk nodes per graph node, allocates them once. Each
+// walk interns its crash-usage vectors once, as rows of one []int32
+// with a memo from (usage id, process) to the id after one more crash,
+// so a walk node carries a usage id and a twin test is one int32
+// compare. Safety facts are computed once per edge: an expansion
 // (and ImportSnapshot) records in two 16-bit masks per node whether the
 // default safety check of each step and crash successor reports
 // anything — a re-decision against the parent's outputs, two outputs
