@@ -296,6 +296,8 @@ func (c *GraphCache) get(p model.Protocol, inputs []int) (*model.Graph, error) {
 	}
 	if m == nil {
 		// A memo miss compiles and hashes the protocol off the lock.
+		// Concurrent misses of one value may each compile; the memo
+		// keeps the last machine, and each graph keeps its own.
 		c.mu.Unlock()
 		var err error
 		if m, err = model.Compile(p); err != nil {
