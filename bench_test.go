@@ -262,9 +262,10 @@ func BenchmarkE11SimThroughput(b *testing.B) {
 
 // BenchmarkEngineAnalyzeParallel measures the engine's worker pool on
 // multi-level types, sweeping pool widths: workers=1 is the serial
-// baseline, wider pools quantify the speedup from running independent
-// (property, n) level checks concurrently. Each iteration uses a fresh
-// cache so the decider work is really re-done.
+// baseline, wider pools quantify the speedup from running the two
+// properties' level chains concurrently and sharding a level across the
+// workers the other chain leaves idle. Each iteration uses a fresh cache
+// so the decider work is really re-done.
 func BenchmarkEngineAnalyzeParallel(b *testing.B) {
 	workerSet := []int{1, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 4 {

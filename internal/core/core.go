@@ -45,7 +45,10 @@ type Analysis struct {
 }
 
 // Analyze computes the discerning/recording spectrum of t for all
-// n in [2, maxN] and derives hierarchy positions. maxN must be >= 2.
+// n in [2, maxN] and derives hierarchy positions. maxN must be >= 2. It
+// searches every level with the reference deciders, serially: the
+// engine's analyses, which derive the levels above a property's first
+// negative one instead of searching them, are checked against it.
 func Analyze(t *spec.FiniteType, maxN int) (*Analysis, error) {
 	if maxN < 2 {
 		return nil, fmt.Errorf("core: need maxN >= 2, got %d", maxN)
@@ -78,8 +81,8 @@ func Analyze(t *spec.FiniteType, maxN int) (*Analysis, error) {
 
 // LevelOf derives the hierarchy level from a property spectrum: the largest
 // n at which the property holds, 1 if it never holds, Unbounded if it holds
-// at the search limit. It is exported so the concurrent engine can derive
-// levels from spectra it computed out of order, identically to Analyze.
+// at the search limit. It is exported so the concurrent engine derives
+// levels from the spectra its level chains fill, identically to Analyze.
 func LevelOf(holds map[int]bool, maxN int) int {
 	if holds[maxN] {
 		return Unbounded

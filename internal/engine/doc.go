@@ -16,17 +16,22 @@
 //
 // # Concurrency and ownership
 //
-// One Engine is safe for concurrent use by multiple goroutines;
-// independent level checks of one Analyze call — and of concurrent
-// Analyze calls — interleave freely on the pool. A Cache may back any
-// number of engines at once (WithCache); its singleflight layer
+// One Engine is safe for concurrent use by multiple goroutines. An
+// analysis decides each property's levels as one ascending chain,
+// n = 2..maxN; the chains of one Analyze call — and of concurrent
+// Analyze calls — interleave freely on the pool. Both properties are
+// downward closed, so once a chain meets a negative level every level
+// above it is derived negative without a search. A derived level is
+// still a miss: it is memoized, passed to the cache's sink, counted and
+// reported by its "level.done" event like a searched one. A Cache may
+// back any number of engines at once (WithCache); its singleflight layer
 // guarantees concurrent identical level checks run the underlying
-// decider exactly once. Levels already memoized in the cache are
-// answered on the calling goroutine, each with its "level.done" event
-// (Cached set); only the misses reach the pool, so an analysis whose
-// every level hits starts no worker. Progress consumers are invoked
-// under an engine-held mutex, so one emission at a time; the consumer
-// must not call back into the engine.
+// decider exactly once. A chain's memoized levels are answered on the
+// calling goroutine, each with its "level.done" event (Cached set), up
+// to its first miss; only the rest of the chain reaches the pool, so an
+// analysis whose every level hits starts no worker. Progress consumers
+// are invoked under an engine-held mutex, so one emission at a time; the
+// consumer must not call back into the engine.
 //
 // # The exploration-graph cache
 //

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,8 +112,9 @@ type Engine struct {
 	// shardThreshold is defaultShardThreshold; in-package tests lower it
 	// to force sharding.
 	shardThreshold int
-	// active counts the level checks currently executing, the basis of
-	// the idle-worker estimate that sizes auto-sharding.
+	// active counts the chains currently executing (a single-level call
+	// is a chain of one), the basis of the idle-worker estimate that
+	// sizes auto-sharding.
 	active atomic.Int32
 }
 
@@ -228,22 +228,28 @@ func (e *Engine) emit(ev Event) {
 	e.progressMu.Unlock()
 }
 
-// levelJob is one unit of pool work: decide one property of one type at
-// one process count and write the outcome into the job's analysis.
+// levelJob is one unit of pool work, a chain: decide one property of one
+// type at process counts n..top in ascending order and write each outcome
+// into the job's analysis. An analysis runs two chains per type, n = 2..maxN;
+// a single-level call is a chain of one level (top == n).
 type levelJob struct {
 	t    *spec.FiniteType
 	fp   uint64
 	prop Property
-	n    int
-	a    *core.Analysis
-	mu   *sync.Mutex // guards a's maps
+	n    int // the next level to decide
+	top  int // the chain's last level
+	// belowNegative reports that level n-1 was decided negative, so level
+	// n is derived negative without a search (see run).
+	belowNegative bool
+	a             *core.Analysis
+	mu            *sync.Mutex // guards a's maps
 }
 
 // shardsFor sizes the auto-sharding of one level check: 1 (serial) when
 // the pool is one worker wide, the level's assignment space is within the
 // threshold, or no workers are idle; otherwise one shard per idle worker
-// plus the level's own. The estimate is taken once at job start — two
-// concurrent jobs may both count the same worker as idle and briefly
+// plus the level's own. The estimate is taken once per level search — two
+// concurrent chains may both count the same worker as idle and briefly
 // oversubscribe the pool with goroutines, which Go's scheduler absorbs.
 func (e *Engine) shardsFor(t *spec.FiniteType, n int) int {
 	if e.parallelism <= 1 || discern.NewTupleSpace(t.NumOps(), n).Count() <= int64(e.shardThreshold) {
@@ -256,8 +262,8 @@ func (e *Engine) shardsFor(t *spec.FiniteType, n int) int {
 	return idle + 1
 }
 
-// shardProgress adapts one level job's shard reports onto the engine's
-// event stream.
+// shardProgress adapts the shard reports of the level chain j is at onto
+// the engine's event stream.
 func (e *Engine) shardProgress(j levelJob) func(discern.ShardReport) {
 	if e.progress == nil {
 		return nil
@@ -271,34 +277,45 @@ func (e *Engine) shardProgress(j levelJob) func(discern.ShardReport) {
 // key is the job's decision-cache key.
 func (j levelJob) key() propKey { return propKey{fp: j.fp, prop: j.prop, n: j.n} }
 
-// run decides the job with the bitset decider, consulting and feeding
-// the cache. Level checks whose assignment space is large enough — and
-// for which workers are idle — are sharded across the pool (see
+// run decides the job's chain level by level, consulting and feeding the
+// cache. A level is searched with the bitset decider unless the level
+// below it is negative: both properties are downward closed (dropping one
+// member of a team of two or more turns a witness for n >= 3 into one for
+// n-1), so such a level is derived negative, through the same cache.do
+// with a compute that runs no search — memoized, passed to the cache's
+// sink and reported like a searched level. Searches whose assignment space is large enough —
+// and for which workers are idle — are sharded across the pool (see
 // shardsFor).
 func (e *Engine) run(j levelJob) error {
-	start := time.Now()
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	res, cached, err := e.cache.do(e.ctx, j.key(), func() (propResult, error) {
-		var r propResult
-		var err error
-		shards := e.shardsFor(j.t, j.n)
-		var onShard func(discern.ShardReport)
-		if shards > 1 {
-			onShard = e.shardProgress(j)
+	for ; j.n <= j.top; j.n++ {
+		start := time.Now()
+		res, cached, err := e.cache.do(e.ctx, j.key(), func() (propResult, error) {
+			var r propResult
+			if j.belowNegative {
+				return r, nil
+			}
+			var err error
+			shards := e.shardsFor(j.t, j.n)
+			var onShard func(discern.ShardReport)
+			if shards > 1 {
+				onShard = e.shardProgress(j)
+			}
+			switch j.prop {
+			case Discerning:
+				r.ok, r.dw, err = decider.IsNDiscerning(e.ctx, j.t, j.n, shards, onShard)
+			case Recording:
+				r.ok, r.rw, err = decider.IsNRecording(e.ctx, j.t, j.n, shards, onShard)
+			}
+			return r, err
+		})
+		if err != nil {
+			return err
 		}
-		switch j.prop {
-		case Discerning:
-			r.ok, r.dw, err = decider.IsNDiscerning(e.ctx, j.t, j.n, shards, onShard)
-		case Recording:
-			r.ok, r.rw, err = decider.IsNRecording(e.ctx, j.t, j.n, shards, onShard)
-		}
-		return r, err
-	})
-	if err != nil {
-		return err
+		e.deliver(j, res, cached, start)
+		j.belowNegative = !res.ok
 	}
-	e.deliver(j, res, cached, start)
 	return nil
 }
 
@@ -326,29 +343,30 @@ func (e *Engine) deliver(j levelJob, res propResult, cached bool, start time.Tim
 		OK: res.ok, Cached: cached, Elapsed: time.Since(start)})
 }
 
-// runPool answers the jobs whose levels are memoized on the calling
-// goroutine and drains the rest through the shared worker pool, stopping
-// early on the first error or on engine-context cancellation (later jobs
-// are skipped, in-flight ones finish). A level another call is computing
-// right now is not memoized yet: it goes to the pool and waits there, in
-// the cache's singleflight. jobs is reordered in place.
-func (e *Engine) runPool(jobs []levelJob) error {
-	misses := jobs[:0]
-	for _, j := range jobs {
-		start := time.Now()
-		if res, ok := e.cache.lookup(j.key()); ok {
+// runPool walks each chain on the calling goroutine while its levels are
+// memoized, and drains each chain from its first miss through the shared
+// worker pool, carrying whether the level below that miss was negative.
+// It stops early on the first error or on engine-context cancellation
+// (later chains are skipped, in-flight ones finish). A level another call
+// is computing right now is not memoized yet: its chain goes to the pool
+// and waits there, in the cache's singleflight. chains is overwritten.
+func (e *Engine) runPool(chains []levelJob) error {
+	misses := chains[:0]
+	for _, j := range chains {
+		for ; j.n <= j.top; j.n++ {
+			start := time.Now()
+			res, ok := e.cache.lookup(j.key())
+			if !ok {
+				misses = append(misses, j)
+				break
+			}
 			e.deliver(j, res, true, start)
-			continue
+			j.belowNegative = !res.ok
 		}
-		misses = append(misses, j)
 	}
 	if len(misses) == 0 {
 		return nil
 	}
-	// Heaviest levels first: the pool's makespan is bounded by its
-	// largest job, so schedule high n (exponentially dominant) early.
-	sort.SliceStable(misses, func(i, k int) bool { return misses[i].n > misses[k].n })
-
 	fed, err := pool.Run(e.ctx, len(misses), e.parallelism,
 		func(i int) error { return e.run(misses[i]) })
 	if err != nil {
@@ -378,16 +396,14 @@ func newAnalysis(t *spec.FiniteType, maxN int) *core.Analysis {
 	}
 }
 
-// jobsFor expands one type into its 2*(maxN-1) level jobs.
+// jobsFor expands one type into its two chains, one per property, each
+// over n = 2..maxN.
 func jobsFor(t *spec.FiniteType, maxN int, a *core.Analysis, mu *sync.Mutex) []levelJob {
 	fp := t.Fingerprint()
-	jobs := make([]levelJob, 0, 2*(maxN-1))
-	for n := 2; n <= maxN; n++ {
-		for _, prop := range []Property{Discerning, Recording} {
-			jobs = append(jobs, levelJob{t: t, fp: fp, prop: prop, n: n, a: a, mu: mu})
-		}
+	return []levelJob{
+		{t: t, fp: fp, prop: Discerning, n: 2, top: maxN, a: a, mu: mu},
+		{t: t, fp: fp, prop: Recording, n: 2, top: maxN, a: a, mu: mu},
 	}
-	return jobs
 }
 
 // finish derives the hierarchy positions once every level is decided.
@@ -397,9 +413,11 @@ func finish(a *core.Analysis) {
 }
 
 // Analyze computes the discerning/recording spectrum of t for all
-// n in [2, MaxN] and derives hierarchy positions, running the level
-// checks concurrently on the engine's pool. The result is identical to
-// core.Analyze(t, e.MaxN()).
+// n in [2, MaxN] and derives hierarchy positions, running the two
+// properties' level chains concurrently on the engine's pool. Each chain
+// searches its levels upward and derives every level above its first
+// negative one (see run). The result is identical to
+// core.Analyze(t, e.MaxN()), which searches every level.
 func (e *Engine) Analyze(t *spec.FiniteType) (*core.Analysis, error) {
 	return e.AnalyzeTo(t, e.maxN)
 }
@@ -438,7 +456,7 @@ func (e *Engine) AnalyzeTo(t *spec.FiniteType, maxN int) (*core.Analysis, error)
 }
 
 // AnalyzeAll analyzes every type in ts up to the engine's MaxN, flattening
-// all level checks of all types into one pool run so small types do not
+// the level chains of all types into one pool run so small types do not
 // serialize behind large ones. Results are returned in input order.
 func (e *Engine) AnalyzeAll(ts []*spec.FiniteType) ([]*core.Analysis, error) {
 	if err := checkMaxN(e.maxN); err != nil {
@@ -486,7 +504,8 @@ func (e *Engine) Recording(t *spec.FiniteType, n int) (bool, *record.Witness, er
 	return a.Recording[n], a.RecordingWitness[n], nil
 }
 
-// level runs one level job outside any Analyze sweep.
+// level decides exactly one level, a chain of one, outside any Analyze:
+// nothing below it is consulted, so it is always searched on a miss.
 func (e *Engine) level(t *spec.FiniteType, prop Property, n int) (*core.Analysis, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("engine: need n >= 2, got %d", n)
@@ -499,7 +518,7 @@ func (e *Engine) level(t *spec.FiniteType, prop Property, n int) (*core.Analysis
 	}
 	a := newAnalysis(t, n)
 	var mu sync.Mutex
-	if err := e.run(levelJob{t: t, fp: t.Fingerprint(), prop: prop, n: n, a: a, mu: &mu}); err != nil {
+	if err := e.run(levelJob{t: t, fp: t.Fingerprint(), prop: prop, n: n, top: n, a: a, mu: &mu}); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -181,17 +181,20 @@ func TestCancellation(t *testing.T) {
 		t.Errorf("Theorem13 on canceled ctx: err=%v, want Canceled", err)
 	}
 
-	// A deadline mid-search: XFive up to n=14 is far beyond the deadline
-	// (about 2.2s on two workers of a 2-vCPU Xeon VM, over 400x the
+	// A deadline mid-search: XFive's n=14 discerning level, decided alone,
+	// searches its whole assignment space, far beyond the deadline
+	// (0.8-1.0s on two workers of a 2-vCPU Xeon VM, over 150x the
 	// deadline), so the decider's per-assignment poll must surface
-	// DeadlineExceeded.
+	// DeadlineExceeded. An Analyze to n=14 would not do: it derives every
+	// level above XFive's first negative ones and finishes in milliseconds
+	// (TestImpliedLevelsRunNoSearch).
 	ctx, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
-	deadlined := New(WithContext(ctx), WithMaxN(14), WithParallelism(2))
+	deadlined := New(WithContext(ctx), WithParallelism(2))
 	start := time.Now()
-	_, err := deadlined.Analyze(types.XFive())
+	_, _, err := deadlined.Discerning(types.XFive(), 14)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("deadline analysis: err=%v, want DeadlineExceeded", err)
+		t.Errorf("deadlined level search: err=%v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancellation took %s, want well under the full search time", elapsed)

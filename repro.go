@@ -19,7 +19,9 @@
 //
 // The primary entry point is the Engine: a long-lived analysis object
 // built once with functional options and reused across workloads. It runs
-// the per-level property checks concurrently on a worker pool, memoizes
+// each property's level checks as one ascending chain, the chains
+// concurrently on a worker pool, derives the levels above a chain's
+// first negative one instead of searching them, memoizes
 // sub-decisions in a cache shared across calls (and, via WithCache,
 // across engines), honors context cancellation and deadlines in every
 // search hot path, and reports structured progress events:
