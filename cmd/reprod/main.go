@@ -16,7 +16,6 @@
 //	GET  /v1/protocols/{fingerprint}
 //	POST /v1/jobs       {"kind":"check","check":{...}} (async; also "analyze", "theorem13")
 //	GET  /v1/jobs/{id}  (DELETE cancels; /v1/jobs/{id}/events streams progress as SSE)
-//	POST /v1/compact    (fold the -cache-file journal into a fresh snapshot)
 //	GET  /healthz
 //	GET  /v1/stats
 //	GET  /metrics       (Prometheus text format)
@@ -54,11 +53,6 @@
 // queued jobs cancel, streams end with a terminal event — before the
 // HTTP listener and the decision journal close.
 //
-// With -cache-file set, -compact-every additionally folds the decision
-// journal into a fresh snapshot on a timer (drain-safe: shutdown waits
-// for an in-flight compaction before the final flush), and
-// POST /v1/compact does the same on demand.
-//
 // Observability: every request is traced end to end. The server logs
 // one structured JSON line per request to stderr (level via -log-level)
 // carrying the request's X-Request-Id — client-supplied or generated,
@@ -70,7 +64,7 @@
 // public mux (see the README's Observability section).
 //
 // The shared engine flags apply: -parallel sizes each request's worker
-// pool, -cache-file persists the decision cache (journal + snapshot),
+// pool, -cache-file persists the decision cache (one journal file),
 // -timeout bounds the whole serving run (useful for smoke tests), and
 // -progress logs cache and store statistics on shutdown. SIGINT/SIGTERM
 // shut down gracefully: in-flight requests finish, then the journal is
@@ -117,8 +111,6 @@ func run(args []string) error {
 	batchLimit := fs.Int("batch-limit", serve.DefaultBatchLimit, "max type descriptors per batch request (also max items per check request)")
 	checkMaxNodes := fs.Int("check-max-nodes", serve.DefaultCheckMaxNodes,
 		"default and ceiling for one model-check item's explored state space, in nodes")
-	compactEvery := fs.Duration("compact-every", 0,
-		"fold the -cache-file journal into a fresh snapshot at this interval (0 = only on demand via POST /v1/compact)")
 	ef := cli.AddEngineFlags(fs)
 	jf := cli.AddJobFlags(fs)
 	of := cli.AddObsFlags(fs)
@@ -189,31 +181,6 @@ func run(args []string) error {
 	}
 	srv := serve.New(cfg)
 
-	// Periodic auto-compaction: fold the journal into a fresh snapshot on
-	// a timer. The ticker goroutine signals compactorDone when it exits;
-	// shutdown waits on it BEFORE closing the store, so a compaction can
-	// never race the final flush-and-close (drain-safe by construction —
-	// Compact itself is serialized with appends on the store's flusher).
-	compactorDone := make(chan struct{})
-	if *compactEvery > 0 && pc != nil {
-		go func() {
-			defer close(compactorDone)
-			tick := time.NewTicker(*compactEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if err := pc.Compact(); err != nil {
-						fmt.Fprintln(os.Stderr, "reprod: compact:", err)
-					}
-				}
-			}
-		}()
-	} else {
-		close(compactorDone)
-	}
 	hs := &http.Server{
 		Handler:           srv,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -259,8 +226,6 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "reprod: flushing graphs:", ferr)
 		}
 		if pc != nil {
-			cancelRun() // stops the auto-compactor before the store closes
-			<-compactorDone
 			pc.Close()
 		}
 		return err
@@ -271,11 +236,11 @@ func run(args []string) error {
 	// subsystem — queued jobs cancel, running jobs stop, every SSE event
 	// stream ends with a terminal event; (2) then the HTTP server can
 	// drain, since the now-closed streams release their handlers;
-	// (3) only after all job and request work has stopped, wait out the
-	// auto-compactor and flush the decision journal, so nothing appends
-	// decisions after the final write. Unregister the signal handler
-	// first so a second SIGINT/SIGTERM falls back to the default action
-	// and can force-quit a drain that is taking too long.
+	// (3) only after all job and request work has stopped, flush the
+	// decision journal, so nothing appends decisions after the final
+	// write. Unregister the signal handler first so a second
+	// SIGINT/SIGTERM falls back to the default action and can force-quit
+	// a drain that is taking too long.
 	stop()
 	fmt.Fprintln(os.Stderr, "reprod: shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -294,7 +259,6 @@ func run(args []string) error {
 	}
 	ef.Summary(cache)
 	if pc != nil {
-		<-compactorDone // ctx is done; wait out any in-flight compaction
 		if err := pc.Close(); err != nil {
 			return fmt.Errorf("flushing cache file: %w", err)
 		}

@@ -119,90 +119,6 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 }
 
-// TestAutoCompaction runs the server with a fast -compact-every against
-// a real cache file: decisions computed for an analyze request must be
-// folded into a snapshot by the periodic compactor while requests are
-// still being served, and the shutdown path must drain cleanly.
-func TestAutoCompaction(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "decisions")
-	err := serveFor(t, []string{"-cache-file", cache, "-max-n", "2", "-compact-every", "50ms"},
-		2*time.Second, func(base string) {
-			resp, err := http.Post(base+"/v1/analyze", "application/json", strings.NewReader(`{"type":"tas"}`))
-			if err != nil {
-				t.Fatalf("analyze: %v", err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("analyze = %d", resp.StatusCode)
-			}
-			// Wait out at least one compaction tick, then confirm the
-			// snapshot exists via stats.
-			deadline := time.Now().Add(time.Second)
-			for {
-				resp, err := http.Get(base + "/v1/stats")
-				if err != nil {
-					t.Fatalf("stats: %v", err)
-				}
-				var stats struct {
-					Store *struct {
-						SnapshotBytes int64 `json:"snapshotBytes"`
-					} `json:"store"`
-				}
-				err = json.NewDecoder(resp.Body).Decode(&stats)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Store != nil && stats.Store.SnapshotBytes > 0 {
-					return
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("periodic compaction never produced a snapshot")
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-		})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
-// TestCompactOnDemand drives POST /v1/compact through the real binary
-// wiring (store + serve + shutdown flush).
-func TestCompactOnDemand(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "decisions")
-	err := serveFor(t, []string{"-cache-file", cache, "-max-n", "2"}, 2*time.Second, func(base string) {
-		resp, err := http.Post(base+"/v1/analyze", "application/json", strings.NewReader(`{"type":"tas"}`))
-		if err != nil {
-			t.Fatalf("analyze: %v", err)
-		}
-		resp.Body.Close()
-		resp, err = http.Post(base+"/v1/compact", "application/json", nil)
-		if err != nil {
-			t.Fatalf("compact: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("compact = %d", resp.StatusCode)
-		}
-		var body struct {
-			Compacted bool `json:"compacted"`
-			Store     struct {
-				SnapshotBytes int64 `json:"snapshotBytes"`
-			} `json:"store"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		if !body.Compacted || body.Store.SnapshotBytes == 0 {
-			t.Fatalf("compact response: %+v", body)
-		}
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-max-n", "1"},

@@ -54,7 +54,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	fs.BoolVar(&f.Progress, "progress", false,
 		"print progress to stderr while the run advances")
 	fs.StringVar(&f.CacheFile, "cache-file", "",
-		"persist the decision cache at this path (journal + snapshot), resuming prior runs' decisions")
+		"persist the decision cache at this path (one journal file, the path plus \".journal\"), resuming prior runs' decisions")
 	fs.IntVar(&f.GraphCacheBudget, "graph-cache-budget", 0,
 		"node budget of the engine's exploration-graph cache (0 = engine default)")
 	fs.StringVar(&f.GraphDir, "graph-dir", "",
@@ -211,7 +211,7 @@ func (f *EngineFlags) Summary(c *repro.Cache) {
 			fmt.Fprintln(os.Stderr, "cache-file:", err)
 		}
 		st := f.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "[engine] cache file %s: %d loaded, %d appended (journal %dB, snapshot %dB)\n",
-			st.Path, st.Loaded, st.Appended, st.JournalBytes, st.SnapshotBytes)
+		fmt.Fprintf(os.Stderr, "[engine] cache file %s: %d loaded, %d appended (journal %dB)\n",
+			st.Path, st.Loaded, st.Appended, st.JournalBytes)
 	}
 }

@@ -267,12 +267,3 @@ func (c *Client) Version(ctx context.Context) (*serve.VersionResponse, error) {
 	}
 	return &out, nil
 }
-
-// Compact runs POST /v1/compact.
-func (c *Client) Compact(ctx context.Context) (*serve.CompactResponse, error) {
-	var out serve.CompactResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/compact", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}

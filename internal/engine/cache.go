@@ -128,7 +128,10 @@ func (c *Cache) Stats() (hits, misses uint64, entries int) {
 	return c.hits, c.misses, len(c.m)
 }
 
-// Purge empties the cache, keeping the statistics.
+// Purge empties the cache, keeping the statistics. The sink stays: a
+// store-backed cache (internal/store) journals again whatever it
+// recomputes after a Purge, and the store's Open collapses such
+// duplicate records into one decision each.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -12,8 +12,8 @@
 // followed by channel close, which is exactly the shape an SSE handler
 // wants. Shutdown is orderly — Manager.Close stops intake, cancels
 // queued and running jobs, and waits (bounded by a context) for workers
-// to drain, so the server can finish its journal and compactor handshake
-// after all job work has stopped.
+// to drain, so the server can flush its decision journal after all job
+// work has stopped.
 //
 // Finished jobs stay resolvable by ID up to a history limit, so clients
 // can poll GET /v1/jobs/{id} for terminal states they missed.

@@ -339,3 +339,51 @@ func TestOversizedDescriptorsAnswer400(t *testing.T) {
 		t.Fatalf("rejected descriptors left %d entries in the descriptor memo", len(s.named))
 	}
 }
+
+// TestCheckGraphCacheAcrossRequests is the service-level tentpole check:
+// two identical /v1/check requests — separate HTTP requests, separate
+// request engines — share the server-wide graph cache, so the second
+// expands nothing and the cache reports hits.
+func TestCheckGraphCacheAcrossRequests(t *testing.T) {
+	s := New(Config{})
+	body1 := `{"protocol":"cas-rec:2","requests":[{"inputs":[0,1],"crashQuota":[1,1]}]}`
+	code, resp1 := post(t, s, "/v1/check", body1)
+	if code != http.StatusOK {
+		t.Fatalf("first check = %d %s", code, resp1)
+	}
+	code, resp2 := post(t, s, "/v1/check", body1)
+	if code != http.StatusOK {
+		t.Fatalf("second check = %d %s", code, resp2)
+	}
+	var r1, r2 CheckResponse
+	if err := json.Unmarshal(resp1, &r1); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(resp2, &r2); err != nil {
+		t.Fatal(err)
+	}
+	if r1.Graph.Expanded == 0 {
+		t.Fatalf("first request expanded nothing: %+v", r1.Graph)
+	}
+	if r2.Graph.Expanded != 0 {
+		t.Fatalf("second request re-expanded %d nodes — graph cache not shared across requests", r2.Graph.Expanded)
+	}
+	if r1.Results[0].Nodes != r2.Results[0].Nodes || !r2.Results[0].OK {
+		t.Fatalf("cached walk diverged: %+v vs %+v", r1.Results[0], r2.Results[0])
+	}
+
+	code, body := get(t, s, "/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats = %d", code)
+	}
+	var stats StatsResponse
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.GraphCache.Hits == 0 || stats.GraphCache.Graphs == 0 || stats.GraphCache.Nodes == 0 {
+		t.Fatalf("graph cache stats not threaded: %+v", stats.GraphCache)
+	}
+	if _, body := get(t, s, "/metrics"); !strings.Contains(string(body), `reprod_graph_cache_requests_total{outcome="hit"}`) {
+		t.Fatal("metrics missing reprod_graph_cache_requests_total")
+	}
+}

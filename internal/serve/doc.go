@@ -8,7 +8,6 @@
 //	POST /v1/analyze  {"type":"tnn:5,2","maxN":5}       one type
 //	POST /v1/batch    {"types":["tas","x4"],"maxN":4}   many types
 //	POST /v1/check    {"protocol":"cas-rec:2","requests":[...]}  batched model checking
-//	POST /v1/compact                                    fold the store journal into a snapshot
 //	GET  /healthz                                       liveness
 //	GET  /v1/stats                                      cache/graph/store/traffic counters
 //	GET  /metrics                                       the same, Prometheus text format
@@ -35,9 +34,7 @@
 // requests analyzing at once; the engines' worker pools interleave on
 // the scheduler below that bound. The server never closes its Store —
 // the owning process (cmd/reprod) flushes it at shutdown, preserving the
-// one-process-per-cache-path ownership contract; /v1/compact runs on the
-// store's flusher goroutine, serialized with appends, so it is safe
-// under live traffic.
+// one-process-per-cache-path ownership contract.
 //
 // # Byte-stability guarantees
 //

@@ -151,8 +151,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("reprod_graph_store_errors_total", "Graph-store I/O failures (each degrades one key to in-memory operation).",
 			lv("", float64(gc.Store.Errors)))
 	}
-	counter("reprod_store_compactions_total", "On-demand store compactions served OK.",
-		lv("", float64(s.compacted.Load())))
 
 	js := s.jobsMgr.Stats()
 	gauge("reprod_jobs_queued", "Async jobs waiting to run.", float64(js.Queued))
@@ -172,7 +170,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		gauge("reprod_store_journal_bytes", "Decision-store journal size on disk.", float64(st.JournalBytes))
-		gauge("reprod_store_snapshot_bytes", "Decision-store snapshot size on disk.", float64(st.SnapshotBytes))
 		counter("reprod_store_decisions_total", "Decisions by origin.",
 			lv(`{origin="loaded"}`, float64(st.Loaded)),
 			lv(`{origin="appended"}`, float64(st.Appended)))

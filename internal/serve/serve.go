@@ -147,7 +147,6 @@ type Server struct {
 	checkItems    atomic.Uint64 // model-check items completed across check batches
 	graphExpanded atomic.Uint64 // shared-graph expansions performed
 	graphReused   atomic.Uint64 // shared-graph expansions amortized away
-	compacted     atomic.Uint64 // on-demand store compactions served OK
 }
 
 // New builds a Server, normalizing zero Config fields to the defaults.
@@ -206,7 +205,6 @@ func New(cfg Config) *Server {
 		{"POST /v1/analyze", "analyze", s.handleAnalyze},
 		{"POST /v1/batch", "batch", s.handleBatch},
 		{"POST /v1/check", "check", s.handleCheck},
-		{"POST /v1/compact", "compact", s.handleCompact},
 		{"POST /v1/protocols", "protocols", s.handleProtocolRegister},
 		{"GET /v1/protocols/{fingerprint}", "protocols", s.handleProtocolGet},
 		{"POST /v1/jobs", "jobs", s.handleJobSubmit},
@@ -367,9 +365,9 @@ type StatsResponse struct {
 	// Protocols is the number of distinct user-submitted protocols
 	// registered by fingerprint.
 	Protocols int `json:"protocols"`
-	// Compactions counts POST /v1/compact requests served OK.
-	Compactions uint64       `json:"compactions"`
-	Store       *store.Stats `json:"store,omitempty"`
+	// Store reports the persistent decision store (absent when none is
+	// configured): decisions loaded and appended, and the journal size.
+	Store *store.Stats `json:"store,omitempty"`
 	// Latency summarizes the middleware's per-endpoint latency
 	// histograms (endpoints that served at least one request). The same
 	// distributions are exported in full bucket form as
@@ -742,7 +740,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.GraphStore = gc.Store
 	resp.Jobs = s.jobsMgr.Stats()
 	resp.Protocols = s.protocols.Len()
-	resp.Compactions = s.compacted.Load()
 	hits, misses, entries := s.cfg.Cache.Stats()
 	resp.Cache.Hits = hits
 	resp.Cache.Misses = misses

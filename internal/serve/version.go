@@ -10,9 +10,10 @@ import (
 
 // APIRevision is the integer revision of the /v1 API surface, echoed by
 // GET /v1/version and as the X-Reprod-Api header on every /v1 response.
-// It bumps when the wire contract changes compatibly (new endpoints,
-// new response fields); incompatible changes would bump the /v1 path
-// prefix instead.
+// It bumps whenever the wire contract changes: new endpoints and
+// response fields, and the removal of surface that did no work
+// (revisions 3 and 4). A change that would make a kept endpoint answer
+// differently would bump the /v1 path prefix instead.
 //
 // Revision history:
 //
@@ -26,11 +27,16 @@ import (
 //	    "search", "bitset" and "auto" (any other name still answers 400
 //	    invalid_argument), /v1/stats no longer reports "deciders" and
 //	    /metrics no longer exports reprod_decider_total.
+//	4 — a decision store is one journal file: POST /v1/compact is gone
+//	    (it answers 404 as an unknown route), /v1/stats no longer
+//	    reports "compactions" or "store.snapshotBytes", and /metrics no
+//	    longer exports reprod_store_compactions_total or
+//	    reprod_store_snapshot_bytes.
 //
 // Replies are compact JSON. Servers up to early revision 3 indented
 // them; whitespace is not part of the wire contract, so dropping the
 // indentation bumped no revision.
-const APIRevision = 3
+const APIRevision = 4
 
 // apiHeader is the response header carrying APIRevision on /v1 routes.
 const apiHeader = "X-Reprod-Api"

@@ -7,50 +7,50 @@
 //
 // # On-disk layout
 //
-// A store at path P owns two files:
+// A store at path P is one file, the append-only journal P.journal,
+// which receives every decision the cache computes. The cache journals
+// only the decisions it computed, and it never recomputes a key it
+// holds, so the journal holds each decision once. The exception is
+// engine.Cache.Purge: a purged store-backed cache journals again
+// whatever it then recomputes, and Open collapses such duplicates into
+// one decision each. Nothing is written at P itself.
 //
-//   - P — the compacted snapshot, rewritten atomically (write to a
-//     temporary file in the same directory, fsync, rename) by Compact;
-//   - P.journal — the append-only journal receiving every decision
-//     computed since the last compaction.
-//
-// Both files share one format, the internal/logfile framing: the magic
-// "RPRDECIS", the little-endian version 2 and an empty meta frame, then
-// one frame per decision. A frame is a length, a CRC-32C over the length
-// and the payload, and the payload: the fingerprint (uint64), a
-// property code, the level and the verdict (one byte each), then, for a
-// positive decision, the witness JSON. The checksum makes corruption
-// detection independent of the payload: a torn tail from a crash, a bit
-// flip, or a truncated copy is caught at load time, and the load keeps
-// every decision up to the first bad frame (for the journal, the file is
-// also physically truncated back to that point so appends resume on a
-// clean boundary).
+// The journal is an internal/logfile framing: the magic "RPRDECIS", the
+// little-endian version 2 and an empty meta frame, then one frame per
+// decision. A frame is a length, a CRC-32C over the length and the
+// payload, and the payload: the fingerprint (uint64), a property code,
+// the level and the verdict (one byte each), then, for a positive
+// decision, the witness JSON. The checksum makes corruption detection
+// independent of the payload: a torn tail from a crash, a bit flip, or a
+// truncated copy is caught at load time, and the load keeps every
+// decision up to the first bad frame; the file is also physically
+// truncated back to that point so appends resume on a clean boundary.
 //
 // # Crash safety and upgrades
 //
-// A foreign file at either path, or a file of a newer version, is
-// refused and left untouched. A torn header reads as empty, and so does
-// a version 1 file (a JSON header line and JSON-in-JSON records): an
-// upgraded build loads it as zero decisions, rewrites the journal at
-// Open and the snapshot at the next Compact. Appends are buffered;
-// Flush and Close fsync the journal. Compact writes the snapshot to a
-// temporary file, fsyncs it, renames it over the old one and fsyncs the
-// directory, and only then resets the journal.
+// A foreign journal, or a journal of a newer version, is refused and
+// left untouched. A torn header reads as empty, and so does a version 1
+// journal (a JSON header line and JSON-in-JSON records): an upgraded
+// build loads it as zero decisions and rewrites it at Open. Appends are
+// buffered; Flush and Close fsync the journal.
+//
+// Earlier builds could also compact the journal into a snapshot file at
+// P. A snapshot left there is neither read nor written: its decisions
+// are recomputed on demand, once, and journaled.
 //
 // # Concurrency and ownership
 //
 // Writes are asynchronous: the cache's sink hands newly computed
 // decisions to a flusher goroutine owning the journal file, so deciders
-// never block on disk. Close drains and syncs the journal; Flush and
-// Compact are available mid-run. One process at a time may own a store
-// path (the -cache-file contract of the cmd tools) — concurrent writers
-// would interleave journal frames. Within the owning process a *Store is
-// safe for concurrent use.
+// never block on disk. Close drains and syncs the journal; Flush is
+// available mid-run. One process at a time may own a store path (the
+// -cache-file contract of the cmd tools) — concurrent writers would
+// interleave journal frames. Within the owning process a *Store is safe
+// for concurrent use.
 //
 // # Byte-stability guarantees
 //
-// Snapshot bytes are deterministic for a given set of decisions (entries
-// are sorted before writing), and the witness JSON codecs round-trip
-// byte-identically, so two stores holding the same decisions compact to
-// identical snapshot files.
+// The witness JSON codecs round-trip byte-identically, so a decision
+// loaded from the journal re-encodes to the frame it was read from, and
+// warm answers carry the same witness bytes as cold ones.
 package store

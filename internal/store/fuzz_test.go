@@ -9,17 +9,18 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/logfile"
+	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-// FuzzStoreLoad hands Open arbitrary bytes at the snapshot and journal
-// paths. The contract under test is the one the crash-recovery design
-// leans on: Open fails only on an alien or a newer-version header and
-// never panics; otherwise it loads a good prefix of both files, and a
-// decision computed after Open is journaled, survives Close, and is
+// FuzzStoreLoad hands Open arbitrary bytes as the journal, the store's
+// one file. The contract under test is the one the crash-recovery
+// design leans on: Open fails only on an alien or a newer-version header
+// and never panics; otherwise it loads a good prefix of the journal, and
+// a decision computed after Open is journaled, survives Close, and is
 // served again by a reopen alongside everything the first Open loaded.
-// Seeds are a genuine compacted snapshot and journal, damaged variants
-// of them, the two refused headers, and version 1 files.
+// Seeds are a genuine journal, damaged variants of it, the two refused
+// headers, a version 1 journal and the empty file.
 func FuzzStoreLoad(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "decisions")
@@ -27,23 +28,15 @@ func FuzzStoreLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Two decisions per file keep the seeds small: every exec fsyncs, and
-	// the fuzzer minimizes each new input exec by exec.
+	// Four decisions keep the seeds small: every exec fsyncs, and the
+	// fuzzer minimizes each new input exec by exec.
 	eng := engine.New(engine.WithCache(st.Cache()), engine.WithMaxN(2))
-	if _, err := eng.Analyze(types.TestAndSet()); err != nil {
-		f.Fatal(err)
-	}
-	if err := st.Compact(); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := eng.Analyze(types.Register(2)); err != nil {
-		f.Fatal(err)
+	for _, ft := range []*spec.FiniteType{types.TestAndSet(), types.Register(2)} {
+		if _, err := eng.Analyze(ft); err != nil {
+			f.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
-		f.Fatal(err)
-	}
-	snap, err := os.ReadFile(path)
-	if err != nil {
 		f.Fatal(err)
 	}
 	journal, err := os.ReadFile(path + journalSuffix)
@@ -53,31 +46,24 @@ func FuzzStoreLoad(f *testing.F) {
 	flipped := append([]byte(nil), journal...)
 	flipped[len(flipped)*2/3] ^= 0x20
 	newer := logfile.Format{Magic: Magic, Version: Version + 1}.AppendHeader(nil, nil)
-	v1snap, err := os.ReadFile(filepath.Join("testdata", "decisions-v1.repro"))
-	if err != nil {
-		f.Fatal(err)
-	}
 	v1journal, err := os.ReadFile(filepath.Join("testdata", "decisions-v1.repro.journal"))
 	if err != nil {
 		f.Fatal(err)
 	}
 
-	f.Add(snap, journal)
-	f.Add([]byte{}, journal)
-	f.Add(snap, []byte{})
-	f.Add(snap[:len(snap)-5], journal[:len(journal)/2])
-	f.Add(snap, flipped)
-	f.Add([]byte("not a store\n"), journal)
-	f.Add(snap, newer)
-	f.Add(v1snap, v1journal)
-	f.Add(v1snap, journal)
-	f.Add([]byte{}, []byte{})
+	f.Add(journal)
+	f.Add([]byte{})
+	f.Add(journal[:len(journal)/2])
+	f.Add(journal[:len(journal)-5])
+	f.Add(flipped)
+	f.Add([]byte("not a store\n"))
+	f.Add(newer)
+	f.Add(v1journal)
+	f.Add(append([]byte(nil), header...))
+	f.Add(header[:len(header)-1])
 
-	f.Fuzz(func(t *testing.T, snap, journal []byte) {
+	f.Fuzz(func(t *testing.T, journal []byte) {
 		path := filepath.Join(t.TempDir(), "decisions")
-		if err := os.WriteFile(path, snap, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path+journalSuffix, journal, 0o644); err != nil {
 			t.Fatal(err)
 		}

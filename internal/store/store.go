@@ -6,10 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/discern"
@@ -24,20 +21,19 @@ const Magic = "RPRDECIS"
 // Version is the newest file-format version this package writes:
 // version 2 holds one binary frame per decision. Files with a newer
 // version are refused (not silently truncated): they hold valid data
-// from a newer build, which must not be destroyed. Version 1 files (JSON
-// lines) load as zero decisions: the journal is rewritten at Open, the
-// snapshot at the next Compact.
+// from a newer build, which must not be destroyed. A version 1 journal
+// (JSON lines) loads as zero decisions and is rewritten at Open.
 const Version = 2
 
-// format frames both store files. Legacy is how every version 1 file
-// begins.
+// format frames the journal. Legacy is how every version 1 file begins.
 var format = logfile.Format{Magic: Magic, Version: Version, Name: "decision-store",
 	Legacy: `{"format":"repro-decision-store"`}
 
-// header opens every snapshot and journal; its meta frame is empty.
+// header opens every journal; its meta frame is empty.
 var header = format.AppendHeader(nil, nil)
 
-// journalSuffix names the journal file beside the snapshot path.
+// journalSuffix names the journal file: the store at path P is the one
+// file P + journalSuffix.
 const journalSuffix = ".journal"
 
 // Property codes of a decision frame.
@@ -135,7 +131,7 @@ func decodeEntry(p []byte) (engine.Entry, error) {
 	return e, nil
 }
 
-// readDecisions loads the decisions of one store file, tolerating
+// readDecisions loads the decisions of a journal file, tolerating
 // corruption: it returns every decision up to (excluding) the first bad
 // frame, plus the byte length of that good prefix. A missing, empty or
 // version 1 file, or a torn header, is zero decisions. A foreign file
@@ -156,29 +152,18 @@ func readDecisions(path string) (entries []engine.Entry, goodLen int64, err erro
 	return entries, goodLen, nil
 }
 
-// request kinds served by the flusher goroutine.
-const (
-	reqFlush = iota
-	reqCompact
-)
-
-type request struct {
-	kind int
-	err  chan error
-}
-
 // Store is an open persistent decision store. It is safe for concurrent
 // use. Construct with Open; the zero value is not usable.
 type Store struct {
-	path  string // snapshot file
-	jpath string // journal file
+	path  string // as given to Open
+	jpath string // the journal, the store's one file
 	cache *engine.Cache
 
 	queue chan engine.Entry
-	reqs  chan request
-	done  chan struct{} // closed when the flusher has exited
+	syncs chan chan error // Flush requests, each answered on its channel
+	done  chan struct{}   // closed when the flusher has exited
 
-	// lifeMu guards closed. Sink sends and flusher requests hold it for
+	// lifeMu guards closed. Sink sends and Flush requests hold it for
 	// reading across their whole channel interaction, so Close (which
 	// takes it for writing) cannot tear the channels down under them.
 	lifeMu sync.RWMutex
@@ -194,12 +179,13 @@ type Store struct {
 	bw      *bufio.Writer
 }
 
-// Open opens (creating if absent) the decision store at path and
-// warm-loads every previously persisted decision into a fresh cache,
-// reachable via Cache. Corrupted tails of the snapshot or journal are
-// skipped, and the journal is physically truncated to its last good
-// record so appends resume cleanly. The returned store appends every
-// decision the cache computes from now on, asynchronously, until Close.
+// Open opens (creating if absent) the decision store at path, whose one
+// file is the journal path + ".journal", and warm-loads every previously
+// persisted decision into a fresh cache, reachable via Cache. A corrupted
+// journal tail is skipped, and the journal is physically truncated to
+// its last good record so appends resume cleanly. The returned store
+// appends every decision the cache computes from now on, asynchronously,
+// until Close.
 func Open(path string) (*Store, error) {
 	if path == "" {
 		return nil, errors.New("store: empty path")
@@ -209,29 +195,19 @@ func Open(path string) (*Store, error) {
 		jpath: path + journalSuffix,
 		cache: engine.NewCache(),
 		queue: make(chan engine.Entry, 256),
-		reqs:  make(chan request),
+		syncs: make(chan chan error),
 		done:  make(chan struct{}),
 	}
 
-	snap, _, err := readDecisions(s.path)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range snap {
-		s.cache.Insert(e)
-	}
 	jrnl, goodLen, err := readDecisions(s.jpath)
 	if err != nil {
 		return nil, err
 	}
-	// Journal entries overwrite snapshot entries: they are newer (and,
-	// the deciders being deterministic, identical for identical keys).
 	for _, e := range jrnl {
 		s.cache.Insert(e)
 	}
-	// Count distinct decisions, not records: after a crash between
-	// compact's snapshot rename and its journal reset, journal records
-	// duplicate snapshot ones and collapse on Insert.
+	// Count distinct decisions, not records: a purged cache re-journals
+	// what it recomputes, and such duplicates collapse on Insert.
 	_, _, s.loaded = s.cache.Stats()
 
 	f, err := logfile.OpenAppend(s.jpath, goodLen)
@@ -241,7 +217,11 @@ func Open(path string) (*Store, error) {
 	s.journal = f
 	s.bw = bufio.NewWriterSize(f, 1<<16)
 	if goodLen == 0 {
-		if err := s.writeHeader(); err != nil {
+		_, err := s.bw.Write(header)
+		if err == nil {
+			err = s.bw.Flush()
+		}
+		if err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -257,7 +237,8 @@ func Open(path string) (*Store, error) {
 // decision they compute is persisted automatically.
 func (s *Store) Cache() *engine.Cache { return s.cache }
 
-// Path returns the snapshot path the store was opened with.
+// Path returns the path the store was opened with. The store's one file,
+// its journal, is Path() + ".journal".
 func (s *Store) Path() string { return s.path }
 
 // enqueue is the cache sink: it hands one newly computed decision to the
@@ -269,15 +250,6 @@ func (s *Store) enqueue(e engine.Entry) {
 		return
 	}
 	s.queue <- e
-}
-
-// writeHeader writes the format header at the journal's current
-// position and pushes it to the OS.
-func (s *Store) writeHeader() error {
-	if _, err := s.bw.Write(header); err != nil {
-		return err
-	}
-	return s.bw.Flush()
 }
 
 // setErr records the first journal I/O error.
@@ -301,7 +273,7 @@ func (s *Store) Err() error {
 }
 
 // flusher owns the journal file: it drains the append queue and serves
-// Flush/Compact requests until Close shuts the queue, then syncs and
+// Flush requests until Close shuts the queue, then syncs and
 // closes the file. Whenever the queue goes idle it pushes the write
 // buffer to the OS, so a killed process (OOM, SIGKILL) loses at most
 // the appends of one busy burst — only an OS crash can lose an idle
@@ -310,15 +282,13 @@ func (s *Store) flusher() {
 	defer close(s.done)
 	for {
 		var (
-			e      engine.Entry
-			ok     bool
-			req    request
-			gotReq bool
+			e     engine.Entry
+			ok    bool
+			reply chan error
 		)
 		select {
 		case e, ok = <-s.queue:
-		case req = <-s.reqs:
-			gotReq = true
+		case reply = <-s.syncs:
 		default:
 			// Queue idle: make the buffered appends visible to the OS
 			// before blocking.
@@ -327,11 +297,10 @@ func (s *Store) flusher() {
 			}
 			select {
 			case e, ok = <-s.queue:
-			case req = <-s.reqs:
-				gotReq = true
+			case reply = <-s.syncs:
 			}
 		}
-		if gotReq {
+		if reply != nil {
 		drain:
 			// Cover everything enqueued before the request.
 			for {
@@ -345,12 +314,7 @@ func (s *Store) flusher() {
 					break drain
 				}
 			}
-			switch req.kind {
-			case reqFlush:
-				req.err <- s.sync()
-			case reqCompact:
-				req.err <- s.compact()
-			}
+			reply <- s.sync()
 			continue
 		}
 		if !ok {
@@ -392,101 +356,17 @@ func (s *Store) sync() error {
 	return s.Err()
 }
 
-// compact rewrites the snapshot with the cache's current contents and
-// resets the journal. Runs on the flusher goroutine. Crash-safety: the
-// snapshot replacement is atomic (temp file + rename), and the journal
-// is only reset afterwards — a crash between the two leaves journal
-// entries that duplicate snapshot entries, which the next Open absorbs
-// (Insert overwrites).
-func (s *Store) compact() error {
-	if err := s.sync(); err != nil {
-		return err
-	}
-	var entries []engine.Entry
-	s.cache.Range(func(e engine.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	// Deterministic snapshots: identical caches produce identical bytes.
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.FP != b.FP {
-			return a.FP < b.FP
-		}
-		if a.Prop != b.Prop {
-			return a.Prop < b.Prop
-		}
-		return a.N < b.N
-	})
-
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	out := append([]byte(nil), header...)
-	for i := 0; err == nil && i < len(entries); i++ {
-		out, err = appendEntry(out, entries[i])
-	}
-	if err == nil {
-		_, err = tmp.Write(out)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.path)
-	}
-	if err != nil {
-		return err
-	}
-	logfile.SyncDir(dir)
-
-	// Reset the journal to a bare header; appends continue after it.
-	if err := s.journal.Truncate(0); err != nil {
-		s.setErr(err)
-		return err
-	}
-	if _, err := s.journal.Seek(0, io.SeekStart); err != nil {
-		s.setErr(err)
-		return err
-	}
-	s.bw.Reset(s.journal)
-	if err := s.writeHeader(); err != nil {
-		s.setErr(err)
-		return err
-	}
-	if err := s.journal.Sync(); err != nil {
-		s.setErr(err)
-		return err
-	}
-	return nil
-}
-
-// request round-trips one control request to the flusher.
-func (s *Store) do(kind int) error {
+// Flush drains pending appends and syncs the journal to disk.
+func (s *Store) Flush() error {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if s.closed {
 		return errors.New("store: closed")
 	}
-	req := request{kind: kind, err: make(chan error, 1)}
-	s.reqs <- req
-	return <-req.err
+	reply := make(chan error, 1)
+	s.syncs <- reply
+	return <-reply
 }
-
-// Flush drains pending appends and syncs the journal to disk.
-func (s *Store) Flush() error { return s.do(reqFlush) }
-
-// Compact folds the journal (and any prior snapshot) into a freshly
-// written snapshot — atomically, via temp file + rename — and resets the
-// journal to empty. Load time and disk use shrink to one record per
-// distinct decision.
-func (s *Store) Compact() error { return s.do(reqCompact) }
 
 // Close stops persisting, drains and syncs the journal, and closes it.
 // Decisions the cache computes after Close are not persisted. Close is
@@ -507,26 +387,28 @@ func (s *Store) Close() error {
 
 // Stats describes the store's persistence state.
 type Stats struct {
-	// Path is the snapshot path (the journal is Path + ".journal").
+	// Path is the path the store was opened with. The store's one file,
+	// its journal, is Path + ".journal".
 	Path string `json:"path"`
 	// Loaded counts the decisions warm-loaded at Open.
 	Loaded int `json:"loaded"`
 	// Appended counts the decisions journaled since Open.
 	Appended int `json:"appended"`
-	// SnapshotBytes and JournalBytes are the current file sizes (0 when
-	// the file does not exist yet).
-	SnapshotBytes int64 `json:"snapshotBytes"`
-	JournalBytes  int64 `json:"journalBytes"`
+	// JournalBytes is the journal's current size (0 when the file does
+	// not exist yet).
+	JournalBytes int64 `json:"journalBytes"`
+	// SnapshotBytes is always 0: a store writes no file but its journal.
+	//
+	// Deprecated: there is no snapshot file; read JournalBytes.
+	SnapshotBytes int64 `json:"-"`
 }
 
-// Stats reports the store's current persistence counters and file sizes.
+// Stats reports the store's current persistence counters and journal
+// size.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{Path: s.path, Loaded: s.loaded, Appended: s.appended}
 	s.mu.Unlock()
-	if fi, err := os.Stat(s.path); err == nil {
-		st.SnapshotBytes = fi.Size()
-	}
 	if fi, err := os.Stat(s.jpath); err == nil {
 		st.JournalBytes = fi.Size()
 	}

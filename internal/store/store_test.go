@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/logfile"
+	"repro/internal/registry"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
@@ -98,6 +100,88 @@ func TestRoundTripWarmStart(t *testing.T) {
 		if !bytes.Equal(b1, w2[k]) {
 			t.Errorf("witness %s not byte-identical:\n run1 %s\n run2 %s", k, b1, w2[k])
 		}
+	}
+}
+
+// TestJournalHoldsEachDecisionOnce pins the invariant that leaves a
+// store nothing to compact: the cache journals only the decisions it
+// computes, and it never recomputes a key it holds, so however many
+// engines share a store's cache and however often the store is
+// reopened, the journal holds each (fingerprint, property, level) once.
+// Three generations on one path analyze overlapping windows of registry
+// types, each with three concurrent engines on the store's cache at
+// maxN 5, 6 and 5; after each Close the journal's keys are pairwise
+// distinct, and the next Open loads one decision per frame.
+func TestJournalHoldsEachDecisionOnce(t *testing.T) {
+	descs := []string{"tas", "register:2", "swap:2", "tnn:3,1", "tnn:4,2", "faa:3",
+		"counter:3", "cas:3", "queue:1", "stack:2", "sticky", "x4"}
+	var fts []*spec.FiniteType
+	for _, d := range descs {
+		ft, err := registry.Parse(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fts = append(fts, ft)
+	}
+	path := filepath.Join(t.TempDir(), "decisions")
+	frames := 0
+	for gen := 0; gen < 3; gen++ {
+		st, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().Loaded; got != frames {
+			t.Fatalf("generation %d loaded %d decisions from a journal of %d frames", gen, got, frames)
+		}
+		// Windows of six types, each sharing three with the one before.
+		window := fts[3*gen : 3*gen+6]
+		var wg sync.WaitGroup
+		errs := make([]error, 3)
+		for i := range errs {
+			// Each engine starts at its own type of the window.
+			order := append(append([]*spec.FiniteType(nil), window[i:]...), window[:i]...)
+			eng := engine.New(engine.WithCache(st.Cache()), engine.WithParallelism(2), engine.WithMaxN(5+i%2))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = eng.AnalyzeAll(order)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		entries, _, err := readDecisions(path + journalSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[decisionKey]bool{}
+		for _, e := range entries {
+			k := decisionKey{e.FP, e.Prop, e.N}
+			if seen[k] {
+				t.Fatalf("generation %d: the journal holds %+v twice", gen, k)
+			}
+			seen[k] = true
+		}
+		if len(entries) <= frames {
+			t.Fatalf("generation %d journaled nothing: %d frames", gen, len(entries))
+		}
+		frames = len(entries)
+		t.Logf("generation %d: %d frames", gen, frames)
+	}
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.Stats().Loaded; got != frames {
+		t.Fatalf("final Open loaded %d decisions from a journal of %d frames", got, frames)
 	}
 }
 
@@ -279,56 +363,6 @@ func TestCorruptedMidRecordDropsTail(t *testing.T) {
 	}
 }
 
-// TestCompact folds the journal into the snapshot: the journal resets to
-// a bare header, the snapshot carries every decision, and a reopen
-// warm-loads the full set. Compacting twice is stable, and the snapshot
-// bytes are deterministic.
-func TestCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "decisions")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzeInto(t, st, 4)
-	_, _, entries := st.Cache().Stats()
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	snap1, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	snap2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap1, snap2) {
-		t.Error("snapshot bytes not deterministic across compactions")
-	}
-	jfi, err := os.Stat(path + journalSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jfi.Size() != int64(len(header)) {
-		t.Errorf("journal size after compact = %d, want bare header %d", jfi.Size(), len(header))
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if got := st2.Stats().Loaded; got != entries {
-		t.Fatalf("reopen after compact loaded %d, want %d", got, entries)
-	}
-}
-
 // TestNewerVersionRefused ensures a file from a future format version is
 // an error, not a silent truncation.
 func TestNewerVersionRefused(t *testing.T) {
@@ -400,12 +434,15 @@ func TestFlushMakesAppendsDurable(t *testing.T) {
 	}
 }
 
-// TestV1FilesLoadEmpty opens a version 1 snapshot and journal written by
-// the JSON-lines build (testdata: tas compacted into the snapshot,
-// register:2 in the journal, levels 2..3). Neither is refused: both
-// load as zero decisions, the journal is rewritten at Open and the
-// snapshot at the next Compact, and decisions appended afterwards
-// survive a reopen.
+// TestV1FilesLoadEmpty opens a version 1 journal and snapshot written
+// by the JSON-lines build (testdata: tas compacted into the snapshot,
+// register:2 in the journal, levels 2..3). The journal is not refused:
+// it loads as zero decisions, is rewritten at Open, and decisions
+// appended afterwards survive a reopen. The snapshot at the store's path
+// is never read and never written: it stays byte-identical across Open,
+// appends, Close and a reopen. Nor is a version 2 snapshot: a journal's
+// bytes copied to the store's path, with no journal beside them, load as
+// zero decisions and stay untouched.
 func TestV1FilesLoadEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decisions")
 	var v1 [2][]byte
@@ -422,6 +459,12 @@ func TestV1FilesLoadEmpty(t *testing.T) {
 		}
 		v1[i] = b
 	}
+	untouched := func(path string, want []byte, when string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("snapshot file changed %s (err %v)", when, err)
+		}
+	}
 
 	st, err := Open(path)
 	if err != nil {
@@ -433,14 +476,13 @@ func TestV1FilesLoadEmpty(t *testing.T) {
 	if j, err := os.ReadFile(path + journalSuffix); err != nil || !bytes.Equal(j, header) {
 		t.Fatalf("journal not rewritten at Open: %.60q (err %v)", j, err)
 	}
-	if snap, err := os.ReadFile(path); err != nil || !bytes.Equal(snap, v1[0]) {
-		t.Fatalf("snapshot changed before Compact (err %v)", err)
-	}
+	untouched(path, v1[0], "at Open")
 	analyzeInto(t, st, 3)
 	_, _, entries := st.Cache().Stats()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	untouched(path, v1[0], "by appends and Close")
 
 	st2, err := Open(path)
 	if err != nil {
@@ -449,21 +491,29 @@ func TestV1FilesLoadEmpty(t *testing.T) {
 	if got := st2.Stats().Loaded; got != entries {
 		t.Fatalf("reopen loaded %d appended decisions, want %d", got, entries)
 	}
-	if err := st2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if snap, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(snap, []byte(Magic)) {
-		t.Fatalf("snapshot not rewritten by Compact: %.20q (err %v)", snap, err)
-	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st3, err := Open(path)
+	untouched(path, v1[0], "by a reopen")
+
+	// A version 2 snapshot: the journal's frames, at the store's path.
+	journal, err := os.ReadFile(path + journalSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st3.Close()
-	if got := st3.Stats().Loaded; got != entries {
-		t.Fatalf("reopen after Compact loaded %d, want %d", got, entries)
+	v2path := filepath.Join(t.TempDir(), "decisions")
+	if err := os.WriteFile(v2path, journal, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	st3, err := Open(v2path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st3.Stats().Loaded; got != 0 {
+		t.Fatalf("loaded %d decisions from a file at the store's path, want 0", got)
+	}
+	if err := st3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	untouched(v2path, journal, "with no journal beside it")
 }

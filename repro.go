@@ -165,14 +165,15 @@ func New(opts ...Option) *Engine { return engine.New(opts...) }
 // NewCache returns an empty decision cache for WithCache.
 func NewCache() *Cache { return engine.NewCache() }
 
-// PersistentCache is a disk-backed decision cache: a crash-safe
-// append-only journal plus a compacted snapshot (see internal/store for
-// the format). Its Cache method yields the warm-loaded *Cache to install
-// with WithCache; Close flushes the journal.
+// PersistentCache is a disk-backed decision cache: one crash-safe
+// append-only journal file (see internal/store for the format). Its
+// Cache method yields the warm-loaded *Cache to install with WithCache;
+// Close flushes the journal.
 type PersistentCache = store.Store
 
 // OpenCache opens (creating if absent) the persistent decision cache at
-// path and warm-loads every previously persisted decision:
+// path, whose one file is path + ".journal", and warm-loads every
+// previously persisted decision:
 //
 //	pc, err := repro.OpenCache("decisions.repro")
 //	defer pc.Close()
